@@ -436,10 +436,16 @@ def cmd_adapt(args) -> int:
 
 
 def _limit(dataset, n: Optional[int]):
+    if n is not None and n < 0:
+        raise ConfigError(f"--limit must be >= 0, got {n}")
     return dataset if not n else dataset[:n]
 
 
 def cmd_decode_eval(args) -> int:
+    if args.beam < 1:
+        raise ConfigError(f"--beam must be >= 1, got {args.beam}")
+    if args.nbest is not None and not 1 <= args.nbest <= args.beam:
+        raise ConfigError(f"--nbest must be between 1 and --beam ({args.beam}), got {args.nbest}")
     enc, enc_vocab, _ = load_encoder_ckpt(args.encoder)
     bundle, dataset = resolve_dataset(args, args.split)
     dataset = _limit(dataset, args.limit)

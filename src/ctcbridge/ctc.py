@@ -1,4 +1,4 @@
-"""CTC loss, decoding, and a brute-force alignment oracle.
+"""CTC loss and decoding.
 
 The loss runs the standard forward recursion over the 2N+1 extended label
 sequence, built entirely from tape ops (log-softmax, gather, shift,
@@ -7,23 +7,25 @@ op.  The recursion itself runs under float64 storage -- the dynamic
 program is exactly the place where 32-bit accumulation drifts -- and only
 the final scalar is rounded back.
 
-Decoding offers per-frame argmax (greedy) and prefix beam search that
-keeps per-prefix (blank-ending, symbol-ending) log masses, merges
-identical prefixes by log-add after every frame, and prunes afterwards.
-Scores carry no length normalisation.
+Decoding offers per-frame argmax (greedy) and prefix beam search.  The
+beam search keeps per-prefix (blank-ending, symbol-ending) log masses and
+scores each frame as arrays: every live prefix's extensions form one
+`[k, V]` float64 array, so the Python work per frame grows with the beam
+width, not with beam x V.  Each next-frame mass receives at most two
+log-add terms and ties are ordered by `(-score, prefix)`, so the n-best
+lists do not depend on accumulation order.  Scores carry no length
+normalisation.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tt
-from .lexicon import Alignment, LogitGram, Posteriorgram, TokenSeq, collapse
+from .lexicon import LogitGram, Posteriorgram, TokenSeq, collapse
 
 INFEASIBLE_LOSS = 1.0e30  # sentinel: exp(-loss) == 0, gradient-free
 
@@ -122,19 +124,6 @@ def ctc_loss(z: LogitGram, y: TokenSeq, blank_id: int) -> CtcLoss:
     return CtcLoss(loss, True)
 
 
-def alignment_oracle(y: TokenSeq, frames: int, vocab_size: int, blank_id: int | None = None) -> set[Alignment]:
-    """Exact A(y) by filtering every (V+1)^T path; guarded to tiny instances."""
-    if frames > 8 or vocab_size > 4:
-        raise ValueError("alignment oracle is limited to frames <= 8 and V <= 4")
-    blank = vocab_size if blank_id is None else blank_id
-    target = tuple(y)
-    return {
-        path
-        for path in itertools.product(range(vocab_size + 1), repeat=frames)
-        if collapse(path, blank) == target
-    }
-
-
 def greedy_decode(p: Posteriorgram) -> TokenSeq:
     """Per-frame argmax (ties take the lowest index), then collapse."""
     path = tuple(int(i) for i in np.argmax(p.probs, axis=1))
@@ -142,53 +131,83 @@ def greedy_decode(p: Posteriorgram) -> TokenSeq:
 
 
 def beam_search(p: Posteriorgram, beam: int, n: int) -> NBestList:
-    """Prefix beam search over the posteriorgram.
+    """Prefix beam search over the posteriorgram, scored one frame at a time.
 
     Each live prefix tracks log mass split by whether its last frame was
-    blank; extending with the last symbol again only grows the prefix from
-    the blank-ending mass (the other mass merges into the same prefix).
+    blank.  Per frame, the k live prefixes stay (a blank, or their last
+    symbol again) as length-k arrays, and grow by every token as one
+    `[k, V]` array; growing by the last symbol again draws only on the
+    blank-ending mass.  A growth that lands on a live prefix is log-added
+    into that prefix's symbol-ending mass and leaves the candidate set.
+
+    So every next-frame mass receives at most two log-add terms, and since
+    `np.logaddexp` is symmetric with `logaddexp(-inf, x) == x`, the result
+    does not depend on accumulation order.  The `beam` best candidates are
+    kept, ties ordered by `(-score, prefix)`: `np.partition` finds the
+    beam-th best score and only the candidates at or above it are sorted.
+    Scores carry no length normalisation.
     """
     if not beam >= n >= 1:
         raise ValueError("need beam >= n >= 1")
     probs = np.asarray(p.probs, dtype=np.float64)
     logp = np.log(np.maximum(probs, _LOG_PROB_FLOOR))
-    t_frames, width = logp.shape
-    v = width - 1
-    neg_inf = -math.inf
+    v = logp.shape[1] - 1
+    tokens = np.tile(np.arange(v), beam)
+    no_mass = np.full(beam * v, -np.inf)
 
-    beams: dict[TokenSeq, list[float]] = {(): [0.0, neg_inf]}  # prefix -> [blank-ending, symbol-ending]
-    for t in range(t_frames):
-        lp = logp[t]
-        nxt: dict[TokenSeq, list[float]] = {}
+    prefixes: list[TokenSeq] = [()]
+    scores = [0.0]
+    pb = np.zeros(1)  # blank-ending log mass per live prefix
+    pnb = np.full(1, -np.inf)  # symbol-ending log mass
+    last = np.full(1, -1)  # last symbol, -1 for the empty prefix
+    for lp in logp:
+        k = len(prefixes)
+        total = np.logaddexp(pb, pnb)
+        stay_b = total + lp[v]
+        ends = last >= 0
+        stay_nb = np.where(ends, pnb + lp[last], -np.inf)
+        grow = total[:, None] + lp[None, :v]
+        rows = np.flatnonzero(ends)
+        grow[rows, last[rows]] = pb[rows] + lp[last[rows]]
+        grow = grow.ravel()
 
-        def slot(prefix):
-            e = nxt.get(prefix)
-            if e is None:
-                e = [neg_inf, neg_inf]
-                nxt[prefix] = e
-            return e
+        # live q whose parent q[:-1] is live: cell [parent, q[-1]] is q again
+        index = {q: i for i, q in enumerate(prefixes)}
+        merged = [(i, index[q[:-1]]) for i, q in enumerate(prefixes) if q and q[:-1] in index]
+        valid = np.ones(k + k * v, dtype=bool)
+        if merged:
+            child, parent = np.array(merged).T
+            cells = parent * v + last[child]
+            stay_nb[child] = np.logaddexp(stay_nb[child], grow[cells])
+            valid[k + cells] = False
 
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            here = slot(prefix)
-            here[0] = np.logaddexp(here[0], total + lp[v])
-            if prefix:
-                here[1] = np.logaddexp(here[1], pnb + lp[prefix[-1]])
-            for c in range(v):
-                grown = slot(prefix + (c,))
-                src = pb if (prefix and c == prefix[-1]) else total
-                grown[1] = np.logaddexp(grown[1], src + lp[c])
+        mass_b = np.concatenate((stay_b, no_mass[: k * v]))
+        mass_nb = np.concatenate((stay_nb, grow))
+        score = np.concatenate((np.logaddexp(stay_b, stay_nb), grow))
+        ids = np.flatnonzero(valid)
+        if ids.size > beam:  # keep ties with the beam-th best for the prefix tie-break
+            cut = ids.size - beam
+            floor = np.partition(score[ids], cut)[cut]
+            ids = ids[score[ids] >= floor]
 
-        ranked = sorted(
-            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
-        )
-        beams = dict(ranked[:beam])
+        ranked = []
+        for j, s in zip(ids.tolist(), score[ids].tolist()):
+            if j < k:
+                q = prefixes[j]
+            else:
+                r, c = divmod(j - k, v)
+                q = prefixes[r] + (c,)
+            ranked.append((-s, q, j))
+        ranked.sort()
+        del ranked[beam:]
 
-    scored = sorted(
-        ((prefix, float(np.logaddexp(pb, pnb))) for prefix, (pb, pnb) in beams.items()),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
-    return NBestList(tuple(scored[:n]), beam_size=beam, n=n)
+        keep = np.array([j for _, _, j in ranked])
+        prefixes = [q for _, q, _ in ranked]
+        scores = [-neg for neg, _, _ in ranked]
+        pb, pnb = mass_b[keep], mass_nb[keep]
+        last = np.concatenate((last, tokens[: k * v]))[keep]
+
+    return NBestList(tuple(zip(prefixes[:n], scores[:n])), beam_size=beam, n=n)
 
 
 def nbest_to_json(utt_id: str, nbest: NBestList) -> str:

@@ -7,7 +7,6 @@ from ctcbridge import tensor as tt
 from ctcbridge.ctc import (
     INFEASIBLE_LOSS,
     NBestList,
-    alignment_oracle,
     beam_search,
     ctc_loss,
     greedy_decode,
@@ -17,6 +16,7 @@ from ctcbridge.ctc import (
 )
 from ctcbridge.lexicon import LogitGram, Posteriorgram
 from ctcbridge.rng import CounterRng
+from ctc_oracles import alignment_oracle, beam_search_reference
 
 
 def gram(logits) -> LogitGram:
@@ -220,3 +220,49 @@ class TestBeamSearch:
     def test_nbest_ordering_enforced(self):
         with pytest.raises(ValueError):
             NBestList((((0,), -2.0), ((1,), -1.0)), beam_size=2, n=2)
+
+
+ROW_KINDS = ("softmax", "peaky", "uniform", "zeros", "onehot", "mixed")
+
+
+def posterior_rows(kind: str, t_frames: int, v: int, rng: CounterRng) -> np.ndarray:
+    """[t_frames, v+1] probability rows of one kind; "mixed" draws a kind per frame."""
+    width = v + 1
+    if kind == "mixed":
+        kinds = ROW_KINDS[:-1]
+        picks = rng.integers(0, len(kinds), t_frames)
+        rows = [posterior_rows(kinds[k], 1, v, rng.child(t)) for t, k in enumerate(picks)]
+        return np.concatenate(rows) if rows else np.zeros((0, width))
+    if kind == "uniform":  # every extension ties
+        return np.full((t_frames, width), 1.0 / width)
+    if kind == "onehot":
+        p = np.zeros((t_frames, width))
+        p[np.arange(t_frames), rng.integers(0, width, t_frames)] = 1.0
+        return p
+    if kind == "zeros":  # exact zeros take the log floor; some rows are all zero
+        p = rng.uniforms(t_frames * width).reshape(t_frames, width)
+        p[rng.uniforms(p.size).reshape(p.shape) < 0.6] = 0.0
+        total = p.sum(axis=1, keepdims=True)
+        return np.divide(p, total, out=np.zeros_like(p), where=total > 0)
+    scale = {"softmax": 2.0, "peaky": 8.0}[kind]
+    z = rng.normals(t_frames * width).reshape(t_frames, width) * scale
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestBeamSearchMatchesReference:
+    """The array search against the dict-based one it replaced: bit-identical."""
+
+    @pytest.mark.parametrize("v", (1, 2, 3, 5, 32))
+    @pytest.mark.parametrize("t_frames", (0, 1, 2, 7, 20))
+    def test_same_hypotheses_scores_and_order(self, v, t_frames):
+        rng = CounterRng(2505).child(f"v{v}.t{t_frames}")
+        for kind in ROW_KINDS:
+            pg = Posteriorgram(posterior_rows(kind, t_frames, v, rng.child(kind)))
+            for beam, n in ((1, 1), (2, 2), (3, 1), (10, 10), (64, 1)):
+                got = beam_search(pg, beam=beam, n=n)
+                want = beam_search_reference(pg, beam=beam, n=n)
+                assert got.hypotheses == want.hypotheses, (kind, beam, n)
+                assert all(type(s) is float for _, s in got.hypotheses)
+                # the n-best cache files must come out byte for byte the same
+                assert nbest_to_json("u", got) == nbest_to_json("u", want)
