@@ -7,10 +7,20 @@ beam search, or the connected system), `sweep-tau` traces the temperature
 spectrum, and `swap` evaluates a decoder against a different encoder with
 no weight updates.
 
-Config files are JSON (schema in the README); command-line flags override
-file values, and every emitted JSON/CSV embeds the effective config so a
-result can be traced to its inputs.  Exit codes: 0 success, 1 runtime or
-numerical failure, 2 usage/config errors.
+Config files are JSON.  A task spec (`--spec`; echoed into a `gen-data`
+manifest) holds `vocab_size`, `feat_dim`, `length_range`, `duration_range`,
+`noise_sigma`, `confusion_prob` and `splits` (`train`, `dev`, `test`,
+optional `seed`), the token chain as `chain` (`seed`, optional
+`successors`, `weights`, `smoothing`) or as `transition`, `init` and
+`confusion_pairs`, and optionally `prototype_seed`, `name`, `task` ("asr"
+or "ast") and `translation_seed`.  A train config (`--config`) holds
+`TrainConfig` fields (`augment` is a `MaskConfig` object or null), an
+`encoder` block of `EncoderConfig` fields for `train-encoder`, and for
+`adapt` a `decoder` block of `DecoderConfig` fields, a `connector` block of
+`ConnectorConfig` fields, `aec_n` and `use_prompt_token`.  Command-line
+flags override file values, and every emitted JSON/CSV embeds the
+effective config so a result can be traced to its inputs.  Exit codes: 0
+success, 1 runtime or numerical failure, 2 usage/config errors.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .ctc import NBestList, beam_search, greedy_decode, nbest_from_json, nbest_t
 from .lexicon import Posteriorgram, Vocabulary
 from .metrics import corpus_wer, werr
 from .models import (
-    ADAPT_MODES,
+    CONNECTIONS,
     DecoderConfig,
     DecoderLM,
     DecoderSystem,
@@ -43,6 +53,7 @@ from .models import (
     TrainingDiverged,
     adapt_decoder,
     build_system,
+    check_system,
     evaluate_system,
     train_encoder_ctc,
 )
@@ -132,6 +143,8 @@ def load_task(source) -> TaskBundle:
         seed = sizes.pop("seed", 0)
     except KeyError as e:
         raise ConfigError(f"task spec is missing field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"task spec: {e}") from e
     return TaskBundle(spec, sizes, seed, translation, raw)
 
 
@@ -142,55 +155,47 @@ def _read_jsonl_split(data_dir: Path, split: str) -> list[Utterance]:
     return [utterance_from_json(line) for line in path.read_text().splitlines() if line]
 
 
-def resolve_dataset(args, split: str) -> tuple[TaskBundle, list[Utterance]]:
+def resolve_dataset(args, split: str) -> list[Utterance]:
     """Materialised directory if --data was given, else on-the-fly from --spec."""
-    if getattr(args, "data", None):
+    if args.data:
         data_dir = Path(args.data)
-        bundle = load_task(_load_json(data_dir / "manifest.json")["task"])
-        return bundle, _read_jsonl_split(data_dir, split)
-    if not getattr(args, "spec", None):
+        load_task(_load_json(data_dir / "manifest.json")["task"])  # validates the manifest
+        return _read_jsonl_split(data_dir, split)
+    if not args.spec:
         raise ConfigError("need --spec TASK.json or --data DIR")
-    bundle = load_task(args.spec)
-    train, dev, test = bundle.splits()
-    return bundle, {"train": train, "dev": dev, "test": test}[split]
+    train, dev, test = load_task(args.spec).splits()
+    return {"train": train, "dev": dev, "test": test}[split]
 
 
 # ---------------------------------------------------------------------------
 # config files
 
 
-def _mask_config(d: Optional[dict]) -> Optional[MaskConfig]:
-    if d is None:
-        return None
-    return MaskConfig(**d)
-
-
 def load_train_config(path: Optional[str], overrides: dict) -> tuple[TrainConfig, dict]:
     raw = _load_json(path) if path else {}
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    aug = raw.get("augment", dataclasses.asdict(MaskConfig()))
-    cfg = TrainConfig(
-        steps=raw.get("steps", 1500),
-        batch_size=raw.get("batch_size", 8),
-        lr=raw.get("lr", 3e-3),
-        warmup=raw.get("warmup", 50),
-        dropout=raw.get("dropout", 0.0),
-        augment=_mask_config(aug),
-        seed=raw.get("seed", 0),
-        eval_every=raw.get("eval_every", 250),
-        log_every=raw.get("log_every", 50),
-        dev_subset=raw.get("dev_subset", 100),
-    )
+    known = {f.name for f in dataclasses.fields(TrainConfig)} - {"augment"}
+    aug = raw.get("augment", {})
+    try:
+        cfg = TrainConfig(augment=None if aug is None else MaskConfig(**aug),
+                          **{k: v for k, v in raw.items() if k in known})
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"train config: {e}") from e
     return cfg, raw
 
 
-def connector_from_raw(raw: dict, overrides: dict) -> ConnectorConfig:
-    conn = dict(raw.get("connector", {}))
-    for key in ("tau", "blk_downscale", "k", "apply_tau_at"):
-        if overrides.get(key) is not None:
-            conn[key] = overrides[key]
-    conn.setdefault("mode", "full")
-    return ConnectorConfig(**conn)
+def connector_with_overrides(conn: dict, args, mode: str, out_slots: int) -> ConnectorConfig:
+    """`conn` with the --tau/--blk-downscale/--k flags applied, checked for `mode`."""
+    conn = dict(conn)
+    for key in ("tau", "blk_downscale", "k"):
+        if getattr(args, key, None) is not None:
+            conn[key] = getattr(args, key)
+    try:
+        cfg = ConnectorConfig(**conn)
+        CONNECTIONS[mode].check_k(cfg, out_slots)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"connector: {e}") from e
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +210,24 @@ def save_encoder_ckpt(path, enc: SpeechEncoder, vocab: Vocabulary, meta_extra: d
     save_checkpoint(path, tensors, meta)
 
 
+def _fill(path, params: dict[str, tt.Parameter], tensors: dict, prefix: str) -> None:
+    for n, p in params.items():
+        t = tensors.get(f"{prefix}/{n}")
+        if t is None or t.shape != p.value.shape:
+            raise CheckpointError(f"{path}: tensor {prefix}/{n} is missing or has the wrong shape")
+        p.value[...] = t
+
+
 def load_encoder_ckpt(path) -> tuple[SpeechEncoder, Vocabulary, dict]:
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") not in ("encoder", "system"):
         raise CheckpointError(f"{path}: not an encoder-bearing checkpoint")
-    v = meta["vocab"]
-    vocab = Vocabulary(tuple(v["tokens"]), v["sep"], v["bos"], v["eos"])
-    enc = SpeechEncoder(EncoderConfig(**meta["encoder_config"]), meta.get("seed", 0))
-    for n, p in enc.params.items():
-        p.value[...] = tensors[f"enc/{n}"]
+    try:
+        vocab = Vocabulary.from_json(json.dumps(meta["vocab"]))
+        enc = SpeechEncoder(EncoderConfig(**meta["encoder_config"]), meta.get("seed", 0))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint metadata ({e!r})") from e
+    _fill(path, enc.params, tensors, "enc")
     return enc, vocab, meta
 
 
@@ -221,7 +235,7 @@ def save_system_ckpt(path, sys_: DecoderSystem, enc: SpeechEncoder, vocab: Vocab
                      meta_extra: dict):
     tensors = {f"enc/{n}": p.value for n, p in enc.params.items()}
     tensors.update({f"dec/{n}": p.value for n, p in sys_.decoder.params.items()})
-    tensors.update({f"extra/{n}": p.value for n, p in sys_.extra_params().items()})
+    tensors.update({f"extra/{n}": p.value for n, p in sys_.extra.items()})
     meta = {
         "kind": "system",
         "vocab": json.loads(vocab.to_json()),
@@ -242,36 +256,38 @@ def load_system_ckpt(path) -> tuple[DecoderSystem, Vocabulary, dict]:
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != "system":
         raise CheckpointError(f"{path}: not a decoder-system checkpoint")
-    v = meta["vocab"]
-    vocab = Vocabulary(tuple(v["tokens"]), v["sep"], v["bos"], v["eos"])
-    dec = DecoderLM(DecoderConfig(**meta["decoder_config"]), vocab,
-                    meta.get("decoder_seed", 0))
-    for n, p in dec.params.items():
-        p.value[...] = tensors[f"dec/{n}"]
-    conn = ConnectorConfig(**meta["connector"])
-    sys_ = DecoderSystem(decoder=dec, mode=meta["mode"], conn=conn,
-                         aec_n=meta.get("aec_n", 1), prompt_id=meta.get("prompt_id"))
-    for tname, attr in (("extra/sp.proj", "sp_proj"), ("extra/topp.proj", "topp_proj"),
-                        ("extra/adapter.table", "adapter")):
-        if tname in tensors:
-            setattr(sys_, attr, tt.Parameter(tensors[tname], name=tname))
+    extra = {n[len("extra/"):]: tt.Parameter(t, name=n[len("extra/"):])
+             for n, t in tensors.items() if n.startswith("extra/")}
+    try:
+        vocab = Vocabulary.from_json(json.dumps(meta["vocab"]))
+        dec = DecoderLM(DecoderConfig(**meta["decoder_config"]), vocab,
+                        meta.get("decoder_seed", 0))
+        conn = dict(meta["connector"])
+        # older checkpoints also stored the connector's own mode name, which
+        # only repeated the top-level "mode" (the registry now derives it)
+        conn.pop("mode", None)
+        sys_ = DecoderSystem(decoder=dec, mode=meta["mode"], conn=ConnectorConfig(**conn),
+                             extra=extra, aec_n=meta.get("aec_n", 1),
+                             prompt_id=meta.get("prompt_id"))
+        check_system(sys_, EncoderConfig(**meta["encoder_config"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed system checkpoint ({e!r})") from e
+    _fill(path, dec.params, tensors, "dec")
     return sys_, vocab, meta
 
 
-def _check_vocab_compatible(sys_: DecoderSystem, enc: SpeechEncoder,
-                            enc_vocab: Vocabulary, dec_vocab: Vocabulary):
-    if sys_.mode == "adapter":
-        if sys_.adapter is None or sys_.adapter.value.shape[0] != enc.cfg.out_slots:
-            raise ConfigError(
-                "adapter table does not cover this encoder's output slots"
-            )
-        return
-    if enc_vocab.tokens != dec_vocab.tokens:
+def _check_compatible(sys_: DecoderSystem, enc: SpeechEncoder,
+                      enc_vocab: Vocabulary, dec_vocab: Vocabulary):
+    try:
+        check_system(sys_, enc.cfg)
+    except ValueError as e:
+        raise ConfigError(f"decoder does not fit this encoder: {e}") from e
+    entry = sys_.connection
+    own_table = entry.reads == "logits" and not entry.lm_table
+    if not own_table and enc_vocab.tokens != dec_vocab.tokens:
         raise ConfigError(
             "encoder and decoder vocabularies differ; retrain or use an adapter-mode system"
         )
-    if sys_.mode not in ("sp", "aec") and enc.cfg.out_slots != dec_vocab.size + 1:
-        raise ConfigError("encoder output width does not match the LM vocabulary")
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +300,9 @@ def _posteriorgram(enc: SpeechEncoder, utt: Utterance) -> Posteriorgram:
 
 
 def eval_ctc_beam(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
-                  nbest_n: int = 1, collect: bool = False):
-    refs, hyps, lists = [], [], {}
-    for utt in dataset:
-        nb = beam_search(_posteriorgram(enc, utt), beam=beam, n=max(nbest_n, 1))
-        refs.append(utt.source)
-        hyps.append(nb.top())
-        if collect:
-            lists[utt.id] = nb
-    return corpus_wer(refs, hyps), lists
+                  nbest_n: int = 1):
+    lists = build_aec_cache(enc, dataset, beam, nbest_n)
+    return corpus_wer([u.source for u in dataset], [lists[u.id].top() for u in dataset]), lists
 
 
 def eval_ctc_greedy(enc: SpeechEncoder, dataset: Sequence[Utterance]):
@@ -303,6 +313,7 @@ def eval_ctc_greedy(enc: SpeechEncoder, dataset: Sequence[Utterance]):
 
 def build_aec_cache(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
                     n: int) -> dict[str, NBestList]:
+    """Each utterance's n-best list from CTC prefix beam search, by utterance id."""
     return {
         utt.id: beam_search(_posteriorgram(enc, utt), beam=beam, n=n)
         for utt in dataset
@@ -312,7 +323,7 @@ def build_aec_cache(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
 def eval_connected(sys_: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
                    dataset: Sequence[Utterance], beam: int, max_new: int):
     cache = None
-    if sys_.mode == "aec":
+    if sys_.connection.reads == "nbest":
         cache = build_aec_cache(enc, dataset, beam=max(beam, sys_.aec_n), n=sys_.aec_n)
     return evaluate_system(sys_, enc, vocab, dataset, max_new=max_new, aec_cache=cache)
 
@@ -382,16 +393,16 @@ def cmd_train_encoder(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    if args.mode not in ADAPT_MODES:
-        raise ConfigError(f"unknown mode {args.mode!r}; choose from {ADAPT_MODES}")
+    if args.mode not in CONNECTIONS:
+        raise ConfigError(f"unknown mode {args.mode!r}; choose from {tuple(CONNECTIONS)}")
     enc, vocab, _ = load_encoder_ckpt(args.encoder)
     bundle = load_task(args.spec)
     if bundle.spec.vocab.tokens != vocab.tokens:
         raise ConfigError("task vocabulary differs from the encoder checkpoint")
     overrides = {"steps": args.steps, "seed": args.seed}
     cfg, raw_cfg = load_train_config(args.config, overrides)
-    conn = connector_from_raw(raw_cfg, {"tau": args.tau, "blk_downscale": args.blk_downscale,
-                                        "k": args.k})
+    conn = connector_with_overrides(raw_cfg.get("connector", {}), args, args.mode,
+                                    enc.cfg.out_slots)
     dec_raw = raw_cfg.get("decoder", {})
     dec = DecoderLM(DecoderConfig(vocab=vocab.size, **dec_raw), vocab, cfg.seed)
     prompt = prompt_token_id(vocab) if raw_cfg.get("use_prompt_token") else None
@@ -400,9 +411,9 @@ def cmd_adapt(args) -> int:
 
     train, dev, _ = bundle.splits()
     cache = None
-    if args.mode == "aec":
+    if sys_.connection.reads == "nbest":
         if not args.nbest_cache:
-            raise ConfigError("aec adaptation needs --nbest-cache FILE (repeatable)")
+            raise ConfigError(f"{args.mode} adaptation needs --nbest-cache FILE (repeatable)")
         cache = {}
         for path in args.nbest_cache:
             for line in Path(path).read_text().splitlines():
@@ -435,37 +446,41 @@ def cmd_adapt(args) -> int:
     return 0
 
 
-def _limit(dataset, n: Optional[int]):
-    if n is not None and n < 0:
-        raise ConfigError(f"--limit must be >= 0, got {n}")
-    return dataset if not n else dataset[:n]
+def _eval_inputs(args) -> tuple[SpeechEncoder, Vocabulary, list[Utterance]]:
+    """Checked --beam/--limit, the --encoder checkpoint and the evaluated utterances."""
+    for flag, value in (("--beam", args.beam), ("--limit", args.limit)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    enc, enc_vocab, _ = load_encoder_ckpt(args.encoder)
+    dataset = resolve_dataset(args, args.split)
+    return enc, enc_vocab, dataset[:args.limit]
+
+
+def _load_decoder(args, enc: SpeechEncoder, enc_vocab: Vocabulary):
+    """The --decoder system with connector flags applied, checked against `enc`."""
+    sys_, dec_vocab, _ = load_system_ckpt(args.decoder)
+    sys_.conn = connector_with_overrides(dataclasses.asdict(sys_.conn), args, sys_.mode,
+                                         enc.cfg.out_slots)
+    _check_compatible(sys_, enc, enc_vocab, dec_vocab)
+    return sys_, dec_vocab
+
+
+def _connected_config(sys_: DecoderSystem, args, dataset) -> dict:
+    return {"mode": sys_.mode, "connector": dataclasses.asdict(sys_.conn),
+            "beam": args.beam, "max_new": args.max_new,
+            "split": args.split, "n_utts": len(dataset)}
 
 
 def cmd_decode_eval(args) -> int:
-    if args.beam < 1:
-        raise ConfigError(f"--beam must be >= 1, got {args.beam}")
+    enc, enc_vocab, dataset = _eval_inputs(args)
     if args.nbest is not None and not 1 <= args.nbest <= args.beam:
         raise ConfigError(f"--nbest must be between 1 and --beam ({args.beam}), got {args.nbest}")
-    enc, enc_vocab, _ = load_encoder_ckpt(args.encoder)
-    bundle, dataset = resolve_dataset(args, args.split)
-    dataset = _limit(dataset, args.limit)
     if args.decoder:
-        sys_, dec_vocab, _ = load_system_ckpt(args.decoder)
-        _check_vocab_compatible(sys_, enc, enc_vocab, dec_vocab)
-        if args.tau is not None or args.blk_downscale is not None or args.k is not None:
-            sys_.conn = connector_from_raw(
-                {"connector": dataclasses.asdict(sys_.conn)},
-                {"tau": args.tau, "blk_downscale": args.blk_downscale, "k": args.k},
-            )
+        sys_, dec_vocab = _load_decoder(args, enc, enc_vocab)
         report = eval_connected(sys_, enc, dec_vocab, dataset, args.beam, args.max_new)
-        config = {"decode": "connected", "mode": sys_.mode,
-                  "connector": dataclasses.asdict(sys_.conn),
-                  "beam": args.beam, "max_new": args.max_new,
-                  "split": args.split, "n_utts": len(dataset)}
+        config = {"decode": "connected", **_connected_config(sys_, args, dataset)}
     else:
-        report, lists = eval_ctc_beam(enc, dataset, beam=args.beam,
-                                      nbest_n=args.nbest or 1,
-                                      collect=bool(args.nbest_out))
+        report, lists = eval_ctc_beam(enc, dataset, beam=args.beam, nbest_n=args.nbest or 1)
         if args.nbest_out:
             lines = [nbest_to_json(u.id, lists[u.id]) for u in dataset]
             Path(args.nbest_out).write_text("\n".join(lines) + "\n")
@@ -480,21 +495,22 @@ def cmd_decode_eval(args) -> int:
     return 0
 
 
+def _tau_grid(text: Optional[str], conn: ConnectorConfig) -> list[ConnectorConfig]:
+    try:
+        taus = [float(t) for t in text.split(",")] if text else DEFAULT_TAU_GRID
+        return [dataclasses.replace(conn, tau=tau) for tau in taus]
+    except ValueError as e:
+        raise ConfigError(f"--grid: {e}") from e
+
+
 def cmd_sweep_tau(args) -> int:
-    enc, enc_vocab, _ = load_encoder_ckpt(args.encoder)
-    sys_, dec_vocab, _ = load_system_ckpt(args.decoder)
-    _check_vocab_compatible(sys_, enc, enc_vocab, dec_vocab)
-    bundle, dataset = resolve_dataset(args, args.split)
-    dataset = _limit(dataset, args.limit)
-    grid = tuple(float(t) for t in args.grid.split(",")) if args.grid else DEFAULT_TAU_GRID
-    rows = []
-    for tau in grid:
-        sys_.conn = dataclasses.replace(sys_.conn, tau=tau)
-        report = eval_connected(sys_, enc, dec_vocab, dataset, args.beam, args.max_new)
-        rows.append((tau, report))
+    enc, enc_vocab, dataset = _eval_inputs(args)
+    sys_, dec_vocab = _load_decoder(args, enc, enc_vocab)
     lines = ["tau,wer,sub,del,ins,n_ref"]
-    for tau, r in rows:
-        lines.append(f"{tau:g},{r.wer:.6f},{r.substitutions},{r.deletions},"
+    for conn in _tau_grid(args.grid, sys_.conn):
+        sys_.conn = conn
+        r = eval_connected(sys_, enc, dec_vocab, dataset, args.beam, args.max_new)
+        lines.append(f"{conn.tau:g},{r.wer:.6f},{r.substitutions},{r.deletions},"
                      f"{r.insertions},{r.n_ref}")
     csv = "\n".join(lines) + "\n"
     if args.out:
@@ -504,25 +520,15 @@ def cmd_sweep_tau(args) -> int:
 
 
 def cmd_swap(args) -> int:
-    enc_b, encb_vocab, _ = load_encoder_ckpt(args.encoder)
-    sys_, dec_vocab, _ = load_system_ckpt(args.decoder)
-    _check_vocab_compatible(sys_, enc_b, encb_vocab, dec_vocab)
-    if args.tau is not None or args.blk_downscale is not None:
-        sys_.conn = connector_from_raw(
-            {"connector": dataclasses.asdict(sys_.conn)},
-            {"tau": args.tau, "blk_downscale": args.blk_downscale, "k": None},
-        )
-    bundle, dataset = resolve_dataset(args, args.split)
-    dataset = _limit(dataset, args.limit)
+    enc_b, encb_vocab, dataset = _eval_inputs(args)
+    sys_, dec_vocab = _load_decoder(args, enc_b, encb_vocab)
     system = eval_connected(sys_, enc_b, dec_vocab, dataset, args.beam, args.max_new)
     baseline = eval_ctc_greedy(enc_b, dataset)
     result = {
         "system": system.as_dict(),
         "encoder_greedy_baseline": baseline.as_dict(),
         "werr_vs_greedy": werr(baseline.wer, system.wer),
-        "config": {"mode": sys_.mode, "connector": dataclasses.asdict(sys_.conn),
-                   "beam": args.beam, "max_new": args.max_new,
-                   "split": args.split, "n_utts": len(dataset)},
+        "config": _connected_config(sys_, args, dataset),
     }
     out = _dump(result)
     if args.out:
@@ -555,7 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int)
     t.set_defaults(func=cmd_train_encoder)
 
-    a = sub.add_parser("adapt", help="fine-tune the decoder under a connection mode")
+    # --tau / --blk-downscale override the connector of adapt, decode-eval and swap
+    knobs = argparse.ArgumentParser(add_help=False)
+    knobs.add_argument("--tau", type=float)
+    knobs.add_argument("--blk-downscale", type=float, dest="blk_downscale")
+
+    a = sub.add_parser("adapt", parents=[knobs],
+                       help="fine-tune the decoder under a connection mode")
     a.add_argument("--mode", required=True)
     a.add_argument("--encoder", required=True)
     a.add_argument("--spec", required=True)
@@ -566,53 +578,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="n-best JSONL (aec mode); repeat for several files")
     a.add_argument("--steps", type=int)
     a.add_argument("--seed", type=int)
-    a.add_argument("--tau", type=float)
-    a.add_argument("--blk-downscale", type=float, dest="blk_downscale")
     a.add_argument("--k", type=int)
     a.set_defaults(func=cmd_adapt)
 
-    d = sub.add_parser("decode-eval", help="WER of the encoder alone or the connected system")
-    d.add_argument("--encoder", required=True)
+    # the flags the three evaluation commands share
+    ev = argparse.ArgumentParser(add_help=False)
+    ev.add_argument("--encoder", required=True, help="encoder checkpoint")
+    ev.add_argument("--spec")
+    ev.add_argument("--data")
+    ev.add_argument("--split", default="test", choices=("train", "dev", "test"))
+    ev.add_argument("--limit", type=int)
+    ev.add_argument("--beam", type=int, default=10)
+    ev.add_argument("--max-new", type=int, default=48, dest="max_new")
+    ev.add_argument("--out")
+
+    d = sub.add_parser("decode-eval", parents=[ev, knobs],
+                       help="WER of the encoder alone or the connected system")
     d.add_argument("--decoder", help="system checkpoint; omit for encoder-only beam WER")
-    d.add_argument("--spec")
-    d.add_argument("--data")
-    d.add_argument("--split", default="test", choices=("train", "dev", "test"))
-    d.add_argument("--limit", type=int)
-    d.add_argument("--beam", type=int, default=10)
     d.add_argument("--nbest", type=int)
     d.add_argument("--nbest-out", dest="nbest_out")
-    d.add_argument("--tau", type=float)
-    d.add_argument("--blk-downscale", type=float, dest="blk_downscale")
     d.add_argument("--k", type=int)
-    d.add_argument("--max-new", type=int, default=48, dest="max_new")
-    d.add_argument("--out")
     d.set_defaults(func=cmd_decode_eval)
 
-    s = sub.add_parser("sweep-tau", help="WER across a temperature grid")
-    s.add_argument("--encoder", required=True)
+    s = sub.add_parser("sweep-tau", parents=[ev], help="WER across a temperature grid")
     s.add_argument("--decoder", required=True)
-    s.add_argument("--spec")
-    s.add_argument("--data")
-    s.add_argument("--split", default="test", choices=("train", "dev", "test"))
-    s.add_argument("--limit", type=int)
     s.add_argument("--grid", help="comma-separated taus (default: the standard grid)")
-    s.add_argument("--beam", type=int, default=10)
-    s.add_argument("--max-new", type=int, default=48, dest="max_new")
-    s.add_argument("--out")
     s.set_defaults(func=cmd_sweep_tau)
 
-    w = sub.add_parser("swap", help="evaluate a decoder with a different encoder, no training")
-    w.add_argument("--encoder", required=True, help="the replacement encoder")
+    w = sub.add_parser("swap", parents=[ev, knobs],
+                       help="evaluate a decoder with a different encoder, no training")
     w.add_argument("--decoder", required=True, help="system adapted with another encoder")
-    w.add_argument("--spec")
-    w.add_argument("--data")
-    w.add_argument("--split", default="test", choices=("train", "dev", "test"))
-    w.add_argument("--limit", type=int)
-    w.add_argument("--beam", type=int, default=10)
-    w.add_argument("--tau", type=float)
-    w.add_argument("--blk-downscale", type=float, dest="blk_downscale")
-    w.add_argument("--max-new", type=int, default=48, dest="max_new")
-    w.add_argument("--out")
     w.set_defaults(func=cmd_swap)
     return p
 

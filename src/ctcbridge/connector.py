@@ -2,11 +2,14 @@
 
 Per frame, the acoustic scores pass through a fixed chain -- subtract
 log(blk_downscale) from the blank slot, divide by the temperature, softmax,
-then a weighted sum over the embedding table -- producing one pseudo-speech
-embedding per frame in the LM input space.  Variants restrict the sum to
-the K highest-scoring slots (`topS`) or concatenate their embedding rows
-through a trained projection (`topP`); `adapter` swaps in a separately
-trained table when the acoustic vocabulary differs from the LM's.
+then a weighted sum over a table -- producing one pseudo-speech embedding
+per frame in the LM input space.  `reconstruct_full` can restrict the
+softmax to the K highest-scoring slots; `reconstruct_topP` instead
+concatenates those slots' rows through a trained projection.  The table is
+whatever the caller passes: the LM embedding table, or a separately trained
+one when the acoustic vocabulary differs from the LM's.  Which function and
+table an adaptation mode uses is decided by its entry in
+`models.CONNECTIONS`.
 
 Everything is differentiable with respect to the tables/projection (and
 the scores, when they are tape-recorded); temperature is applied at
@@ -24,28 +27,21 @@ import numpy as np
 from . import tensor as tt
 from .lexicon import LogitGram
 
-MODES = ("full", "topS", "topP", "adapter")
-
 
 @dataclass(frozen=True)
 class ConnectorConfig:
-    mode: str = "full"
     tau: float = 1.0
     blk_downscale: float = 1.0
     k: Optional[int] = None
     apply_tau_at: str = "inference_only"  # or "always"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown connector mode {self.mode!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.blk_downscale < 1.0:
-            raise ValueError("blk_downscale must be >= 1")
+        if not self.tau > 0:  # also rejects NaN
+            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not self.blk_downscale >= 1.0:
+            raise ValueError(f"blk_downscale must be >= 1, got {self.blk_downscale}")
         if self.apply_tau_at not in ("inference_only", "always"):
             raise ValueError("apply_tau_at must be 'inference_only' or 'always'")
-        if self.mode in ("topS", "topP") and self.k is None:
-            raise ValueError(f"mode {self.mode!r} requires k")
 
     def effective_tau(self, at_inference: bool) -> float:
         if at_inference or self.apply_tau_at == "always":
@@ -78,36 +74,24 @@ def _topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def reconstruct_full(z: LogitGram, table: tt.Tensor, cfg: ConnectorConfig,
-                     at_inference: bool = True) -> tt.Tensor:
-    """Weighted sum of all table rows under the per-frame distribution."""
+                     at_inference: bool = True, k: Optional[int] = None) -> tt.Tensor:
+    """Weighted sum of table rows under the per-frame distribution.
+
+    With `k`, scores outside each frame's K highest (after blank downscale)
+    are set to LOG_ZERO before the softmax, so only those K rows are summed.
+    """
     if z.width != table.shape[0]:
         raise ValueError(
             f"score width {z.width} does not match table rows {table.shape[0]}"
         )
-    zd = blank_downscale(z, cfg.blk_downscale)
-    probs = tt.softmax(zd.logits, tau=cfg.effective_tau(at_inference))
+    logits = blank_downscale(z, cfg.blk_downscale).logits
+    if k is not None:
+        keep = _topk_indices(logits.data, _check_k(k, z.width))  # not differentiated
+        mask = np.full(logits.shape, tt.LOG_ZERO)
+        np.put_along_axis(mask, keep, 0.0, axis=1)
+        logits = tt.add(logits, tt.Tensor(mask))
+    probs = tt.softmax(logits, tau=cfg.effective_tau(at_inference))
     return tt.matmul(probs, table)
-
-
-def reconstruct_topS(z: LogitGram, table: tt.Tensor, k: int, cfg: ConnectorConfig,
-                     at_inference: bool = True) -> tt.Tensor:
-    """Softmax-weighted sum restricted to the K highest-scoring slots per frame."""
-    if z.width != table.shape[0]:
-        raise ValueError(
-            f"score width {z.width} does not match table rows {table.shape[0]}"
-        )
-    k = _check_k(k, z.width)
-    zd = blank_downscale(z, cfg.blk_downscale)
-    frames, width = zd.logits.shape
-    idx = _topk_indices(zd.logits.data, k)  # selection is not differentiated
-
-    flat = (np.arange(frames)[:, None] * width + idx).reshape(-1)
-    picked = tt.reshape(tt.gather_flat(zd.logits, flat), (frames, k))
-    weights = tt.softmax(picked, tau=cfg.effective_tau(at_inference))
-
-    rows = tt.gather_rows(table, idx.reshape(-1))          # [frames*k, d]
-    weighted = tt.scale_rows(rows, tt.reshape(weights, (frames * k,)))
-    return tt.sum_groups(weighted, k)
 
 
 def reconstruct_topP(z: LogitGram, table: tt.Tensor, k: int, proj: tt.Tensor,
@@ -128,33 +112,3 @@ def reconstruct_topP(z: LogitGram, table: tt.Tensor, k: int, proj: tt.Tensor,
     rows = tt.gather_rows(table, idx.reshape(-1))          # [frames*k, d]
     concat = tt.reshape(rows, (frames, k * d))
     return tt.matmul(concat, proj)
-
-
-def reconstruct_adapter(z_asr: LogitGram, adapter: tt.Tensor, cfg: ConnectorConfig,
-                        at_inference: bool = True) -> tt.Tensor:
-    """Full reconstruction against a separately trained table (vocab mismatch)."""
-    if z_asr.width != adapter.shape[0]:
-        raise ValueError(
-            f"score width {z_asr.width} does not match adapter rows {adapter.shape[0]}"
-        )
-    return reconstruct_full(z_asr, adapter, cfg, at_inference=at_inference)
-
-
-def reconstruct(z: LogitGram, cfg: ConnectorConfig, table: tt.Tensor,
-                proj: Optional[tt.Tensor] = None,
-                adapter: Optional[tt.Tensor] = None,
-                at_inference: bool = True) -> tt.Tensor:
-    """Dispatch on cfg.mode; `table` is the LM embedding table (V+1 rows)."""
-    if cfg.mode == "full":
-        return reconstruct_full(z, table, cfg, at_inference)
-    if cfg.mode == "topS":
-        return reconstruct_topS(z, table, cfg.k, cfg, at_inference)
-    if cfg.mode == "topP":
-        if proj is None:
-            raise ValueError("topS/topP projection is missing for mode 'topP'")
-        return reconstruct_topP(z, table, cfg.k, proj, cfg, at_inference)
-    if cfg.mode == "adapter":
-        if adapter is None:
-            raise ValueError("adapter table is missing for mode 'adapter'")
-        return reconstruct_adapter(z, adapter, cfg, at_inference)
-    raise ValueError(f"unknown connector mode {cfg.mode!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -105,16 +104,3 @@ def collapse(path: Alignment, blank_id: int) -> TokenSeq:
                 out.append(p)
             prev = p
     return tuple(out)
-
-
-def validate_posteriorgram(p: Posteriorgram, tol: float = 1e-5) -> Optional[str]:
-    """None if every row is a distribution; else a report naming the first bad row."""
-    probs = np.asarray(p.probs, dtype=np.float64)
-    for t in range(probs.shape[0]):
-        row = probs[t]
-        if row.min() < 0:
-            return f"row {t}: negative mass {row.min():.6g}"
-        s = row.sum()
-        if abs(s - 1.0) > tol:
-            return f"row {t}: sums to {s:.6g}"
-    return None

@@ -9,14 +9,19 @@ output softmax.  Input and output embeddings are tied by default
 (`DecoderConfig.tie_output`).
 
 Two loops: CTC-train the encoder, then adapt the decoder against a frozen
-encoder under one of the connection modes:
+encoder through one entry of the `CONNECTIONS` registry.  An entry names
+what it reads from the encoder (logits, hidden states or an n-best list),
+the parameters it trains beside the decoder, and how it turns that readout
+into the decoder's speech prefix:
 
-  lego / lego_star   posterior-weighted reconstruction (star forces
-                     blank downscale 1e4)
-  topS / topP        sparsified reconstruction variants
-  adapter            reconstruction through a fresh table (vocab mismatch)
+  lego / lego_star   posterior-weighted reconstruction against the LM
+                     table (lego_star pins blank downscale to 1e4)
+  topS / topP        the same restricted to the top-k slots, or their rows
+                     concatenated through a trained projection
+  adapter            reconstruction against its own table, so the
+                     encoder's vocabulary may differ from the LM's
   sp                 linear projection of encoder hidden states
-  aec                n-best hypotheses as text input, "<sep>"-joined
+  aec                no prefix: n-best hypotheses as text, "<sep>"-joined
 
 The frozen encoder runs off-tape during adaptation, so its parameters
 cannot drift by construction.
@@ -27,19 +32,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import tensor as tt
-from .connector import ConnectorConfig, reconstruct
+from .connector import ConnectorConfig, reconstruct_full, reconstruct_topP
 from .ctc import NBestList, ctc_loss
 from .lexicon import LogitGram, TokenSeq, Vocabulary
 from .metrics import WerReport, corpus_wer
 from .rng import CounterRng
 from .synthdata import MaskConfig, Utterance, augment
-
-ADAPT_MODES = ("lego", "lego_star", "topS", "topP", "adapter", "sp", "aec")
 
 
 class TrainingDiverged(RuntimeError):
@@ -190,10 +193,6 @@ class SpeechEncoder:
         p["out.w"] = _init(rng, "out.w", (cfg.width, cfg.out_slots), 1.0 / math.sqrt(cfg.width))
         self.params = p
 
-    @staticmethod
-    def out_frames(t: int) -> int:
-        return -(-t // SpeechEncoder.SUBSAMPLE)  # ceil(t / 4)
-
     def _conv(self, x: tt.Tensor, prefix: str, tape) -> tt.Tensor:
         t, c = x.shape
         zero = tt.Tensor(np.zeros((1, c), dtype=np.float32))
@@ -311,91 +310,152 @@ def aec_build_input(nbest: NBestList, n: int, vocab: Vocabulary) -> TokenSeq:
 
 
 # ---------------------------------------------------------------------------
+# connection registry
+
+
+def _lm_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
+    return reconstruct_full(LogitGram(tt.Tensor(enc_out)), sys.decoder.embedding(tape),
+                            sys.conn, at_inference)
+
+
+def _topS_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
+    return reconstruct_full(LogitGram(tt.Tensor(enc_out)), sys.decoder.embedding(tape),
+                            sys.conn, at_inference, k=sys.conn.k)
+
+
+def _topP_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
+    return reconstruct_topP(LogitGram(tt.Tensor(enc_out)), sys.decoder.embedding(tape),
+                            sys.conn.k, _w(sys.extra, "topp.proj", tape), sys.conn,
+                            at_inference)
+
+
+def _adapter_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
+    return reconstruct_full(LogitGram(tt.Tensor(enc_out)), _w(sys.extra, "adapter.table", tape),
+                            sys.conn, at_inference)
+
+
+def _sp_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
+    return sp_project(tt.Tensor(enc_out), _w(sys.extra, "sp.proj", tape))
+
+
+@dataclass(frozen=True)
+class Connection:
+    """One adaptation mode: how frozen-encoder output becomes a speech prefix."""
+
+    reads: str  # "logits", "hidden" or "nbest" (the aec cache; no encoder run)
+    # (sys, enc_out, tape, at_inference) -> [S, d] prefix, or None for no prefix
+    prefix: Callable[..., Optional[tt.Tensor]]
+    # (encoder config, decoder config, connector) -> {name: (shape, init scale)}
+    # of the parameters trained beside the decoder
+    extra: Callable[[EncoderConfig, DecoderConfig, ConnectorConfig], dict] = (
+        lambda enc, dec, conn: {})
+    lm_table: bool = False  # reconstructs against the LM table: needs V+1 encoder slots
+    needs_k: bool = False
+    blk_downscale: Optional[float] = None  # pinned over the connector's value
+
+    def check_k(self, conn: ConnectorConfig, out_slots: int) -> None:
+        if self.needs_k and not (isinstance(conn.k, int) and 1 <= conn.k <= out_slots):
+            raise ValueError(f"k must lie in [1, {out_slots}] for this mode, got {conn.k}")
+
+
+_LEGO = Connection("logits", _lm_prefix, lm_table=True)
+
+CONNECTIONS: dict[str, Connection] = {
+    "lego": _LEGO,
+    "lego_star": replace(_LEGO, blk_downscale=1.0e4),
+    "topS": Connection("logits", _topS_prefix, lm_table=True, needs_k=True),
+    "topP": Connection(
+        "logits", _topP_prefix, lm_table=True, needs_k=True,
+        extra=lambda enc, dec, conn: {
+            "topp.proj": ((conn.k * dec.dim, dec.dim), 1.0 / math.sqrt(conn.k * dec.dim))}),
+    "adapter": Connection(
+        "logits", _adapter_prefix,
+        extra=lambda enc, dec, conn: {"adapter.table": ((enc.out_slots, dec.dim), 0.02)}),
+    "sp": Connection(
+        "hidden", _sp_prefix,
+        extra=lambda enc, dec, conn: {
+            "sp.proj": ((enc.width, dec.dim), 1.0 / math.sqrt(enc.width))}),
+    "aec": Connection("nbest", lambda sys, enc_out, tape, at_inference: None),
+}
+
+
+# ---------------------------------------------------------------------------
 # the decode-side bundle
 
 
 @dataclass
 class DecoderSystem:
-    """Decoder plus everything its connection mode needs at run time."""
+    """Decoder plus what its registry entry needs at run time."""
 
     decoder: DecoderLM
     mode: str
     conn: ConnectorConfig
-    sp_proj: Optional[tt.Parameter] = None
-    topp_proj: Optional[tt.Parameter] = None
-    adapter: Optional[tt.Parameter] = None
+    extra: dict[str, tt.Parameter] = field(default_factory=dict)
     aec_n: int = 1
     prompt_id: Optional[int] = None
 
     def __post_init__(self):
-        if self.mode not in ADAPT_MODES:
+        if self.mode not in CONNECTIONS:
             raise ValueError(f"unknown adaptation mode {self.mode!r}")
 
-    def extra_params(self) -> dict[str, tt.Parameter]:
-        out = {}
-        if self.sp_proj is not None:
-            out["sp.proj"] = self.sp_proj
-        if self.topp_proj is not None:
-            out["topp.proj"] = self.topp_proj
-        if self.adapter is not None:
-            out["adapter.table"] = self.adapter
-        return out
-
-
-def resolve_connector(mode: str, conn: ConnectorConfig) -> ConnectorConfig:
-    """Adaptation mode -> concrete connector config (lego_star pins 1e4)."""
-    if mode == "lego":
-        return replace(conn, mode="full")
-    if mode == "lego_star":
-        return replace(conn, mode="full", blk_downscale=1.0e4)
-    if mode == "topS":
-        return replace(conn, mode="topS")
-    if mode == "topP":
-        return replace(conn, mode="topP")
-    if mode == "adapter":
-        return replace(conn, mode="adapter")
-    return conn  # sp / aec do not use the connector
+    @property
+    def connection(self) -> Connection:
+        return CONNECTIONS[self.mode]
 
 
 def build_system(mode: str, enc: SpeechEncoder, dec: DecoderLM,
                  conn: ConnectorConfig = ConnectorConfig(), seed: int = 0,
                  aec_n: int = 1, prompt_id: Optional[int] = None) -> DecoderSystem:
-    """Create the decoder-side bundle, initialising mode-specific parameters."""
-    if mode not in ADAPT_MODES:
+    """Create the decoder-side bundle, initialising its entry's extra parameters."""
+    if mode not in CONNECTIONS:
         raise ValueError(f"unknown adaptation mode {mode!r}")
-    conn = resolve_connector(mode, conn)
+    entry = CONNECTIONS[mode]
+    if entry.blk_downscale is not None:
+        conn = replace(conn, blk_downscale=entry.blk_downscale)
+    entry.check_k(conn, enc.cfg.out_slots)
     rng = CounterRng(seed, stream=0xE27A)
-    sys = DecoderSystem(decoder=dec, mode=mode, conn=conn, aec_n=aec_n, prompt_id=prompt_id)
-    d = dec.cfg.dim
-    if mode == "sp":
-        sys.sp_proj = _init(rng, "sp.proj", (enc.cfg.width, d), 1.0 / math.sqrt(enc.cfg.width))
-    if mode == "topP":
-        if conn.k is None:
-            raise ValueError("topP needs k")
-        sys.topp_proj = _init(rng, "topp.proj", (conn.k * d, d), 1.0 / math.sqrt(conn.k * d))
-    if mode == "adapter":
-        sys.adapter = _init(rng, "adapter.table", (enc.cfg.out_slots, d), 0.02)
-    return sys
+    extra = {name: _init(rng, name, shape, scale)
+             for name, (shape, scale) in entry.extra(enc.cfg, dec.cfg, conn).items()}
+    return DecoderSystem(decoder=dec, mode=mode, conn=conn, extra=extra, aec_n=aec_n,
+                         prompt_id=prompt_id)
 
 
-def encoder_readout(sys_mode: str, enc: SpeechEncoder, frames: np.ndarray) -> np.ndarray:
-    """What the connection mode consumes: hidden states for sp, logits otherwise."""
+def check_system(sys: DecoderSystem, enc_cfg: EncoderConfig) -> None:
+    """Raise ValueError unless `sys` can read from an encoder with `enc_cfg`."""
+    entry = sys.connection
+    entry.check_k(sys.conn, enc_cfg.out_slots)
+    spec = entry.extra(enc_cfg, sys.decoder.cfg, sys.conn)
+    if set(sys.extra) != set(spec):
+        raise ValueError(f"mode {sys.mode!r} trains parameters {sorted(spec)}, "
+                         f"the system has {sorted(sys.extra)}")
+    for name, (shape, _) in spec.items():
+        if sys.extra[name].value.shape != shape:
+            raise ValueError(f"{name} is {sys.extra[name].value.shape}; this encoder and "
+                             f"connector need {shape}")
+    if entry.lm_table and enc_cfg.out_slots != sys.decoder.cfg.vocab + 1:
+        raise ValueError("encoder output slots do not match the LM vocabulary")
+
+
+def encoder_readout(reads: str, enc: SpeechEncoder, frames: np.ndarray) -> Optional[np.ndarray]:
+    """What an entry consumes: hidden states, logits, or None for n-best entries."""
+    if reads == "nbest":
+        return None
     hidden, logits = enc.forward(frames)
-    return hidden.data if sys_mode == "sp" else logits.data
+    return hidden.data if reads == "hidden" else logits.data
 
 
 class EncoderOutputCache:
     """Per-utterance frozen-encoder outputs; valid only without augmentation."""
 
-    def __init__(self, enc: SpeechEncoder, mode: str):
+    def __init__(self, enc: SpeechEncoder, reads: str):
         self.enc = enc
-        self.mode = mode
+        self.reads = reads
         self._data: dict[str, np.ndarray] = {}
 
-    def get(self, utt: Utterance) -> np.ndarray:
+    def get(self, utt: Utterance) -> Optional[np.ndarray]:
         out = self._data.get(utt.id)
         if out is None:
-            out = encoder_readout(self.mode, self.enc, utt.frames)
+            out = encoder_readout(self.reads, self.enc, utt.frames)
             self._data[utt.id] = out
         return out
 
@@ -409,23 +469,9 @@ def conditioning(sys: DecoderSystem, enc: SpeechEncoder, frames: np.ndarray,
     adaptation, which is the freeze contract in mechanical form.  Pass
     `enc_out` to reuse a cached readout instead of re-running the encoder.
     """
-    if sys.mode == "aec":
-        return None
     if enc_out is None:
-        enc_out = encoder_readout(sys.mode, enc, frames)
-    if sys.mode == "sp":
-        proj = tape.watch(sys.sp_proj) if tape is not None else tt.Tensor(sys.sp_proj.value)
-        return sp_project(tt.Tensor(enc_out), proj)
-    z = LogitGram(tt.Tensor(enc_out))
-    table = sys.decoder.embedding(tape)
-    proj = None
-    if sys.topp_proj is not None:
-        proj = tape.watch(sys.topp_proj) if tape is not None else tt.Tensor(sys.topp_proj.value)
-    adapter = None
-    if sys.adapter is not None:
-        adapter = tape.watch(sys.adapter) if tape is not None else tt.Tensor(sys.adapter.value)
-    return reconstruct(z, sys.conn, table, proj=proj, adapter=adapter,
-                       at_inference=at_inference)
+        enc_out = encoder_readout(sys.connection.reads, enc, frames)
+    return sys.connection.prefix(sys, enc_out, tape, at_inference)
 
 
 def prompt_ids(sys: DecoderSystem, vocab: Vocabulary,
@@ -433,9 +479,9 @@ def prompt_ids(sys: DecoderSystem, vocab: Vocabulary,
     ids = [vocab.bos_id]
     if sys.prompt_id is not None:
         ids.append(sys.prompt_id)
-    if sys.mode == "aec":
+    if sys.connection.reads == "nbest":
         if nbest is None:
-            raise ValueError("aec mode needs an n-best list")
+            raise ValueError(f"mode {sys.mode!r} needs an n-best list")
         ids.extend(aec_build_input(nbest, sys.aec_n, vocab))
         ids.append(vocab.eos_id)
     return ids
@@ -458,48 +504,22 @@ def teacher_forcing_example(sys: DecoderSystem, vocab: Vocabulary, target: Token
 
 
 def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: list[int],
-             max_new: int = 48, strategy: str = "greedy", beam: int = 1) -> TokenSeq:
-    """Autoregressive decode until <eos> or `max_new` generated tokens."""
+             max_new: int = 48) -> TokenSeq:
+    """Greedy autoregressive decode until <eos> or `max_new` generated tokens."""
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
     dec = sys.decoder
     eos = dec.vocab.eos_id
     s = 0 if speech is None else speech.shape[0]
     budget = min(max_new, dec.cfg.max_len - s - len(prompt))
-    if strategy == "greedy" or (strategy == "beam" and beam == 1):
-        ids = list(prompt)
-        for _ in range(budget):
-            logits = dec.forward(speech, ids).data[-1]
-            nxt = int(np.argmax(logits))
-            if nxt == eos:
-                break
-            ids.append(nxt)
-        return tuple(ids[len(prompt):])
-    if strategy != "beam":
-        raise ValueError("strategy must be 'greedy' or 'beam'")
-
-    live: list[tuple[list[int], float]] = [(list(prompt), 0.0)]
-    done: list[tuple[list[int], float]] = []
+    ids = list(prompt)
     for _ in range(budget):
-        if not live:
+        logits = dec.forward(speech, ids).data[-1]
+        nxt = int(np.argmax(logits))
+        if nxt == eos:
             break
-        cand: list[tuple[float, int, list[int]]] = []
-        for ids, score in live:
-            logits = dec.forward(speech, ids).data[-1]
-            logp = tt.log_softmax(tt.Tensor(logits)).data
-            order = np.argsort(-logp, kind="stable")[:beam]
-            for tok in order:
-                cand.append((score + float(logp[tok]), int(tok), ids))
-        cand.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for score, tok, ids in cand[: beam]:
-            if tok == eos:
-                done.append((ids, score))
-            else:
-                live.append((ids + [tok], score))
-    done.extend(live)
-    best = max(done, key=lambda d: d[1])
-    return tuple(best[0][len(prompt):])
+        ids.append(nxt)
+    return tuple(ids[len(prompt):])
 
 
 # ---------------------------------------------------------------------------
@@ -651,21 +671,12 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
     """Fine-tune the decoder side; the encoder is frozen (never taped)."""
     if not train_set:
         raise ValueError("training set is empty")
-    if sys.mode == "aec" and aec_cache is None:
-        raise ValueError("aec adaptation needs an n-best cache for the dataset")
-    if sys.mode == "topP" and sys.topp_proj is None:
-        raise ValueError("topP adaptation needs its projection (build_system creates it)")
-    if sys.mode == "adapter" and sys.adapter is None:
-        raise ValueError("adapter adaptation needs its table (build_system creates it)")
-    if sys.mode == "sp" and sys.sp_proj is None:
-        raise ValueError("sp adaptation needs its projection (build_system creates it)")
-    if sys.mode == "adapter" and sys.adapter.value.shape[0] != enc.cfg.out_slots:
-        raise ValueError("adapter table rows must match encoder output slots")
-    if sys.mode not in ("sp", "aec", "adapter") and enc.cfg.out_slots != vocab.size + 1:
-        raise ValueError("encoder output slots do not match the LM vocabulary")
+    if sys.connection.reads == "nbest" and aec_cache is None:
+        raise ValueError(f"mode {sys.mode!r} needs an n-best cache for the dataset")
+    check_system(sys, enc.cfg)
 
     trainable = dict(sys.decoder.params)
-    trainable.update(sys.extra_params())
+    trainable.update(sys.extra)
     names = sorted(trainable)
     opt = Adam([trainable[n] for n in names], cfg.lr, cfg.steps, cfg.warmup)
     root = CounterRng(cfg.seed, stream=0xADA7)
@@ -675,7 +686,7 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
         return aec_cache.get(utt.id) if aec_cache is not None else None
 
     # without augmentation the frozen encoder's outputs never change
-    enc_cache = EncoderOutputCache(enc, sys.mode) if cfg.augment is None else None
+    enc_cache = EncoderOutputCache(enc, sys.connection.reads) if cfg.augment is None else None
 
     def dev_loss(subset):
         total, count = 0.0, 0
@@ -730,11 +741,11 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
 
 
 def decode_utterance(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
-                     utt: Utterance, max_new: int = 48, strategy: str = "greedy",
-                     beam: int = 1, nbest: Optional[NBestList] = None) -> TokenSeq:
+                     utt: Utterance, max_new: int = 48,
+                     nbest: Optional[NBestList] = None) -> TokenSeq:
     speech = conditioning(sys, enc, utt.frames, tape=None, at_inference=True)
     prompt = prompt_ids(sys, vocab, nbest)
-    return generate(sys, speech, prompt, max_new=max_new, strategy=strategy, beam=beam)
+    return generate(sys, speech, prompt, max_new=max_new)
 
 
 def evaluate_system(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
@@ -746,23 +757,3 @@ def evaluate_system(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
         hyps.append(decode_utterance(sys, enc, vocab, utt, max_new=max_new, nbest=nb))
         refs.append(utt.target)
     return corpus_wer(refs, hyps)
-
-
-def teacher_forcing_stats(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
-                          dataset: Sequence[Utterance],
-                          aec_cache: Optional[dict[str, NBestList]] = None) -> dict:
-    """Pooled per-token log perplexity and argmax accuracy, teacher-forced."""
-    if not dataset:
-        raise ValueError("dataset is empty")
-    nll_sum, correct, count = 0.0, 0, 0
-    for utt in dataset:
-        nb = aec_cache.get(utt.id) if aec_cache is not None else None
-        speech = conditioning(sys, enc, utt.frames, tape=None, at_inference=True)
-        text, targets, mask = teacher_forcing_example(sys, vocab, utt.target, nb)
-        logits = sys.decoder.forward(speech, text)
-        logp = tt.log_softmax(logits).data
-        for pos in np.nonzero(mask)[0]:
-            nll_sum -= float(logp[pos, targets[pos]])
-            correct += int(np.argmax(logits.data[pos]) == targets[pos])
-            count += 1
-    return {"log_ppl": nll_sum / count, "token_acc": correct / count}

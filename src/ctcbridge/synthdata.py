@@ -252,14 +252,6 @@ def translate_target(source: TokenSeq, mapping: dict[int, int]) -> TokenSeq:
     return tuple(mapped)
 
 
-def invert_translation(target: TokenSeq, mapping: dict[int, int]) -> TokenSeq:
-    inv = {v: k for k, v in mapping.items()}
-    swapped = list(target)
-    for i in range(0, len(swapped) - 1, 2):
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-    return tuple(inv[t] for t in swapped)
-
-
 # --- materialised form ------------------------------------------------------
 
 

@@ -30,10 +30,6 @@ LOG_ZERO = -1.0e30  # finite stand-in for log(0); exp() underflows to 0.0
 _DTYPE = np.float32
 
 
-def _dtype():
-    return _DTYPE
-
-
 @contextmanager
 def precision(dtype):
     """Temporarily switch the storage dtype (not thread-safe; test/check use)."""
@@ -480,42 +476,6 @@ def shift(v: Tensor, k: int, fill: float = LOG_ZERO) -> Tensor:
     return _emit(v.tape, out, (v.nid,), bwd)
 
 
-def scale_rows(m: Tensor, w: Tensor) -> Tensor:
-    """Multiply row i of `m` by scalar w[i]."""
-    m, w = as_tensor(m), as_tensor(w)
-    if m.ndim != 2 or w.ndim != 1 or m.shape[0] != w.shape[0]:
-        raise ValueError(f"scale_rows mismatch: {m.shape} vs {w.shape}")
-    tape = _tape_of(m, w)
-    out = m.data * w.data[:, None]
-    if tape is None:
-        return Tensor(out)
-    pm = m.nid if m.tape is not None else None
-    pw = w.nid if w.tape is not None else None
-    md, wd = m.data, w.data
-
-    def bwd(g):
-        res = []
-        if pm is not None:
-            res.append(g * wd[:, None])
-        if pw is not None:
-            res.append((g * md).sum(axis=1, dtype=np.float64).astype(g.dtype))
-        return tuple(res)
-
-    return _emit(tape, out, tuple(p for p in (pm, pw) if p is not None), bwd)
-
-
-def sum_groups(m: Tensor, k: int) -> Tensor:
-    """[n*k, c] -> [n, c], summing each consecutive group of k rows."""
-    m = as_tensor(m)
-    if m.ndim != 2 or m.shape[0] % k != 0:
-        raise ValueError("sum_groups needs row count divisible by k")
-    n = m.shape[0] // k
-    out = _f64(m.data).reshape(n, k, m.shape[1]).sum(axis=1)
-    if m.tape is None:
-        return Tensor(out)
-    return _emit(m.tape, out, (m.nid,), lambda g: (np.repeat(g, k, axis=0),))
-
-
 # ---------------------------------------------------------------------------
 # normalisation / log-space
 
@@ -680,16 +640,6 @@ def reduce_sum(x: Tensor) -> Tensor:
         return Tensor(out)
     shape = x.shape
     return _emit(x.tape, out, (x.nid,), lambda g: (np.full(shape, g, dtype=g.dtype),))
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    n = x.size
-    out = _f64(x.data).sum() / n
-    if x.tape is None:
-        return Tensor(out)
-    shape = x.shape
-    return _emit(x.tape, out, (x.nid,), lambda g: (np.full(shape, g / n, dtype=g.dtype),))
 
 
 # ---------------------------------------------------------------------------

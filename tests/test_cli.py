@@ -1,10 +1,15 @@
-"""In-process `cli.main` runs on a tiny task: bad decode arguments exit 2."""
+"""In-process `cli.main` runs on a tiny task: every mode end to end, and
+bad arguments, config values and checkpoints exit 2."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from ctcbridge import cli
+from ctcbridge import models as md
+from ctcbridge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 TASK = {
     "name": "tiny",
@@ -64,6 +69,7 @@ def test_valid_limit_and_nbest_decode(tiny, capsys):
     (["--beam", "3", "--nbest", "4"], "--nbest"),
     (["--nbest", "0"], "--nbest"),
     (["--limit", "-5"], "--limit"),
+    (["--limit", "0"], "--limit"),
 ])
 def test_bad_decode_eval_arguments_exit_2(tiny, capsys, command, flag):
     code, out, err = run(capsys, decode(tiny, *command))
@@ -79,4 +85,153 @@ def test_negative_limit_exits_2(tiny, capsys, command):
                                   "--spec", tiny["spec"], "--limit", "-1"])
     assert code == 2
     assert out == ""
-    assert err == "error: --limit must be >= 0, got -1\n"
+    assert err == "error: --limit must be >= 1, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["sweep-tau", "swap"])
+@pytest.mark.parametrize("flag", ["--limit", "--beam"])
+def test_zero_limit_or_beam_exits_2(tiny, capsys, command, flag):
+    code, out, err = run(capsys, [command, "--encoder", tiny["enc"], "--decoder", tiny["sys"],
+                                  "--spec", tiny["spec"], flag, "0"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be >= 1, got 0\n"
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+BAD_CONFIGS = {
+    "task-duration": lambda t, d: ["gen-data", "--spec", _write(
+        d, "task.json", dict(TASK, duration_range=[2, 3])), "--out", str(d / "data")],
+    "topS-without-k": lambda t, d: ["adapt", "--mode", "topS", "--encoder", t["enc"],
+                                    "--spec", t["spec"], "--out", str(d / "s.ckpt")],
+    "topP-k-too-big": lambda t, d: ["adapt", "--mode", "topP", "--k", "99", "--encoder",
+                                    t["enc"], "--spec", t["spec"], "--out", str(d / "s.ckpt")],
+    "adapt-tau-0": lambda t, d: ["adapt", "--mode", "lego", "--tau", "0", "--encoder", t["enc"],
+                                 "--spec", t["spec"], "--out", str(d / "s.ckpt")],
+    "augment-key": lambda t, d: ["train-encoder", "--spec", t["spec"], "--config", _write(
+        d, "train.json", dict(TRAIN, augment={"bogus": 1})), "--out", str(d / "e.ckpt")],
+    "decode-tau-negative": lambda t, d: decode(t, "--decoder", t["sys"], "--tau", "-1"),
+    "grid-zero": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
+                               "--spec", t["spec"], "--grid", "0"],
+    "grid-text": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
+                               "--spec", t["spec"], "--grid", "abc"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_values_exit_2(tiny, capsys, tmp_path, case):
+    code, out, err = run(capsys, BAD_CONFIGS[case](tiny, tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# every registry entry through the CLI
+
+
+@pytest.fixture(scope="module")
+def systems(tiny, tmp_path_factory):
+    """One adapted system checkpoint per registry entry, on the tiny task."""
+    d = tmp_path_factory.mktemp("systems")
+    caches = []
+    for split in ("train", "dev"):
+        path = str(d / f"nbest-{split}.jsonl")
+        assert cli.main(["decode-eval", "--encoder", tiny["enc"], "--spec", tiny["spec"],
+                         "--split", split, "--beam", "2", "--nbest-out", path]) == 0
+        caches += ["--nbest-cache", path]
+    out = {}
+    for mode, entry in md.CONNECTIONS.items():
+        out[mode] = str(d / f"{mode}.ckpt")
+        argv = ["adapt", "--mode", mode, "--encoder", tiny["enc"], "--spec", tiny["spec"],
+                "--config", tiny["dec_cfg"], "--out", out[mode]]
+        argv += ["--k", "2"] if entry.needs_k else []
+        argv += caches if entry.reads == "nbest" else []
+        assert cli.main(argv) == 0, mode
+    return out
+
+
+def _digest(sys_):
+    return md.params_digest({**{f"dec/{n}": p for n, p in sys_.decoder.params.items()},
+                             **{f"extra/{n}": p for n, p in sys_.extra.items()}})
+
+
+@pytest.mark.parametrize("mode", tuple(md.CONNECTIONS))
+def test_every_mode_decodes_and_round_trips(tiny, systems, capsys, tmp_path, mode):
+    code, out, _ = run(capsys, decode(tiny, "--decoder", systems[mode], "--limit", "2",
+                                      "--max-new", "6"))
+    assert code == 0
+    sys_, vocab, _ = cli.load_system_ckpt(systems[mode])
+    config = json.loads(out)["config"]
+    assert (config["decode"], config["mode"]) == ("connected", mode)
+    assert config["connector"] == dataclasses.asdict(sys_.conn)
+    assert sys_.conn.blk_downscale == (1e4 if mode == "lego_star" else 1.0)
+
+    enc, _, _ = cli.load_encoder_ckpt(tiny["enc"])
+    again = tmp_path / "again.ckpt"
+    cli.save_system_ckpt(again, sys_, enc, vocab, {})
+    back, _, _ = cli.load_system_ckpt(again)
+    assert (back.mode, back.conn) == (sys_.mode, sys_.conn)
+    assert _digest(back) == _digest(sys_)
+    frames = cli.load_task(tiny["spec"]).splits()[2][0].frames
+    a, b = md.conditioning(sys_, enc, frames), md.conditioning(back, enc, frames)
+    if mode == "aec":
+        assert a is None and b is None
+    else:
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_swap_and_sweep_tau_on_lego(tiny, systems, capsys):
+    common = ["--encoder", tiny["enc"], "--decoder", systems["lego"], "--spec", tiny["spec"],
+              "--limit", "2", "--max-new", "6"]
+    code, out, _ = run(capsys, ["swap", *common, "--tau", "2"])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["mode"], config["connector"]["tau"], config["n_utts"]) == ("lego", 2.0, 2)
+    code, out, _ = run(capsys, ["sweep-tau", *common, "--grid", "0.5,2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "tau,wer,sub,del,ins,n_ref"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "2"]
+
+
+def test_parent_format_system_checkpoint_loads(systems, tmp_path):
+    # older checkpoints repeated the mode inside the connector block
+    tensors, meta = load_checkpoint(systems["topP"])
+    meta["connector"]["mode"] = "topP"
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, tensors, meta)
+    loaded, _, _ = cli.load_system_ckpt(old)
+    current, _, _ = cli.load_system_ckpt(systems["topP"])
+    assert (loaded.mode, loaded.conn) == (current.mode, current.conn)
+    assert _digest(loaded) == _digest(current)
+
+
+def _drop(mapping, key):
+    del mapping[key]
+
+
+MALFORMED = {
+    "meta-key": lambda t, m: _drop(m, "decoder_config"),
+    "connector-field": lambda t, m: m["connector"].update(bogus=1),
+    "extra-missing": lambda t, m: _drop(t, "extra/topp.proj"),
+    "extra-shape": lambda t, m: t.update({"extra/topp.proj": t["extra/topp.proj"][:-1]}),
+    "extra-unknown": lambda t, m: t.update({"extra/sp.proj": t["extra/topp.proj"]}),
+    "decoder-tensor": lambda t, m: _drop(t, "dec/emb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_system_checkpoint_exits_2(tiny, systems, capsys, tmp_path, case):
+    tensors, meta = load_checkpoint(systems["topP"])
+    MALFORMED[case](tensors, meta)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, tensors, meta)
+    with pytest.raises(CheckpointError):
+        cli.load_system_ckpt(bad)
+    code, out, err = run(capsys, decode(tiny, "--decoder", str(bad)))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,18 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ctcbridge import models as md
 from ctcbridge import tensor as tt
 from ctcbridge.connector import (
     ConnectorConfig,
     blank_downscale,
-    reconstruct,
-    reconstruct_adapter,
     reconstruct_full,
     reconstruct_topP,
-    reconstruct_topS,
 )
 from ctcbridge.lexicon import LogitGram
 from ctcbridge.rng import CounterRng
+from ctcbridge.synthdata import build_vocabulary
 
 
 V, D, T = 6, 5, 4
@@ -34,6 +35,16 @@ def z(rng):
     return LogitGram(tt.Tensor(rng.child("z").normals(T * WIDTH).reshape(T, WIDTH) * 2.0))
 
 
+@pytest.fixture
+def parts():
+    """An encoder with WIDTH output slots (hidden width 4) and a D-dim decoder over V."""
+    enc = md.SpeechEncoder(md.EncoderConfig(feat_dim=2, out_slots=WIDTH, width=4, ffn=4,
+                                            blocks=0), seed=0)
+    dec = md.DecoderLM(md.DecoderConfig(vocab=V, dim=D, ffn=4, blocks=0, heads=1),
+                       build_vocabulary(V), seed=0)
+    return enc, dec
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = ConnectorConfig()
@@ -41,14 +52,12 @@ class TestConfig:
         assert cfg.apply_tau_at == "inference_only"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ConnectorConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            ConnectorConfig(blk_downscale=0.5)
-        with pytest.raises(ValueError):
-            ConnectorConfig(mode="topS")  # k missing
-        with pytest.raises(ValueError):
-            ConnectorConfig(mode="nope")
+        for bad in ({"tau": 0.0}, {"tau": float("nan")}, {"blk_downscale": 0.5},
+                    {"blk_downscale": float("nan")}, {"apply_tau_at": "never"}):
+            with pytest.raises(ValueError):
+                ConnectorConfig(**bad)
+        with pytest.raises(TypeError):
+            ConnectorConfig(mode="full")  # modes are registry entries, not connector fields
 
     def test_tau_held_back_during_training(self):
         cfg = ConnectorConfig(tau=2.0)
@@ -133,17 +142,17 @@ class TestTopS:
     def test_full_k_equals_full(self, z, table):
         cfg = ConnectorConfig()
         full = reconstruct_full(z, table, cfg).data
-        tops = reconstruct_topS(z, table, WIDTH, cfg).data
+        tops = reconstruct_full(z, table, cfg, k=WIDTH).data
         np.testing.assert_allclose(tops, full, atol=1e-6)
 
     def test_k1_is_argmax_row_exact(self, z, table):
-        out = reconstruct_topS(z, table, 1, ConnectorConfig())
+        out = reconstruct_full(z, table, ConnectorConfig(), k=1)
         rows = table.data[np.argmax(z.logits.data, axis=1)]
         np.testing.assert_array_equal(out.data, rows)
 
     def test_k2_matches_masking_oracle(self, z, table):
         cfg = ConnectorConfig()
-        out = reconstruct_topS(z, table, 2, cfg).data
+        out = reconstruct_full(z, table, cfg, k=2).data
         masked = z.logits.data.copy()
         for t in range(T):
             keep = np.argsort(-masked[t], kind="stable")[:2]
@@ -153,14 +162,18 @@ class TestTopS:
         oracle = reconstruct_full(LogitGram(tt.Tensor(masked)), table, cfg).data
         np.testing.assert_allclose(out, oracle, atol=1e-6)
 
-    def test_k_out_of_range(self, z, table):
+    def test_k_out_of_range(self, z, table, parts):
         for bad in (0, WIDTH + 1):
             with pytest.raises(ValueError):
-                reconstruct_topS(z, table, bad, ConnectorConfig())
+                reconstruct_full(z, table, ConnectorConfig(), k=bad)
+        enc, dec = parts
+        for bad in (None, 0, WIDTH + 1):
+            with pytest.raises(ValueError):
+                md.build_system("topS", enc, dec, ConnectorConfig(k=bad))
 
     def test_gradient_wrt_table(self, z):
         def f(et):
-            return tt.reduce_sum(reconstruct_topS(z, et, 3, ConnectorConfig()))
+            return tt.reduce_sum(reconstruct_full(z, et, ConnectorConfig(), k=3))
 
         assert tt.finite_diff_check(f, np.full((WIDTH, D), 0.2)) < 1e-3
 
@@ -197,23 +210,28 @@ class TestTopP:
 
 
 class TestAdapter:
-    def test_degenerate_match_equals_full(self, z, table):
-        cfg = ConnectorConfig()
+    """The adapter entry is full reconstruction against its own table."""
+
+    def test_degenerate_match_equals_full(self, z, parts):
+        enc, dec = parts
+        lego = md.build_system("lego", enc, dec)
+        adapter = md.build_system("adapter", enc, dec)
+        adapter.extra["adapter.table"].value[...] = dec.params["emb"].value
         np.testing.assert_array_equal(
-            reconstruct_adapter(z, table, cfg).data,
-            reconstruct_full(z, table, cfg).data,
+            md.conditioning(adapter, enc, None, enc_out=z.logits.data).data,
+            md.conditioning(lego, enc, None, enc_out=z.logits.data).data,
         )
 
     def test_onehot_returns_adapter_row(self, rng):
         adapter = tt.Tensor(rng.child("a").normals(4 * D).reshape(4, D))
         logits = np.zeros((1, 4))
         logits[0, 2] = 40.0
-        out = reconstruct_adapter(LogitGram(tt.Tensor(logits)), adapter, ConnectorConfig())
+        out = reconstruct_full(LogitGram(tt.Tensor(logits)), adapter, ConnectorConfig())
         np.testing.assert_allclose(out.data[0], adapter.data[2], atol=1e-6)
 
     def test_gradient_wrt_adapter(self, z):
         def f(at):
-            return tt.reduce_sum(reconstruct_adapter(z, at, ConnectorConfig()))
+            return tt.reduce_sum(reconstruct_full(z, at, ConnectorConfig()))
 
         assert tt.finite_diff_check(f, np.full((WIDTH, D), 0.4)) < 1e-3
 
@@ -244,12 +262,27 @@ class TestOrderOfOperations:
         full = reconstruct_full(z, table, cfg).data
         np.testing.assert_allclose(full, expect @ table.data.astype(np.float64), atol=1e-5)
 
-    def test_dispatch(self, z, table, rng):
-        cfg = ConnectorConfig(mode="topP", k=2)
-        with pytest.raises(ValueError):
-            reconstruct(z, cfg, table)  # projection missing
-        proj = tt.Tensor(rng.child("p2").normals(2 * D * D).reshape(2 * D, D))
-        out = reconstruct(z, cfg, table, proj=proj)
-        np.testing.assert_allclose(
-            out.data, reconstruct_topP(z, table, 2, proj, cfg).data
-        )
+    def test_dispatch(self, z, rng, parts):
+        # every registry entry's prefix is the connector call it stands for
+        enc, dec = parts
+        table = tt.Tensor(dec.params["emb"].value)
+        cfg = ConnectorConfig(tau=0.7, blk_downscale=3.0, k=2)
+        hidden = rng.child("h").normals(T * 4).reshape(T, 4)
+        direct = {
+            "lego": lambda s: reconstruct_full(z, table, cfg),
+            "lego_star": lambda s: reconstruct_full(z, table, replace(cfg, blk_downscale=1e4)),
+            "topS": lambda s: reconstruct_full(z, table, cfg, k=2),
+            "topP": lambda s: reconstruct_topP(z, table, 2, tt.Tensor(s.extra["topp.proj"].value),
+                                               cfg),
+            "adapter": lambda s: reconstruct_full(
+                z, tt.Tensor(s.extra["adapter.table"].value), cfg),
+            "sp": lambda s: md.sp_project(tt.Tensor(hidden), tt.Tensor(s.extra["sp.proj"].value)),
+        }
+        for mode, expect in direct.items():
+            s = md.build_system(mode, enc, dec, cfg)
+            enc_out = hidden if s.connection.reads == "hidden" else z.logits.data
+            got = md.conditioning(s, enc, None, enc_out=enc_out)
+            np.testing.assert_array_equal(got.data, expect(s).data)
+        assert md.conditioning(md.build_system("aec", enc, dec, cfg), enc, None) is None
+        with pytest.raises(ValueError):  # projection missing
+            md.check_system(md.DecoderSystem(dec, "topP", cfg), enc.cfg)

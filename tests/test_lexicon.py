@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcbridge import tensor as tt
-from ctcbridge.lexicon import (
-    LogitGram,
-    Posteriorgram,
-    Vocabulary,
-    collapse,
-    validate_posteriorgram,
-)
+from ctcbridge.lexicon import LogitGram, Vocabulary, collapse
 
 
 @pytest.fixture
@@ -60,25 +54,6 @@ class TestCollapse:
         if all(a != b for a, b in zip(out, out[1:])):
             # idempotent on blank-free, repeat-free sequences
             assert collapse(out, blank) == out
-
-
-class TestPosteriorgramValidation:
-    def test_softmax_output_is_ok(self):
-        z = tt.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        p = Posteriorgram(tt.softmax(z).data)
-        assert validate_posteriorgram(p) is None
-
-    def test_bad_sum_reported(self):
-        report = validate_posteriorgram(Posteriorgram(np.array([[0.5, 0.6]])))
-        assert report is not None and "row 0" in report
-
-    def test_negative_mass_reported(self):
-        report = validate_posteriorgram(Posteriorgram(np.array([[-0.1, 1.1]])))
-        assert report is not None and "negative" in report
-
-    def test_first_violation_wins(self):
-        probs = np.array([[0.5, 0.5], [0.9, 0.2], [-1.0, 2.0]])
-        assert "row 1" in validate_posteriorgram(Posteriorgram(probs))
 
 
 def test_logitgram_shape_accessors():

@@ -9,7 +9,6 @@ from ctcbridge.synthdata import (
     build_translation,
     build_vocabulary,
     content_ids,
-    invert_translation,
     make_splits,
     prompt_token_id,
     sample_utterance,
@@ -18,6 +17,15 @@ from ctcbridge.synthdata import (
     utterance_to_json,
 )
 from ctcbridge.cli import load_task
+
+
+def invert_translation(target, mapping):
+    """Inverse of `translate_target`: swap adjacent pairs back, then unmap."""
+    inv = {v: k for k, v in mapping.items()}
+    swapped = list(target)
+    for i in range(0, len(swapped) - 1, 2):
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    return tuple(inv[t] for t in swapped)
 
 
 TASK = {

@@ -155,10 +155,6 @@ class TestOpsGradients:
             tt.mul(tt.log_softmax(x), tt.Tensor(np.arange(8.0).reshape(2, 4)))
         ),
         "gather_rows": lambda x: tt.reduce_sum(tt.gather_rows(x, [1, 0, 1])),
-        "scale_rows": lambda x: tt.reduce_sum(
-            tt.scale_rows(x, tt.Tensor(np.array([0.5, -1.5])))
-        ),
-        "sum_groups": lambda x: tt.reduce_sum(tt.sum_groups(x, 2)),
         "transpose_matmul": lambda x: tt.reduce_sum(
             tt.matmul(tt.transpose(x), tt.Tensor(np.ones((2, 3))))
         ),
@@ -166,7 +162,6 @@ class TestOpsGradients:
             tt.concat_rows([tt.slice_rows(x, 1, 2), tt.slice_rows(x, 0, 1)])
         ),
         "relu": lambda x: tt.reduce_sum(tt.relu(x)),
-        "mean": lambda x: tt.reduce_mean(x),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
