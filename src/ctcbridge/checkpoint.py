@@ -11,6 +11,8 @@ save(load(x)) reproduces x byte for byte.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -25,6 +27,8 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
+    """Write atomically: a temp file in the same directory, fsynced, then
+    renamed over `path`, so a crash leaves the old file or the new one."""
     manifest = []
     payload = bytearray()
     for name in sorted(tensors):
@@ -33,34 +37,64 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         payload += arr.tobytes()
     header = json.dumps({"meta": meta, "tensors": manifest},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(header)))
-        f.write(header)
-        f.write(payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(header)))
+            f.write(header)
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Tensors and meta of a checkpoint; any malformed file raises CheckpointError."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    if len(blob) < 12:
+        raise CheckpointError(f"{path}: header truncated")
     version, header_len = struct.unpack("<II", blob[4:12])
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+    if 12 + header_len > len(blob):
+        raise CheckpointError(f"{path}: header truncated")
+    try:
+        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: unreadable header ({e})") from e
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise CheckpointError(f"{path}: header needs a 'meta' object and a 'tensors' list")
     payload = blob[12 + header_len:]
     tensors: dict[str, np.ndarray] = {}
     expected = 0
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 4 * n
+        name, shape, start = _manifest_entry(path, entry)
+        end = start + 4 * math.prod(shape)
         if end > len(payload):
-            raise CheckpointError(f"{path}: payload truncated at {entry['name']!r}")
+            raise CheckpointError(f"{path}: payload truncated at {name!r}")
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
-        tensors[entry["name"]] = arr.astype(np.float32)
+        tensors[name] = arr.astype(np.float32)
         expected = max(expected, end)
     if expected != len(payload):
         raise CheckpointError(f"{path}: payload length does not match manifest")
     return tensors, header["meta"]
+
+
+def _manifest_entry(path, entry) -> tuple[str, tuple[int, ...], int]:
+    """(name, shape, offset) of one manifest entry, each checked."""
+    def count(x):
+        return type(x) is int and x >= 0
+
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list) and all(map(count, entry["shape"]))
+            and count(entry.get("offset"))):
+        raise CheckpointError(f"{path}: malformed manifest entry {entry!r}")
+    return entry["name"], tuple(entry["shape"]), entry["offset"]

@@ -320,6 +320,20 @@ def build_aec_cache(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
     }
 
 
+def read_nbest_cache(paths: Sequence[str]) -> dict[str, NBestList]:
+    """N-best lists by utterance id from JSONL files; a bad line is a ConfigError."""
+    cache = {}
+    for path in paths:
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+            if line:
+                try:
+                    utt_id, nb = nbest_from_json(line)
+                except (KeyError, TypeError, ValueError) as e:
+                    raise ConfigError(f"{path}:{lineno}: malformed n-best line ({e!r})") from e
+                cache[utt_id] = nb
+    return cache
+
+
 def eval_connected(sys_: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
                    dataset: Sequence[Utterance], beam: int, max_new: int):
     cache = None
@@ -362,9 +376,11 @@ def cmd_train_encoder(args) -> int:
             raise ConfigError("resume checkpoint was trained on a different vocabulary")
         start_step = meta.get("step", 0)
     else:
-        enc_cfg = EncoderConfig(feat_dim=bundle.spec.feat_dim,
-                                out_slots=vocab.size + 1, **enc_raw)
-        enc = SpeechEncoder(enc_cfg, cfg.seed)
+        try:
+            enc = SpeechEncoder(EncoderConfig(feat_dim=bundle.spec.feat_dim,
+                                              out_slots=vocab.size + 1, **enc_raw), cfg.seed)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"encoder config: {e}") from e
     train, dev, _ = bundle.splits()
     try:
         log = train_encoder_ctc(enc, train, dev, cfg, vocab.blank_id,
@@ -403,27 +419,33 @@ def cmd_adapt(args) -> int:
     cfg, raw_cfg = load_train_config(args.config, overrides)
     conn = connector_with_overrides(raw_cfg.get("connector", {}), args, args.mode,
                                     enc.cfg.out_slots)
-    dec_raw = raw_cfg.get("decoder", {})
-    dec = DecoderLM(DecoderConfig(vocab=vocab.size, **dec_raw), vocab, cfg.seed)
     prompt = prompt_token_id(vocab) if raw_cfg.get("use_prompt_token") else None
-    sys_ = build_system(args.mode, enc, dec, conn, seed=cfg.seed,
-                        aec_n=raw_cfg.get("aec_n", 1), prompt_id=prompt)
+    try:
+        dec = DecoderLM(DecoderConfig(vocab=vocab.size, **raw_cfg.get("decoder", {})),
+                        vocab, cfg.seed)
+        sys_ = build_system(args.mode, enc, dec, conn, seed=cfg.seed,
+                            aec_n=raw_cfg.get("aec_n", 1), prompt_id=prompt)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"adapt config: {e}") from e
 
     train, dev, _ = bundle.splits()
     cache = None
     if sys_.connection.reads == "nbest":
         if not args.nbest_cache:
             raise ConfigError(f"{args.mode} adaptation needs --nbest-cache FILE (repeatable)")
-        cache = {}
-        for path in args.nbest_cache:
-            for line in Path(path).read_text().splitlines():
-                if line:
-                    utt_id, nb = nbest_from_json(line)
-                    cache[utt_id] = nb
+        cache = read_nbest_cache(args.nbest_cache)
         missing = [u.id for u in list(train) + list(dev) if u.id not in cache]
         if missing:
             raise ConfigError(f"n-best cache is missing {len(missing)} utterances "
                               f"(first: {missing[0]})")
+        for u in list(train) + list(dev):
+            hyps = cache[u.id].hypotheses
+            if len(hyps) < sys_.aec_n:
+                raise ConfigError(f"aec_n is {sys_.aec_n} but the n-best list of {u.id} "
+                                  f"holds {len(hyps)} hypotheses")
+            if not all(type(c) is int and 0 <= c < vocab.size for h, _ in hyps for c in h):
+                raise ConfigError(f"the n-best list of {u.id} holds a token that is not "
+                                  f"an id in [0, {vocab.size})")
     try:
         log = adapt_decoder(sys_, enc, vocab, train, dev, cfg, aec_cache=cache)
     except TrainingDiverged as e:

@@ -1,11 +1,14 @@
 """CTC loss and decoding.
 
-The loss runs the standard forward recursion over the 2N+1 extended label
-sequence, built entirely from tape ops (log-softmax, gather, shift,
-logaddexp) so its gradient comes from the same machinery as every other
-op.  The recursion itself runs under float64 storage -- the dynamic
-program is exactly the place where 32-bit accumulation drifts -- and only
-the final scalar is rounded back.
+The loss is one fused op: a float64 numpy pass computes the log-softmax
+and the forward (alpha) recursion over the 2N+1 extended label sequence,
+and records a single tape node.  Its backward pass runs the same
+recursion on the time- and state-reversed emissions to get beta, and
+returns softmax minus the normalised state occupancy alpha * beta /
+emission, summed by label (Graves et al., ICML 2006).  The dynamic
+program stays in float64 -- it is exactly the place where 32-bit
+accumulation drifts -- and only the final scalar is rounded to storage
+precision.  An untaped call never computes beta.
 
 Decoding offers per-frame argmax (greedy) and prefix beam search.  The
 beam search keeps per-prefix (blank-ending, symbol-ending) log masses and
@@ -81,47 +84,54 @@ def ctc_loss(z: LogitGram, y: TokenSeq, blank_id: int) -> CtcLoss:
     if min_frames(y) > t_frames:
         return CtcLoss(tt.Tensor(np.float32(INFEASIBLE_LOSS)), False)
 
-    n = len(y)
-    s = 2 * n + 1
-    ext = np.empty(s, dtype=np.intp)
-    ext[0::2] = blank_id
-    ext[1::2] = np.asarray(y, dtype=np.intp)
+    ext = np.full(2 * len(y) + 1, blank_id, dtype=np.intp)
+    ext[1::2] = y
+    x = logits.data.astype(np.float64)
+    zc = x - x.max(axis=1, keepdims=True)
+    logp = zc - np.log(np.exp(zc).sum(axis=1, keepdims=True))
+    emit = logp[:, ext]
+    alpha = _forward(emit, _skip_mask(ext, blank_id))
+    tail = alpha[-1, -2:]  # a path ends on the last token or the blank after it
+    top = tail.max()
+    total = top + np.log(np.exp(tail - top).sum())
 
-    # states whose s-2 transition is allowed: non-blank and not a repeat
-    skip_ok = np.full(s, tt.LOG_ZERO, dtype=np.float64)
-    for i in range(2, s):
-        if ext[i] != blank_id and ext[i] != ext[i - 2]:
-            skip_ok[i] = 0.0
+    def backward(g):
+        # d loss / d logits = softmax - normalised state occupancy, where the
+        # occupancy alpha * beta / emission sums each frame's states by label
+        beta = _forward(emit[::-1, ::-1], _skip_mask(ext[::-1], blank_id))[::-1, ::-1]
+        occupancy = np.zeros_like(logp)
+        np.add.at(occupancy, (slice(None), ext), np.exp(alpha + beta - emit - total))
+        return (((np.exp(logp) - occupancy) * g).astype(g.dtype),)
 
-    init = np.full(s, tt.LOG_ZERO, dtype=np.float64)
-    init[0] = 0.0
-    if s > 1:
-        init[1] = 0.0
+    # one tape node; only the float64 scalar is rounded to storage precision
+    return CtcLoss(tt._emit(logits.tape, -total, (logits.nid,), backward), True)
 
-    with tt.precision(np.float64):
-        logp = tt.log_softmax(logits)
-        flat_ids = (np.arange(t_frames)[:, None] * width + ext[None, :]).reshape(-1)
-        emit = tt.reshape(tt.gather_flat(logp, flat_ids), (t_frames, s))
 
-        alpha = tt.reshape(tt.slice_rows(emit, 0, 1), (s,)) + tt.Tensor(init)
-        skip_mask = tt.Tensor(skip_ok)
-        for t in range(1, t_frames):
-            stay_or_move = tt.logaddexp(alpha, tt.shift(alpha, 1))
-            skipped = tt.shift(alpha, 2) + skip_mask
-            alpha = tt.logaddexp(stay_or_move, skipped) + tt.reshape(
-                tt.slice_rows(emit, t, t + 1), (s,)
-            )
+def _skip_mask(ext: np.ndarray, blank_id: int) -> np.ndarray:
+    """0 where state s may be entered from s - 2 (a non-repeated token), else LOG_ZERO."""
+    mask = np.full(ext.size, tt.LOG_ZERO)
+    mask[2:][(ext[2:] != blank_id) & (ext[2:] != ext[:-2])] = 0.0
+    return mask
 
-        if s == 1:
-            total = tt.gather_flat(alpha, [0])
-        else:
-            tail = tt.gather_flat(alpha, [s - 2, s - 1])
-            total = tt.logsumexp(tail)
-        loss64 = tt.reshape(tt.neg(total), ())
 
-    # round the accumulated scalar back to storage precision
-    loss = tt.mul(loss64, 1.0)
-    return CtcLoss(loss, True)
+def _forward(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Log forward variables over the extended states, one row per frame.
+
+    A path starts on the leading blank or the first token and each frame
+    stays, moves one state on, or skips a blank where `skip` allows it;
+    unreachable states hold LOG_ZERO-scale values.
+    """
+    alpha = np.empty_like(emit)
+    init = np.full(emit.shape[1], tt.LOG_ZERO)
+    init[:2] = 0.0
+    alpha[0] = emit[0] + init
+    one = np.full(emit.shape[1], tt.LOG_ZERO)
+    two = np.full(emit.shape[1], tt.LOG_ZERO)
+    for t in range(1, emit.shape[0]):
+        one[1:] = alpha[t - 1, :-1]
+        two[2:] = alpha[t - 1, :-2]
+        alpha[t] = np.logaddexp(np.logaddexp(alpha[t - 1], one), two + skip) + emit[t]
+    return alpha
 
 
 def greedy_decode(p: Posteriorgram) -> TokenSeq:

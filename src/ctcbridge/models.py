@@ -397,6 +397,8 @@ class DecoderSystem:
     def __post_init__(self):
         if self.mode not in CONNECTIONS:
             raise ValueError(f"unknown adaptation mode {self.mode!r}")
+        if type(self.aec_n) is not int or self.aec_n < 1:
+            raise ValueError(f"aec_n must be an integer >= 1, got {self.aec_n!r}")
 
     @property
     def connection(self) -> Connection:

@@ -1,6 +1,11 @@
 """Slow reference implementations that the CTC tests check the package against.
 
 `alignment_oracle` enumerates every frame path by brute force.
+`ctc_loss_reference` is the tape-built forward recursion that the fused
+`ctcbridge.ctc.ctc_loss` replaced: about seven tape nodes per frame
+(log-softmax, gather, shift, logaddexp, slice), whose gradient comes from
+the generic backward rules.  The fused loss must match its value bit for
+bit and its gradient to rounding.
 `beam_search_reference` is the dict-based prefix beam search that
 `ctcbridge.ctc.beam_search` replaced: one Python `np.logaddexp` per
 (prefix, token) pair and a full sort of every candidate each frame.  The
@@ -14,8 +19,10 @@ import math
 
 import numpy as np
 
-from ctcbridge.ctc import _LOG_PROB_FLOOR, NBestList
-from ctcbridge.lexicon import Alignment, Posteriorgram, TokenSeq, collapse
+from ctcbridge import tensor as tt
+from ctcbridge.ctc import _LOG_PROB_FLOOR, INFEASIBLE_LOSS, CtcLoss, NBestList, min_frames
+from ctcbridge.lexicon import Alignment, LogitGram, Posteriorgram, TokenSeq, collapse
+from tape_ops import gather_flat, log_softmax, logaddexp, logsumexp, precision, shift
 
 
 def alignment_oracle(y: TokenSeq, frames: int, vocab_size: int, blank_id: int | None = None) -> set[Alignment]:
@@ -29,6 +36,67 @@ def alignment_oracle(y: TokenSeq, frames: int, vocab_size: int, blank_id: int | 
         for path in itertools.product(range(vocab_size + 1), repeat=frames)
         if collapse(path, blank) == target
     }
+
+
+def ctc_loss_reference(z: LogitGram, y: TokenSeq, blank_id: int) -> CtcLoss:
+    """-log P(y | z) summed over all alignments, differentiable through z.
+
+    Infeasible targets (more symbols than frames can carry) return the
+    INFEASIBLE_LOSS sentinel with `feasible=False` instead of raising, so a
+    training loop can skip and count them.
+    """
+    logits = z.logits
+    t_frames, width = logits.shape
+    if t_frames < 1:
+        raise ValueError("logit gram needs at least one frame")
+    if width != blank_id + 1:
+        raise ValueError(f"logit gram width {width} does not match blank id {blank_id}")
+    if any(not 0 <= c < blank_id for c in y):
+        raise ValueError("target contains ids outside [0, V)")
+    if min_frames(y) > t_frames:
+        return CtcLoss(tt.Tensor(np.float32(INFEASIBLE_LOSS)), False)
+
+    n = len(y)
+    s = 2 * n + 1
+    ext = np.empty(s, dtype=np.intp)
+    ext[0::2] = blank_id
+    ext[1::2] = np.asarray(y, dtype=np.intp)
+
+    # states whose s-2 transition is allowed: non-blank and not a repeat
+    skip_ok = np.full(s, tt.LOG_ZERO, dtype=np.float64)
+    for i in range(2, s):
+        if ext[i] != blank_id and ext[i] != ext[i - 2]:
+            skip_ok[i] = 0.0
+
+    init = np.full(s, tt.LOG_ZERO, dtype=np.float64)
+    init[0] = 0.0
+    if s > 1:
+        init[1] = 0.0
+
+    with precision(np.float64):
+        logp = log_softmax(logits)
+        flat_ids = (np.arange(t_frames)[:, None] * width + ext[None, :]).reshape(-1)
+        emit = tt.reshape(gather_flat(logp, flat_ids), (t_frames, s))
+
+        alpha = tt.reshape(tt.slice_rows(emit, 0, 1), (s,)) + tt.Tensor(init)
+        skip_mask = tt.Tensor(skip_ok)
+        for t in range(1, t_frames):
+            stay_or_move = logaddexp(alpha, shift(alpha, 1))
+            skipped = shift(alpha, 2) + skip_mask
+            alpha = logaddexp(stay_or_move, skipped) + tt.reshape(
+                tt.slice_rows(emit, t, t + 1), (s,)
+            )
+
+        if s == 1:
+            total = gather_flat(alpha, [0])
+        else:
+            tail = gather_flat(alpha, [s - 2, s - 1])
+            total = logsumexp(tail)
+        loss64 = tt.reshape(tt.neg(total), ())
+
+    # round the accumulated scalar back to storage precision
+    loss = tt.mul(loss64, 1.0)
+    return CtcLoss(loss, True)
 
 
 def beam_search_reference(p: Posteriorgram, beam: int, n: int) -> NBestList:

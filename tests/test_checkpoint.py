@@ -1,5 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcbridge.checkpoint import (
     MAGIC,
@@ -74,3 +79,78 @@ def test_payload_is_little_endian_float32(sample):
     # first manifest entry is the lexicographically first name
     first = np.frombuffer(payload[: tensors["dec/emb"].size * 4], dtype="<f4")
     np.testing.assert_array_equal(first.reshape(7, 2), tensors["dec/emb"])
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """`blob` with its JSON header passed through `edit` and re-packed."""
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + header_len])
+    edit(header)
+    text = json.dumps(header).encode()
+    return blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + header_len:]
+
+
+MALFORMED = {
+    "six-bytes": lambda blob: blob[:6],
+    "cut-header": lambda blob: blob[:20],
+    "negative-offset": lambda blob: _with_header(
+        blob, lambda h: h["tensors"][0].update(offset=-4)),
+    "entry-without-shape": lambda blob: _with_header(
+        blob, lambda h: h["tensors"][0].pop("shape")),
+    "float-shape": lambda blob: _with_header(
+        blob, lambda h: h["tensors"][0].update(shape=[7.0, 2])),
+    "meta-not-object": lambda blob: _with_header(blob, lambda h: h.update(meta=[1])),
+    "header-not-utf8": lambda blob: blob[:12] + b"\xff" + blob[13:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_raises_checkpoint_error(sample, tmp_path, case):
+    path, _, _ = sample
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(MALFORMED[case](path.read_bytes()))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    tensors = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(1, np.float32)}
+    save_checkpoint(d / "valid.ckpt", tensors, {"kind": "encoder", "step": 3})
+    return d
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cut_or_flipped_file_loads_or_raises_checkpoint_error(fuzz_dir, data):
+    blob = bytearray((fuzz_dir / "valid.ckpt").read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for i, flip in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                    st.integers(1, 255)),
+                                          min_size=1, max_size=4), label="flips"):
+            blob[i] ^= flip
+    bad = fuzz_dir / "mutated.ckpt"
+    bad.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(bad)
+    except CheckpointError:
+        pass
+
+
+def test_failed_write_keeps_previous_file(sample, monkeypatch):
+    path, tensors, meta = sample
+    before = path.read_bytes()
+
+    def crash(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"other": np.zeros(3, np.float32)}, {"kind": "new"})
+    assert path.read_bytes() == before
+    loaded, meta2 = load_checkpoint(path)
+    assert meta2 == meta and set(loaded) == set(tensors)
+    assert [p.name for p in path.parent.iterdir()] == [path.name]

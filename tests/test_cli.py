@@ -2,6 +2,7 @@
 bad arguments, config values and checkpoints exit 2."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ TASK = {
     "splits": {"train": 4, "dev": 2, "test": 3},
 }
 TRAIN = {"steps": 1, "batch_size": 2, "warmup": 1, "eval_every": 0, "augment": None}
+DECODER = {"dim": 8, "ffn": 16, "blocks": 1, "heads": 2}
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +33,7 @@ def tiny(tmp_path_factory):
     files = {
         "spec": TASK,
         "enc_cfg": dict(TRAIN, encoder={"width": 8, "ffn": 16, "blocks": 1}),
-        "dec_cfg": dict(TRAIN, decoder={"dim": 8, "ffn": 16, "blocks": 1, "heads": 2}),
+        "dec_cfg": dict(TRAIN, decoder=DECODER),
     }
     paths = {name: d / f"{name}.json" for name in files}
     for name, obj in files.items():
@@ -119,7 +121,26 @@ BAD_CONFIGS = {
                                "--spec", t["spec"], "--grid", "0"],
     "grid-text": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
                                "--spec", t["spec"], "--grid", "abc"],
+    "encoder-block-key": lambda t, d: ["train-encoder", "--spec", t["spec"], "--config", _write(
+        d, "train.json", dict(TRAIN, encoder={"bogus": 1})), "--out", str(d / "e.ckpt")],
+    "decoder-block-key": lambda t, d: ["adapt", "--mode", "lego", "--encoder", t["enc"],
+                                       "--spec", t["spec"], "--out", str(d / "s.ckpt"),
+                                       "--config", _write(d, "adapt.json",
+                                                          dict(TRAIN, decoder={"bogus": 1}))],
+    "decoder-heads": lambda t, d: ["adapt", "--mode", "lego", "--encoder", t["enc"],
+                                   "--spec", t["spec"], "--out", str(d / "s.ckpt"),
+                                   "--config", _write(d, "adapt.json", dict(
+                                       TRAIN, decoder={"dim": 6, "heads": 4}))],
+    "encoder-ckpt-6-bytes": lambda t, d: decode(t, "--encoder", _six_bytes(d)),
+    "resume-ckpt-6-bytes": lambda t, d: ["train-encoder", "--spec", t["spec"], "--resume",
+                                         _six_bytes(d), "--out", str(d / "e.ckpt")],
 }
+
+
+def _six_bytes(d):
+    path = d / "six.ckpt"
+    path.write_bytes(b"LEGO\x01\x00")
+    return str(path)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -134,15 +155,24 @@ def test_bad_config_values_exit_2(tiny, capsys, tmp_path, case):
 
 
 @pytest.fixture(scope="module")
-def systems(tiny, tmp_path_factory):
-    """One adapted system checkpoint per registry entry, on the tiny task."""
-    d = tmp_path_factory.mktemp("systems")
+def nbest_caches(tiny, tmp_path_factory):
+    """`--nbest-cache` flags for beam-2 n-best files of the train and dev splits."""
+    d = tmp_path_factory.mktemp("nbest")
     caches = []
     for split in ("train", "dev"):
         path = str(d / f"nbest-{split}.jsonl")
         assert cli.main(["decode-eval", "--encoder", tiny["enc"], "--spec", tiny["spec"],
-                         "--split", split, "--beam", "2", "--nbest-out", path]) == 0
+                         "--split", split, "--beam", "2", "--nbest", "2",
+                         "--nbest-out", path]) == 0
         caches += ["--nbest-cache", path]
+    return caches
+
+
+@pytest.fixture(scope="module")
+def systems(tiny, nbest_caches, tmp_path_factory):
+    """One adapted system checkpoint per registry entry, on the tiny task."""
+    d = tmp_path_factory.mktemp("systems")
+    caches = nbest_caches
     out = {}
     for mode, entry in md.CONNECTIONS.items():
         out[mode] = str(d / f"{mode}.ckpt")
@@ -235,3 +265,65 @@ def test_malformed_system_checkpoint_exits_2(tiny, systems, capsys, tmp_path, ca
     code, out, err = run(capsys, decode(tiny, "--decoder", str(bad)))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _aec_config(tmp_path, **extra):
+    return _write(tmp_path, "aec.json", dict(TRAIN, decoder=DECODER, **extra))
+
+
+def _bad_line_cache(tmp_path, caches):
+    lines = open(caches[1]).read().splitlines()
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([lines[0], "{not json}", *lines[1:]]) + "\n")
+    return ["--nbest-cache", str(path), *caches[2:]], f"{path}:2: malformed n-best line"
+
+
+def _bad_token_cache(tmp_path, caches):
+    lines = open(caches[1]).read().splitlines()
+    row = json.loads(lines[-1])
+    row["hyps"][0]["tokens"] = [TASK["vocab_size"]]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([*lines[:-1], json.dumps(row)]) + "\n")
+    return (["--nbest-cache", str(path), *caches[2:]],
+            f"the n-best list of {row['utt']} holds a token that is not an id in "
+            f"[0, {TASK['vocab_size']})")
+
+
+BAD_AEC = {
+    "malformed-line": lambda d, caches: (_aec_config(d), *_bad_line_cache(d, caches)),
+    "token-outside-vocab": lambda d, caches: (_aec_config(d), *_bad_token_cache(d, caches)),
+    "aec_n-above-list": lambda d, caches: (_aec_config(d, aec_n=3), caches,
+                                           "aec_n is 3 but the n-best list of"),
+    "aec_n-zero": lambda d, caches: (_aec_config(d, aec_n=0), caches,
+                                     "aec_n must be an integer >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_AEC))
+def test_bad_aec_input_exits_2_before_training(tiny, nbest_caches, capsys, tmp_path,
+                                               monkeypatch, case):
+    config, caches, message = BAD_AEC[case](tmp_path, nbest_caches)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("adapt_decoder ran")
+
+    monkeypatch.setattr(cli, "adapt_decoder", no_training)
+    code, out, err = run(capsys, ["adapt", "--mode", "aec", "--encoder", tiny["enc"],
+                                  "--spec", tiny["spec"], "--config", config,
+                                  "--out", str(tmp_path / "aec.ckpt"), *caches])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_gen_data_writes_splits_matching_its_manifest(tmp_path, capsys):
+    spec = _write(tmp_path, "task.json", TASK)
+    code, out, _ = run(capsys, ["gen-data", "--spec", spec, "--out", str(tmp_path / "data")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+    assert json.loads(out) == manifest
+    assert manifest["task"] == TASK
+    for split in ("train", "dev", "test"):
+        blob = (tmp_path / "data" / f"{split}.jsonl").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == manifest["sha256"][split]
+        assert len(blob.decode().splitlines()) == manifest["sizes"][split] == TASK["splits"][split]

@@ -16,7 +16,8 @@ from ctcbridge.ctc import (
 )
 from ctcbridge.lexicon import LogitGram, Posteriorgram
 from ctcbridge.rng import CounterRng
-from ctc_oracles import alignment_oracle, beam_search_reference
+from ctc_oracles import alignment_oracle, beam_search_reference, ctc_loss_reference
+from tape_ops import finite_diff_check, precision
 
 
 def gram(logits) -> LogitGram:
@@ -113,7 +114,49 @@ class TestCtcLoss:
         def f(z):
             return ctc_loss(LogitGram(z), (0, 1), blank_id=2).loss
 
-        assert tt.finite_diff_check(f, z0, h=1e-4) < 1e-3
+        assert finite_diff_check(f, z0, h=1e-4) < 1e-3
+
+    def test_one_tape_node(self):
+        p = tt.Parameter(CounterRng(15).normals(15 * 33).reshape(15, 33))
+        tape = tt.GradTape()
+        z = LogitGram(tape.watch(p))
+        before = len(tape._parents)
+        res = ctc_loss(z, tuple(range(9)), blank_id=32)
+        assert res.feasible and res.loss.tape is tape
+        assert len(tape._parents) - before == 1
+
+
+def taped_loss_and_grad(fn, z: np.ndarray, y, blank: int):
+    """(feasible, loss bytes, d loss / d z) of one CTC implementation."""
+    p = tt.Parameter(z)
+    tape = tt.GradTape()
+    res = fn(LogitGram(tape.watch(p)), y, blank)
+    if res.feasible:
+        tape.backward(res.loss)
+    return res.feasible, res.loss.data.tobytes(), p.grad
+
+
+class TestCtcLossMatchesReference:
+    """The fused loss against the tape-built recursion it replaced."""
+
+    def test_random_cases(self):
+        rng = CounterRng(2006)
+        for case in range(280):
+            crng = rng.child(case)
+            v = int(crng.integers(1, 33, 1)[0])
+            t_frames = int(crng.integers(1, 21, 1)[0])
+            n = 0 if case % 8 == 0 else int(crng.integers(0, t_frames + 2, 1)[0])
+            alphabet = min(v, 2) if case % 2 else v  # small alphabets give repeats
+            y = tuple(int(c) for c in crng.integers(0, alphabet, n))
+            scale = (0.5, 2.0, 8.0)[case % 3]
+            z = crng.normals(t_frames * (v + 1)).reshape(t_frames, v + 1) * scale
+            for dtype, atol in ((np.float32, 1e-6), (np.float64, 1e-9)):
+                with precision(dtype):
+                    ok, loss, grad = taped_loss_and_grad(ctc_loss, z, y, v)
+                    ok_ref, loss_ref, grad_ref = taped_loss_and_grad(ctc_loss_reference, z, y, v)
+                assert (ok, loss) == (ok_ref, loss_ref), (case, dtype)
+                np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=atol,
+                                           err_msg=f"case {case} {dtype.__name__}")
 
 
 class TestAlignmentOracle:

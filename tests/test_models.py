@@ -11,6 +11,7 @@ from ctcbridge.lexicon import Vocabulary
 from ctcbridge import models as md
 from ctcbridge.rng import CounterRng
 from ctcbridge.synthdata import build_vocabulary
+from tape_ops import finite_diff_check, precision
 
 
 MICRO_TASK = {
@@ -315,7 +316,7 @@ class TestAdaptation:
         # 2-frame, 3-token instance: d loss / d E gets reconstruction and
         # text-lookup contributions; check the whole thing against central
         # differences
-        with tt.precision(np.float64):
+        with precision(np.float64):
             enc = tiny_encoder(vocab)
             dec = tiny_decoder(vocab)
             sysm = md.build_system("lego", enc, dec, ConnectorConfig(), seed=0)
@@ -347,7 +348,7 @@ class TestAdaptation:
                     tt.slice_rows(table_tensor, 0, vocab.size)))
                 return tt.cross_entropy(logits, targets)
 
-            err = tt.finite_diff_check(loss_with, emb.value, h=1e-4)
+            err = finite_diff_check(loss_with, emb.value, h=1e-4)
         assert err < 1e-3
 
 
