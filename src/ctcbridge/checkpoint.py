@@ -54,7 +54,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Tensors and meta of a checkpoint; any malformed file raises CheckpointError."""
+    """Tensors and meta of a checkpoint; a malformed file, or one holding a
+    non-finite tensor, raises CheckpointError."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
@@ -81,6 +82,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if end > len(payload):
             raise CheckpointError(f"{path}: payload truncated at {name!r}")
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         tensors[name] = arr.astype(np.float32)
         expected = max(expected, end)
     if expected != len(payload):

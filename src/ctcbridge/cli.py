@@ -152,7 +152,14 @@ def _read_jsonl_split(data_dir: Path, split: str) -> list[Utterance]:
     path = data_dir / f"{split}.jsonl"
     if not path.exists():
         raise ConfigError(f"no such split file: {path}")
-    return [utterance_from_json(line) for line in path.read_text().splitlines() if line]
+    utts = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if line:
+            try:
+                utts.append(utterance_from_json(line))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ConfigError(f"{path}:{lineno}: malformed utterance line ({e!r})") from e
+    return utts
 
 
 def resolve_dataset(args, split: str) -> list[Utterance]:
@@ -295,8 +302,8 @@ def _check_compatible(sys_: DecoderSystem, enc: SpeechEncoder,
 
 
 def _posteriorgram(enc: SpeechEncoder, utt: Utterance) -> Posteriorgram:
-    logits = enc.logitgram(utt.frames).logits
-    return Posteriorgram(tt.softmax(logits).data)
+    probs = tt.softmax(enc.logitgram(utt.frames).logits).data
+    return Posteriorgram(tt._finite(probs, "the posteriorgram"))
 
 
 def eval_ctc_beam(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,

@@ -104,7 +104,9 @@ def ctc_loss(z: LogitGram, y: TokenSeq, blank_id: int) -> CtcLoss:
         return (((np.exp(logp) - occupancy) * g).astype(g.dtype),)
 
     # one tape node; only the float64 scalar is rounded to storage precision
-    return CtcLoss(tt._emit(logits.tape, -total, (logits.nid,), backward), True)
+    loss = tt._emit(logits.tape, -total, (logits.nid,), backward)
+    tt._finite(loss.data, "the CTC loss")
+    return CtcLoss(loss, True)
 
 
 def _skip_mask(ext: np.ndarray, blank_id: int) -> np.ndarray:

@@ -29,7 +29,6 @@ cannot drift by construction.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -107,15 +106,7 @@ def _const(rng: CounterRng, name: str, shape, value: float) -> tt.Parameter:
 
 def _w(params: dict[str, tt.Parameter], name: str, tape) -> tt.Tensor:
     p = params[name]
-    return tape.watch(p) if tape is not None else tt.Tensor(p.value)
-
-
-def params_digest(params: dict[str, tt.Parameter]) -> str:
-    h = hashlib.sha256()
-    for name in sorted(params):
-        h.update(name.encode())
-        h.update(params[name].value.tobytes())
-    return h.hexdigest()
+    return tape.watch(p) if tape is not None else tt._unchecked(p.value)
 
 
 def _mix_block(x: tt.Tensor, params, prefix: str, tape, causal: bool,
@@ -516,7 +507,7 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: list[int],
     budget = min(max_new, dec.cfg.max_len - s - len(prompt))
     ids = list(prompt)
     for _ in range(budget):
-        logits = dec.forward(speech, ids).data[-1]
+        logits = tt._finite(dec.forward(speech, ids).data[-1], "the next-token logits")
         nxt = int(np.argmax(logits))
         if nxt == eos:
             break
@@ -558,19 +549,32 @@ class Adam:
             p.zero_grad()
 
     def step(self):
-        self.t += 1
-        lr = self.lr_at(self.t)
+        """Update every parameter or none: a non-finite gradient or new value
+        raises NonFiniteError before any parameter or moment is written."""
+        for p in self.params:
+            tt._finite(p.grad, f"the gradient of {p.name!r}")
+        t = self.t + 1
+        lr = self.lr_at(t)
         if lr == 0.0:
+            self.t = t
             return
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - self.b1 ** t
+        c2 = 1.0 - self.b2 ** t
+        moments, values = [], []
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            m *= self.b1
+            m = m * self.b1
             m += (1.0 - self.b1) * g
-            v *= self.b2
+            v = v * self.b2
             v += (1.0 - self.b2) * g * g
-            p.value -= (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(p.value.dtype)
+            value = p.value - (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(p.value.dtype)
+            values.append(tt._finite(value, f"the Adam update of {p.name!r}"))
+            moments.append((m, v))
+        self.t = t
+        self._m = [m for m, _ in moments]
+        self._v = [v for _, v in moments]
+        for p, value in zip(self.params, values):
+            p.value[...] = value
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +595,19 @@ class TrainLog:
             dev = "" if r.get("dev_loss") is None else f"{r['dev_loss']:.6f}"
             lines.append(f"{r['step']},{r['lr']:.8f},{r['train_loss']:.6f},{dev}")
         return "\n".join(lines) + "\n"
+
+
+def _diverged(step: int, err: tt.NonFiniteError, replay: Callable[[], object]) -> TrainingDiverged:
+    """`err` came from a boundary check in `step`.  `replay` runs the step's
+    forward and backward passes again on tapes that check every op, which
+    names the op that first produced a non-finite value; batches,
+    augmentation and dropout come from step-keyed rng children, so the
+    replay computes the same values."""
+    try:
+        replay()
+    except tt.NonFiniteError as at_op:
+        err = at_op
+    return TrainingDiverged(step, str(err))
 
 
 def mean_ctc_loss(enc: SpeechEncoder, dataset: Sequence[Utterance],
@@ -618,31 +635,36 @@ def train_encoder_ctc(enc: SpeechEncoder, train_set: Sequence[Utterance],
     dev_probe = list(dev_set[: cfg.dev_subset])
     log.initial_dev_loss = mean_ctc_loss(enc, dev_set, blank_id)
 
-    for step in range(start_step, cfg.steps):
+    def accumulate(step: int, check_ops: bool) -> tuple[int, float]:
+        """Gradients of `step`'s batch: (feasible utterances, loss sum)."""
         idx = root.child(f"batch{step}").integers(0, len(train_set), cfg.batch_size)
         opt.zero_grad()
         n_ok, loss_sum = 0, 0.0
+        for j, i in enumerate(idx):
+            utt = train_set[int(i)]
+            frames = augment(utt.frames, cfg.augment, root.child(f"aug{step}.{j}"))
+            tape = tt.GradTape(check_ops)
+            _, logits = enc.forward(frames, tape=tape, drop_rate=cfg.dropout,
+                                    drop_rng=root.child(f"drop{step}.{j}"))
+            res = ctc_loss(LogitGram(logits), utt.source, blank_id)
+            if not res.feasible:
+                log.skipped += 1
+                continue
+            tape.backward(res.loss)
+            n_ok += 1
+            loss_sum += res.loss.item()
+        return n_ok, loss_sum
+
+    for step in range(start_step, cfg.steps):
         try:
-            for j, i in enumerate(idx):
-                utt = train_set[int(i)]
-                frames = augment(utt.frames, cfg.augment, root.child(f"aug{step}.{j}"))
-                tape = tt.GradTape()
-                _, logits = enc.forward(frames, tape=tape, drop_rate=cfg.dropout,
-                                        drop_rng=root.child(f"drop{step}.{j}"))
-                res = ctc_loss(LogitGram(logits), utt.source, blank_id)
-                if not res.feasible:
-                    log.skipped += 1
-                    continue
-                tape.backward(res.loss)
-                n_ok += 1
-                loss_sum += res.loss.item()
+            n_ok, loss_sum = accumulate(step, False)
+            if n_ok:
+                inv = 1.0 / n_ok
+                for n in names:
+                    enc.params[n].grad *= inv
+                opt.step()
         except tt.NonFiniteError as e:
-            raise TrainingDiverged(step, str(e)) from e
-        if n_ok:
-            inv = 1.0 / n_ok
-            for n in names:
-                enc.params[n].grad *= inv
-            opt.step()
+            raise _diverged(step, e, lambda: accumulate(step, True)) from e
         log.final_step = step + 1
         if step % cfg.log_every == 0 or step == cfg.steps - 1:
             row = {"step": step, "lr": opt.lr_at(opt.t), "train_loss": loss_sum / max(n_ok, 1),
@@ -703,30 +725,35 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
     dev_probe = list(dev_set[: cfg.dev_subset])
     log.initial_dev_loss = dev_loss(dev_set)
 
-    for step in range(cfg.steps):
+    def accumulate(step: int, check_ops: bool) -> float:
+        """Gradients of `step`'s batch; returns the summed loss."""
         idx = root.child(f"batch{step}").integers(0, len(train_set), cfg.batch_size)
         opt.zero_grad()
         loss_sum = 0.0
+        for j, i in enumerate(idx):
+            utt = train_set[int(i)]
+            if enc_cache is not None:
+                frames, out = utt.frames, enc_cache.get(utt)
+            else:
+                frames = augment(utt.frames, cfg.augment, root.child(f"aug{step}.{j}"))
+                out = None
+            tape = tt.GradTape(check_ops)
+            loss = _adapt_loss(sys, enc, vocab, utt, frames, tape,
+                               root.child(f"drop{step}.{j}"), cfg.dropout,
+                               cache_for(utt), enc_out=out)
+            tape.backward(loss)
+            loss_sum += loss.item()
+        return loss_sum
+
+    for step in range(cfg.steps):
         try:
-            for j, i in enumerate(idx):
-                utt = train_set[int(i)]
-                if enc_cache is not None:
-                    frames, out = utt.frames, enc_cache.get(utt)
-                else:
-                    frames = augment(utt.frames, cfg.augment, root.child(f"aug{step}.{j}"))
-                    out = None
-                tape = tt.GradTape()
-                loss = _adapt_loss(sys, enc, vocab, utt, frames, tape,
-                                   root.child(f"drop{step}.{j}"), cfg.dropout,
-                                   cache_for(utt), enc_out=out)
-                tape.backward(loss)
-                loss_sum += loss.item()
+            loss_sum = accumulate(step, False)
+            inv = 1.0 / cfg.batch_size
+            for n in names:
+                trainable[n].grad *= inv
+            opt.step()
         except tt.NonFiniteError as e:
-            raise TrainingDiverged(step, str(e)) from e
-        inv = 1.0 / cfg.batch_size
-        for n in names:
-            trainable[n].grad *= inv
-        opt.step()
+            raise _diverged(step, e, lambda: accumulate(step, True)) from e
         log.final_step = step + 1
         if step % cfg.log_every == 0 or step == cfg.steps - 1:
             row = {"step": step, "lr": opt.lr_at(opt.t),

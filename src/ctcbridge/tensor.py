@@ -3,9 +3,22 @@
 Storage is 32-bit, row-major, contiguous.  Reductions (matmul, softmax
 and cross-entropy normalisers, layer-norm statistics) accumulate in
 64-bit before rounding back, which keeps them accurate without doubling
-memory.  Every public op checks its output for NaN/Inf and raises
-`NonFiniteError` instead of letting them escape; log-space code uses
-`LOG_ZERO` (a finite sentinel) where a true -inf would otherwise appear.
+memory.  Log-space code uses `LOG_ZERO` (a finite sentinel) where a true
+-inf would otherwise appear.
+
+Finiteness is checked at the boundaries, not inside every op.  A
+`Tensor(...)` or `Parameter(...)` built from outside data raises
+`NonFiniteError` on NaN/Inf; op outputs and parameter reads are not
+scanned.  The places where values are used check instead: `cross_entropy`
+and `ctc.ctc_loss` check their scalar, `GradTape.backward` its loss, and
+callers check the gradients before an optimiser step, the logits row
+before an argmax and the posteriorgram before a search (each through
+`_finite`).  Ops let a NaN through rather than mapping it to a finite
+value (`relu` is `np.maximum`), so a NaN anywhere upstream reaches one of
+those checks.  A `GradTape(check_ops=True)` also checks every op output
+as it is recorded, and every gradient its backward pass produces, and
+names the op kind and tape node of the first non-finite one: a training
+loop replays a failed step on such a tape to localise it.
 
 Ops are pure -- inputs are never mutated -- so untaped tensors are safe to
 share across threads.  A `GradTape` and the `Parameter`s watched on it are
@@ -26,13 +39,18 @@ _DTYPE = np.float32
 
 
 class NonFiniteError(FloatingPointError):
-    """An op produced NaN/Inf; the computation has left the finite contract."""
+    """A finiteness check met NaN/Inf: the computation left the finite contract."""
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{what} produced non-finite values")
+        raise NonFiniteError(f"non-finite values in {what}")
     return arr
+
+
+def _storage(data) -> np.ndarray:
+    arr = np.asarray(data, dtype=_DTYPE)
+    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
 
 
 class Tensor:
@@ -41,11 +59,7 @@ class Tensor:
     __slots__ = ("data", "tape", "nid")
 
     def __init__(self, data, tape: Optional["GradTape"] = None, nid: int = -1):
-        arr = np.asarray(data, dtype=_DTYPE)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        _finite(arr, "tensor construction")
-        self.data = arr
+        self.data = _finite(_storage(data), "tensor construction")
         self.tape = tape
         self.nid = nid
 
@@ -70,29 +84,12 @@ class Tensor:
         taped = "" if self.tape is None else f", node={self.nid}"
         return f"Tensor(shape={self.data.shape}{taped})"
 
-    def __add__(self, other):
-        return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+def _unchecked(arr: np.ndarray, tape: Optional["GradTape"] = None, nid: int = -1) -> Tensor:
+    """A Tensor over program-made storage (see `_storage`), without the scan."""
+    t = object.__new__(Tensor)
+    t.data, t.tape, t.nid = arr, tape, nid
+    return t
 
 
 def as_tensor(x) -> Tensor:
@@ -102,15 +99,12 @@ def as_tensor(x) -> Tensor:
 class Parameter:
     """Trainable value plus its gradient accumulator."""
 
-    __slots__ = ("name", "value", "grad", "trainable")
+    __slots__ = ("name", "value", "grad")
 
-    def __init__(self, value, name: str = "", trainable: bool = True):
-        arr = np.ascontiguousarray(np.asarray(value, dtype=_DTYPE))
-        _finite(arr, f"parameter {name!r}")
-        self.value = arr
-        self.grad = np.zeros_like(arr)
+    def __init__(self, value, name: str = ""):
+        self.value = _finite(_storage(value), f"parameter {name!r}")
+        self.grad = np.zeros_like(self.value)
         self.name = name
-        self.trainable = trainable
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -119,10 +113,21 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-class GradTape:
-    """Ordered record of ops; backward replays it in reverse exactly once."""
+def _op_kind(backward: Callable) -> str:
+    # every op defines its backward rule inside its own body
+    return backward.__qualname__.split(".")[0]
 
-    def __init__(self):
+
+class GradTape:
+    """Ordered record of ops; backward replays it in reverse exactly once.
+
+    With `check_ops`, every op output recorded here and every gradient the
+    backward pass produces is checked, and the first non-finite one raises
+    `NonFiniteError` naming its op kind and tape node.
+    """
+
+    def __init__(self, check_ops: bool = False):
+        self.check_ops = check_ops
         self._parents: list[tuple[int, ...]] = []
         self._backward: list[Optional[Callable]] = []
         self._leaves: dict[int, int] = {}  # id(Parameter) -> node id
@@ -143,7 +148,7 @@ class GradTape:
             nid = self._record((), None)
             self._leaves[key] = nid
             self._leaf_params[nid] = p
-        return Tensor(p.value, self, nid)
+        return _unchecked(p.value, self, nid)
 
     def backward(self, loss: Tensor) -> None:
         if self._consumed:
@@ -152,6 +157,7 @@ class GradTape:
             raise ValueError("loss was not recorded on this tape")
         if loss.data.size != 1:
             raise ValueError("backward requires a scalar loss")
+        _finite(loss.data, "the loss")
         self._consumed = True
 
         n = len(self._parents)
@@ -175,23 +181,27 @@ class GradTape:
             for pid, g in zip(self._parents[i], bwd(grads[i])):
                 if g is None:
                     continue
+                if self.check_ops:
+                    _finite(g, f"the gradient from op {_op_kind(bwd)!r} (tape node {i})")
                 if grads[pid] is None:
                     grads[pid] = g
                 else:
                     grads[pid] = grads[pid] + g
         for nid, p in self._leaf_params.items():
-            if p.trainable and grads[nid] is not None:
+            if grads[nid] is not None:
                 p.grad += grads[nid].astype(p.grad.dtype, copy=False)
 
 
-def _emit(tape: Optional[GradTape], data, parents, backward) -> Tensor:
-    out = np.asarray(data, dtype=_DTYPE)
-    if not out.flags.c_contiguous:
-        out = np.ascontiguousarray(out)
-    _finite(out, "op")
+def _emit(tape: Optional[GradTape], data, parents=(), backward=None) -> Tensor:
+    """An op's output, recorded on `tape` unless it is None; not scanned
+    unless the tape checks its ops."""
+    out = _storage(data)
     if tape is None:
-        return Tensor(out)
-    return Tensor(out, tape, tape._record(parents, backward))
+        return _unchecked(out)
+    nid = tape._record(parents, backward)
+    if tape.check_ops:
+        _finite(out, f"the output of op {_op_kind(backward)!r} (tape node {nid})")
+    return _unchecked(out, tape, nid)
 
 
 def _tape_of(*tensors) -> Optional[GradTape]:
@@ -217,8 +227,7 @@ def add(a: Tensor, b) -> Tensor:
     """a + b for equal shapes, a python scalar, or a [C] row bias on [N, C]."""
     a = as_tensor(a)
     if isinstance(b, (int, float)):
-        t = a.tape
-        return _emit(t, a.data + _DTYPE(b), (a.nid,), lambda g: (g,)) if t else Tensor(a.data + _DTYPE(b))
+        return _emit(a.tape, a.data + _DTYPE(b), (a.nid,), lambda g: (g,))
     b = as_tensor(b)
     tape = _tape_of(a, b)
     pa = a.nid if a.tape is not None else None
@@ -236,7 +245,7 @@ def add(a: Tensor, b) -> Tensor:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     parents = tuple(p for p in (pa, pb) if p is not None)
     if not parents:
-        return Tensor(out)
+        return _emit(None, out)
 
     def full_bwd(g):
         ga, gb = bwd(g)
@@ -250,27 +259,18 @@ def add(a: Tensor, b) -> Tensor:
     return _emit(tape, out, parents, full_bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    if a.tape is None:
-        return Tensor(-a.data)
-    return _emit(a.tape, -a.data, (a.nid,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product; `b` may be a python scalar."""
     a = as_tensor(a)
     if isinstance(b, (int, float)):
         s = _DTYPE(b)
-        if a.tape is None:
-            return Tensor(a.data * s)
         return _emit(a.tape, a.data * s, (a.nid,), lambda g: (g * s,))
     b = as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     tape = _tape_of(a, b)
     if tape is None:
-        return Tensor(a.data * b.data)
+        return _emit(None, a.data * b.data)
     pa = a.nid if a.tape is not None else None
     pb = b.nid if b.tape is not None else None
     ad, bd = a.data, b.data
@@ -293,7 +293,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _tape_of(a, b)
     out = _f64(a.data) @ _f64(b.data)
     if tape is None:
-        return Tensor(out)
+        return _emit(None, out)
     pa = a.nid if a.tape is not None else None
     pb = b.nid if b.tape is not None else None
     ad, bd = a.data, b.data
@@ -314,17 +314,13 @@ def transpose(a: Tensor) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-    if a.tape is None:
-        return Tensor(a.data.T)
     return _emit(a.tape, a.data.T, (a.nid,), lambda g: (np.ascontiguousarray(g.T),))
 
 
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
-    out = np.where(mask, a.data, 0)
-    if a.tape is None:
-        return Tensor(out)
+    out = np.maximum(a.data, _DTYPE(0))  # NaN stays NaN
     return _emit(a.tape, out, (a.nid,), lambda g: (g * mask,))
 
 
@@ -337,10 +333,7 @@ def dropout(a: Tensor, rate: float, rng) -> Tensor:
     a = as_tensor(a)
     keep = (rng.uniforms(a.size).reshape(a.shape) >= rate).astype(a.data.dtype)
     mask = keep / _DTYPE(1.0 - rate)
-    out = a.data * mask
-    if a.tape is None:
-        return Tensor(out)
-    return _emit(a.tape, out, (a.nid,), lambda g: (g * mask,))
+    return _emit(a.tape, a.data * mask, (a.nid,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +349,6 @@ def gather_rows(m: Tensor, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
         raise ValueError("gather_rows index out of range")
     out = m.data[idx]
-    if m.tape is None:
-        return Tensor(out)
     shape = m.shape
 
     def bwd(g):
@@ -373,8 +364,6 @@ def slice_rows(m: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= m.shape[0]):
         raise ValueError(f"slice_rows [{start}:{stop}] out of range for {m.shape}")
     out = m.data[start:stop].copy()
-    if m.tape is None:
-        return Tensor(out)
     shape = m.shape
 
     def bwd(g):
@@ -397,7 +386,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     tape = _tape_of(*parts)
     out = np.concatenate([p.data for p in parts], axis=0)
     if tape is None:
-        return Tensor(out)
+        return _emit(None, out)
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
     taped = [(i, p.nid) for i, p in enumerate(parts) if p.tape is not None]
 
@@ -409,11 +398,8 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
-    out = x.data.reshape(shape)
-    if x.tape is None:
-        return Tensor(out)
     old = x.shape
-    return _emit(x.tape, out, (x.nid,), lambda g: (g.reshape(old),))
+    return _emit(x.tape, x.data.reshape(shape), (x.nid,), lambda g: (g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +418,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv
     out = xhat * _f64(gain.data) + _f64(bias.data)
     if tape is None:
-        return Tensor(out)
+        return _emit(None, out)
     px = x.nid if x.tape is not None else None
     pg = gain.nid if gain.tape is not None else None
     pb = bias.nid if bias.tape is not None else None
@@ -464,8 +450,6 @@ def softmax(x: Tensor, tau: float = 1.0, axis: int = -1) -> Tensor:
     z = (xd - xd.max(axis=axis, keepdims=True)) / tau
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
-    if x.tape is None:
-        return Tensor(s)
 
     def bwd(g):
         g64 = _f64(g)
@@ -502,30 +486,20 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     z = xd - mx
     ls = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     loss = -(ls[np.arange(n), tgt] * m).sum() / active
-    if logits.tape is None:
-        return Tensor(loss)
-    p = np.exp(ls)
 
     def bwd(g):
-        d = p.copy()
+        d = np.exp(ls)
         d[np.arange(n), tgt] -= 1.0
         d *= (m / active)[:, None]
         return ((d * _f64(g)).astype(g.dtype),)
 
-    return _emit(logits.tape, loss, (logits.nid,), bwd)
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out = _f64(x.data).sum()
-    if x.tape is None:
-        return Tensor(out)
-    shape = x.shape
-    return _emit(x.tape, out, (x.nid,), lambda g: (np.full(shape, g, dtype=g.dtype),))
+    out = _emit(logits.tape, loss, (logits.nid,), bwd)
+    _finite(out.data, "the cross_entropy loss")
+    return out
 
 
 def causal_mask(n: int) -> Tensor:
     """[n, n] additive mask: 0 at or below the diagonal, LOG_ZERO above."""
     m = np.zeros((n, n), dtype=_DTYPE)
     m[np.triu_indices(n, k=1)] = LOG_ZERO
-    return Tensor(m)
+    return _emit(None, m)

@@ -22,7 +22,7 @@ import numpy as np
 from ctcbridge import tensor as tt
 from ctcbridge.ctc import _LOG_PROB_FLOOR, INFEASIBLE_LOSS, CtcLoss, NBestList, min_frames
 from ctcbridge.lexicon import Alignment, LogitGram, Posteriorgram, TokenSeq, collapse
-from tape_ops import gather_flat, log_softmax, logaddexp, logsumexp, precision, shift
+from tape_ops import gather_flat, log_softmax, logaddexp, logsumexp, neg, precision, shift
 
 
 def alignment_oracle(y: TokenSeq, frames: int, vocab_size: int, blank_id: int | None = None) -> set[Alignment]:
@@ -78,21 +78,21 @@ def ctc_loss_reference(z: LogitGram, y: TokenSeq, blank_id: int) -> CtcLoss:
         flat_ids = (np.arange(t_frames)[:, None] * width + ext[None, :]).reshape(-1)
         emit = tt.reshape(gather_flat(logp, flat_ids), (t_frames, s))
 
-        alpha = tt.reshape(tt.slice_rows(emit, 0, 1), (s,)) + tt.Tensor(init)
+        alpha = tt.add(tt.reshape(tt.slice_rows(emit, 0, 1), (s,)), tt.Tensor(init))
         skip_mask = tt.Tensor(skip_ok)
         for t in range(1, t_frames):
             stay_or_move = logaddexp(alpha, shift(alpha, 1))
-            skipped = shift(alpha, 2) + skip_mask
-            alpha = logaddexp(stay_or_move, skipped) + tt.reshape(
+            skipped = tt.add(shift(alpha, 2), skip_mask)
+            alpha = tt.add(logaddexp(stay_or_move, skipped), tt.reshape(
                 tt.slice_rows(emit, t, t + 1), (s,)
-            )
+            ))
 
         if s == 1:
             total = gather_flat(alpha, [0])
         else:
             tail = gather_flat(alpha, [s - 2, s - 1])
             total = logsumexp(tail)
-        loss64 = tt.reshape(tt.neg(total), ())
+        loss64 = tt.reshape(neg(total), ())
 
     # round the accumulated scalar back to storage precision
     loss = tt.mul(loss64, 1.0)

@@ -1,10 +1,12 @@
 """Tape ops and checks that only the tests use.
 
-The log-space ops (`shift`, `gather_flat`, `logaddexp`, `logsumexp`,
-`log_softmax`) are the building blocks of `ctc_oracles.ctc_loss_reference`,
-the tape-built CTC recursion that the fused `ctcbridge.ctc.ctc_loss` is
-checked against.  They record on a `GradTape` through the same
-`ctcbridge.tensor` internals as the package's own ops.
+`neg` and `reduce_sum` are plain tape ops the package has no use for, and
+`params_digest` fingerprints a set of parameters.  The log-space ops
+(`shift`, `gather_flat`, `logaddexp`, `logsumexp`, `log_softmax`) are the
+building blocks of `ctc_oracles.ctc_loss_reference`, the tape-built CTC
+recursion that the fused `ctcbridge.ctc.ctc_loss` is checked against.
+They record on a `GradTape` through the same `ctcbridge.tensor` internals
+as the package's own ops.
 
 `precision(np.float64)` temporarily switches the package's storage dtype,
 so a check can measure algorithmic agreement rather than float32 rounding.
@@ -14,6 +16,7 @@ only.  `finite_diff_check` runs under it.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,6 +34,30 @@ def precision(dtype):
         yield
     finally:
         tt._DTYPE = old
+
+
+def params_digest(params: dict[str, Parameter]) -> str:
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(params[name].value.tobytes())
+    return h.hexdigest()
+
+
+def neg(a: Tensor) -> Tensor:
+    a = as_tensor(a)
+    if a.tape is None:
+        return Tensor(-a.data)
+    return _emit(a.tape, -a.data, (a.nid,), lambda g: (-g,))
+
+
+def reduce_sum(x: Tensor) -> Tensor:
+    x = as_tensor(x)
+    out = _f64(x.data).sum()
+    if x.tape is None:
+        return Tensor(out)
+    shape = x.shape
+    return _emit(x.tape, out, (x.nid,), lambda g: (np.full(shape, g, dtype=g.dtype),))
 
 
 def gather_flat(x: Tensor, ids) -> Tensor:

@@ -101,6 +101,7 @@ MALFORMED = {
         blob, lambda h: h["tensors"][0].update(shape=[7.0, 2])),
     "meta-not-object": lambda blob: _with_header(blob, lambda h: h.update(meta=[1])),
     "header-not-utf8": lambda blob: blob[:12] + b"\xff" + blob[13:],
+    "nan-tensor": lambda blob: blob[:-4] + np.float32(np.nan).tobytes(),
 }
 
 

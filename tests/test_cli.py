@@ -1,5 +1,6 @@
-"""In-process `cli.main` runs on a tiny task: every mode end to end, and
-bad arguments, config values and checkpoints exit 2."""
+"""In-process `cli.main` runs on a tiny task: every mode end to end, bad
+arguments, config values, data files and checkpoints exit 2, and a
+diverging training run exits 1."""
 
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import pytest
 from ctcbridge import cli
 from ctcbridge import models as md
 from ctcbridge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from tape_ops import params_digest
 
 TASK = {
     "name": "tiny",
@@ -185,7 +187,7 @@ def systems(tiny, nbest_caches, tmp_path_factory):
 
 
 def _digest(sys_):
-    return md.params_digest({**{f"dec/{n}": p for n, p in sys_.decoder.params.items()},
+    return params_digest({**{f"dec/{n}": p for n, p in sys_.decoder.params.items()},
                              **{f"extra/{n}": p for n, p in sys_.extra.items()}})
 
 
@@ -251,6 +253,7 @@ MALFORMED = {
     "extra-shape": lambda t, m: t.update({"extra/topp.proj": t["extra/topp.proj"][:-1]}),
     "extra-unknown": lambda t, m: t.update({"extra/sp.proj": t["extra/topp.proj"]}),
     "decoder-tensor": lambda t, m: _drop(t, "dec/emb"),
+    "decoder-tensor-nan": lambda t, m: t["dec/emb"].__setitem__((0, 0), np.nan),
 }
 
 
@@ -314,6 +317,49 @@ def test_bad_aec_input_exits_2_before_training(tiny, nbest_caches, capsys, tmp_p
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_malformed_split_line_exits_2(tiny, capsys, tmp_path):
+    assert cli.main(["gen-data", "--spec", tiny["spec"], "--out", str(tmp_path)]) == 0
+    path = tmp_path / "test.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "{not json}", *lines[2:]]) + "\n")
+    code, out, err = run(capsys, decode(tiny, "--data", str(tmp_path)))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:2: malformed utterance line") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# divergence: exit 1, naming where the first non-finite value appeared
+
+
+def _diverge(tiny, tmp_path, command, lr):
+    if command == "train-encoder":
+        config = dict(TRAIN, steps=3, lr=lr, encoder={"width": 8, "ffn": 16, "blocks": 1})
+        return ["train-encoder", "--spec", tiny["spec"], "--out", str(tmp_path / "div.ckpt"),
+                "--config", _write(tmp_path, "div.json", config)]
+    config = dict(TRAIN, steps=3, lr=lr, decoder=DECODER)
+    return ["adapt", "--mode", "lego", "--encoder", tiny["enc"], "--spec", tiny["spec"],
+            "--out", str(tmp_path / "div.ckpt"), "--config", _write(tmp_path, "div.json", config)]
+
+
+@pytest.mark.parametrize("command, lr, step, message", [
+    # the first update leaves weights near 1e30, so a matmul of the next step overflows
+    ("train-encoder", 1e30, 1, "non-finite values in the output of op 'matmul' (tape node "),
+    # Adam's first update itself overflows float32; nothing is written
+    ("train-encoder", 1e38, 0, "non-finite values in the Adam update of 'conv1.w'"),
+    ("adapt", 1e30, 1, "non-finite values in the output of op 'matmul' (tape node "),
+], ids=["train-encoder-1e30", "train-encoder-1e38", "adapt-1e30"])
+def test_divergence_exits_1_naming_the_op(tiny, capsys, tmp_path, command, lr, step, message):
+    code, out, err = run(capsys, _diverge(tiny, tmp_path, command, lr))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: training diverged at step {step}: {message}")
+    assert err.count("\n") == 1
+    if command == "train-encoder":
+        # load_checkpoint rejects a non-finite tensor, so loading proves finiteness
+        enc, _, meta = cli.load_encoder_ckpt(tmp_path / "div.ckpt")
+        assert (meta["diverged"], meta["step"]) == (True, step)
+        assert all(np.isfinite(p.value).all() for p in enc.params.values())
 
 
 def test_gen_data_writes_splits_matching_its_manifest(tmp_path, capsys):

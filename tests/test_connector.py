@@ -14,7 +14,7 @@ from ctcbridge.connector import (
 from ctcbridge.lexicon import LogitGram
 from ctcbridge.rng import CounterRng
 from ctcbridge.synthdata import build_vocabulary
-from tape_ops import finite_diff_check
+from tape_ops import finite_diff_check, reduce_sum
 
 
 V, D, T = 6, 5, 4
@@ -121,7 +121,7 @@ class TestReconstructFull:
         cfg = ConnectorConfig(blk_downscale=2.0)
 
         def f(et):
-            return tt.reduce_sum(reconstruct_full(z, et, cfg))
+            return reduce_sum(reconstruct_full(z, et, cfg))
 
         assert finite_diff_check(f, np.ones((WIDTH, D)) * 0.3) < 1e-3
 
@@ -133,7 +133,7 @@ class TestReconstructFull:
         # pick out s_2[1]: gradient wrt E should be o_2 on column 1
         probe = np.zeros((T, D))
         probe[2, 1] = 1.0
-        tape.backward(tt.reduce_sum(tt.mul(out, tt.Tensor(probe))))
+        tape.backward(reduce_sum(tt.mul(out, tt.Tensor(probe))))
         o = tt.softmax(z.logits).data
         np.testing.assert_allclose(p.grad[:, 1], o[2], atol=1e-6)
         assert np.abs(np.delete(p.grad, 1, axis=1)).max() == 0.0
@@ -174,7 +174,7 @@ class TestTopS:
 
     def test_gradient_wrt_table(self, z):
         def f(et):
-            return tt.reduce_sum(reconstruct_full(z, et, ConnectorConfig(), k=3))
+            return reduce_sum(reconstruct_full(z, et, ConnectorConfig(), k=3))
 
         assert finite_diff_check(f, np.full((WIDTH, D), 0.2)) < 1e-3
 
@@ -205,7 +205,7 @@ class TestTopP:
 
     def test_gradient_wrt_projection(self, z, table):
         def f(p):
-            return tt.reduce_sum(reconstruct_topP(z, table, 2, p, ConnectorConfig()))
+            return reduce_sum(reconstruct_topP(z, table, 2, p, ConnectorConfig()))
 
         assert finite_diff_check(f, np.full((2 * D, D), 0.1)) < 1e-3
 
@@ -232,7 +232,7 @@ class TestAdapter:
 
     def test_gradient_wrt_adapter(self, z):
         def f(at):
-            return tt.reduce_sum(reconstruct_full(z, at, ConnectorConfig()))
+            return reduce_sum(reconstruct_full(z, at, ConnectorConfig()))
 
         assert finite_diff_check(f, np.full((WIDTH, D), 0.4)) < 1e-3
 

@@ -11,7 +11,7 @@ from ctcbridge.lexicon import Vocabulary
 from ctcbridge import models as md
 from ctcbridge.rng import CounterRng
 from ctcbridge.synthdata import build_vocabulary
-from tape_ops import finite_diff_check, precision
+from tape_ops import finite_diff_check, params_digest, precision
 
 
 MICRO_TASK = {
@@ -272,7 +272,7 @@ class TestAdaptation:
         cfg0 = md.TrainConfig(steps=120, batch_size=4, lr=4e-3, warmup=10,
                               eval_every=0, augment=None)
         md.train_encoder_ctc(enc, train, dev, cfg0, vocab.blank_id)
-        digest = md.params_digest(enc.params)
+        digest = params_digest(enc.params)
 
         dec = tiny_decoder(vocab)
         conn = ConnectorConfig(k=3 if mode in ("topS", "topP") else None)
@@ -284,7 +284,7 @@ class TestAdaptation:
                              dropout=0.1, eval_every=0, augment=None)
         log = md.adapt_decoder(sysm, enc, vocab, train, dev, cfg, aec_cache=cache)
         assert log.final_dev_loss < log.initial_dev_loss
-        assert md.params_digest(enc.params) == digest
+        assert params_digest(enc.params) == digest
 
     def test_lego_star_pins_blank_downscale(self, micro, vocab):
         enc = tiny_encoder(vocab)
@@ -385,3 +385,77 @@ class TestAdam:
         assert opt.lr_at(5) == pytest.approx(0.5)
         assert opt.lr_at(10) == pytest.approx(1.0)
         assert opt.lr_at(100) == pytest.approx(0.0, abs=1e-9)
+
+    def test_non_finite_step_writes_nothing(self):
+        p, q = tt.Parameter(np.array([1.0]), "p"), tt.Parameter(np.array([1.0]), "q")
+        opt = md.Adam([p, q], lr=1e38, total_steps=10)
+        p.grad[...] = 1.0
+        q.grad[...] = 10.0  # lr * 10 overflows float32
+        with pytest.raises(tt.NonFiniteError, match="the Adam update of 'q'"):
+            opt.step()
+        q.grad[...] = np.nan
+        with pytest.raises(tt.NonFiniteError, match="the gradient of 'q'"):
+            opt.step()
+        assert (p.value[0], q.value[0], opt.t) == (1.0, 1.0, 0)
+        assert not any(m.any() or v.any() for m, v in zip(opt._m, opt._v))
+
+
+def _old_relu(a):
+    """relu as np.where(a > 0, a, 0), which maps NaN to 0."""
+    mask = a.data > 0
+    return tt._emit(a.tape, np.where(mask, a.data, 0), (a.nid,), lambda g: (g * mask,))
+
+
+class TestBoundaryChecks:
+    """Op outputs are not scanned, so a non-finite value put into the output
+    of any op of a training step must still reach a boundary check."""
+
+    def one_step(self, micro, vocab, kind):
+        _, train, dev, _ = micro
+        enc = tiny_encoder(vocab)
+        cfg = md.TrainConfig(steps=1, batch_size=1, lr=1e-3, warmup=0, eval_every=0,
+                             augment=None)
+        if kind == "encoder":
+            return lambda: md.train_encoder_ctc(enc, train[:1], dev[:1], cfg, vocab.blank_id)
+        sysm = md.build_system("lego", enc, tiny_decoder(vocab), ConnectorConfig(), seed=0)
+        return lambda: md.adapt_decoder(sysm, enc, vocab, train[:1], dev[:1], cfg)
+
+    def missed(self, monkeypatch, step, value):
+        """Kinds of the taped ops whose output, replaced by `value`, no check caught."""
+        real = tt._emit
+        taped = []
+
+        def emit(tape, data, parents=(), backward=None):
+            out = real(tape, data, parents, backward)
+            if tape is not None:
+                if len(taped) == target:
+                    out.data = np.full_like(out.data, value)
+                taped.append(tt._op_kind(backward))
+            return out
+
+        monkeypatch.setattr(tt, "_emit", emit)
+        target = -1
+        step()  # count the taped ops of a clean step
+        kinds = list(taped)
+        missed = []
+        for target in range(len(kinds)):
+            taped.clear()
+            try:
+                step()
+            except md.TrainingDiverged:
+                continue
+            missed.append(kinds[target])
+        return kinds, missed
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["encoder", "adapt"])
+    def test_every_op_output_reaches_a_check(self, micro, vocab, monkeypatch, kind, value):
+        kinds, missed = self.missed(monkeypatch, self.one_step(micro, vocab, kind), value)
+        assert {"matmul", "relu", "layer_norm", "softmax"} <= set(kinds)
+        assert missed == []
+
+    @pytest.mark.parametrize("kind", ["encoder", "adapt"])
+    def test_nan_swallowing_relu_escapes_the_checks(self, micro, vocab, monkeypatch, kind):
+        monkeypatch.setattr(tt, "relu", _old_relu)
+        _, missed = self.missed(monkeypatch, self.one_step(micro, vocab, kind), np.nan)
+        assert missed

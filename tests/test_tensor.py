@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcbridge import tensor as tt
-from tape_ops import finite_diff_check, log_softmax, logaddexp, logsumexp, shift
+from tape_ops import finite_diff_check, log_softmax, logaddexp, logsumexp, reduce_sum, shift
 
 
 def entropy(p):
@@ -78,7 +78,7 @@ class TestBackward:
         p = tt.Parameter(np.array([3.0]))
         tape = tt.GradTape()
         x = tape.watch(p)
-        tape.backward(tt.reduce_sum(tt.mul(x, x)))
+        tape.backward(reduce_sum(tt.mul(x, x)))
         np.testing.assert_allclose(p.grad, [6.0], rtol=1e-6)
 
     def test_cross_entropy_softmax_identity(self):
@@ -94,7 +94,7 @@ class TestBackward:
     def test_second_backward_rejected(self):
         p = tt.Parameter(np.array([1.0]))
         tape = tt.GradTape()
-        loss = tt.reduce_sum(tape.watch(p))
+        loss = reduce_sum(tape.watch(p))
         tape.backward(loss)
         with pytest.raises(RuntimeError):
             tape.backward(loss)
@@ -110,7 +110,7 @@ class TestBackward:
         p = tt.Parameter(np.array([2.0]))
         for _ in range(3):
             tape = tt.GradTape()
-            tape.backward(tt.reduce_sum(tape.watch(p)))
+            tape.backward(reduce_sum(tape.watch(p)))
         np.testing.assert_allclose(p.grad, [3.0])
 
     def test_mlp_matches_finite_differences(self):
@@ -122,7 +122,7 @@ class TestBackward:
         def f(x):
             h1 = tt.relu(tt.matmul(x, tt.Tensor(w1)))
             h2 = tt.relu(tt.matmul(h1, tt.Tensor(w2)))
-            return tt.reduce_sum(tt.matmul(h2, tt.Tensor(w3)))
+            return reduce_sum(tt.matmul(h2, tt.Tensor(w3)))
 
         err = finite_diff_check(f, rng.normal(size=(3, 5)), h=1e-4)
         assert err < 1e-3
@@ -130,7 +130,7 @@ class TestBackward:
 
 class TestFiniteDiffCheck:
     def test_sum_gradient_is_ones(self):
-        err = finite_diff_check(lambda x: tt.reduce_sum(x), np.ones((2, 3)))
+        err = finite_diff_check(lambda x: reduce_sum(x), np.ones((2, 3)))
         assert err < 1e-7
 
     def test_logsumexp_symmetric_point(self):
@@ -139,30 +139,30 @@ class TestFiniteDiffCheck:
 
     def test_h_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            finite_diff_check(lambda x: tt.reduce_sum(x), np.ones(2), h=1.0)
+            finite_diff_check(lambda x: reduce_sum(x), np.ones(2), h=1.0)
 
 
 class TestOpsGradients:
     """Every composite op used downstream agrees with central differences."""
 
     CASES = {
-        "layer_norm": lambda x: tt.reduce_sum(
+        "layer_norm": lambda x: reduce_sum(
             tt.layer_norm(x, tt.Tensor(np.linspace(0.5, 1.5, 4)), tt.Tensor(np.zeros(4)))
         ),
-        "softmax": lambda x: tt.reduce_sum(
+        "softmax": lambda x: reduce_sum(
             tt.mul(tt.softmax(x), tt.Tensor(np.arange(8.0).reshape(2, 4)))
         ),
-        "log_softmax": lambda x: tt.reduce_sum(
+        "log_softmax": lambda x: reduce_sum(
             tt.mul(log_softmax(x), tt.Tensor(np.arange(8.0).reshape(2, 4)))
         ),
-        "gather_rows": lambda x: tt.reduce_sum(tt.gather_rows(x, [1, 0, 1])),
-        "transpose_matmul": lambda x: tt.reduce_sum(
+        "gather_rows": lambda x: reduce_sum(tt.gather_rows(x, [1, 0, 1])),
+        "transpose_matmul": lambda x: reduce_sum(
             tt.matmul(tt.transpose(x), tt.Tensor(np.ones((2, 3))))
         ),
-        "slice_concat": lambda x: tt.reduce_sum(
+        "slice_concat": lambda x: reduce_sum(
             tt.concat_rows([tt.slice_rows(x, 1, 2), tt.slice_rows(x, 0, 1)])
         ),
-        "relu": lambda x: tt.reduce_sum(tt.relu(x)),
+        "relu": lambda x: reduce_sum(tt.relu(x)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -215,3 +215,36 @@ class TestInvariants:
     def test_dropout_zero_rate_is_identity(self):
         x = tt.Tensor(np.ones((2, 2)))
         assert tt.dropout(x, 0.0, None) is x
+
+
+class TestCheckedTape:
+    def overflowing_matmul(self, tape):
+        x = tape.watch(tt.Parameter(np.array([[1e30, 1.0]])))
+        return tt.matmul(x, tt.Tensor([[1e10], [1.0]]))  # 1e40 overflows float32
+
+    def test_unchecked_tape_defers_to_the_loss_check(self):
+        tape = tt.GradTape()
+        loss = reduce_sum(self.overflowing_matmul(tape))
+        with pytest.raises(tt.NonFiniteError, match="non-finite values in the loss"):
+            tape.backward(loss)
+
+    def test_check_ops_names_the_op_and_node(self):
+        with pytest.raises(tt.NonFiniteError,
+                           match=r"output of op 'matmul' \(tape node 1\)"):
+            self.overflowing_matmul(tt.GradTape(check_ops=True))
+
+    def test_check_ops_names_the_op_whose_gradient_overflows(self):
+        def run(tape):
+            p = tt.Parameter(np.array([1e-30]), "p")
+            y = tt.mul(tape.watch(p), tt.Tensor([1e30]))
+            tape.backward(reduce_sum(tt.mul(y, tt.Tensor([1e30]))))
+            return p.grad
+
+        assert np.isinf(run(tt.GradTape())).all()  # left for the optimiser's check
+        with pytest.raises(tt.NonFiniteError,
+                           match=r"gradient from op 'mul' \(tape node 1\)"):
+            run(tt.GradTape(check_ops=True))
+
+    def test_relu_propagates_nan(self):
+        x = tt._unchecked(np.array([np.nan, -1.0, 2.0], dtype=np.float32))
+        np.testing.assert_array_equal(tt.relu(x).data, [np.nan, 0.0, 2.0])
