@@ -302,7 +302,7 @@ def _check_compatible(sys_: DecoderSystem, enc: SpeechEncoder,
 
 
 def _posteriorgram(enc: SpeechEncoder, utt: Utterance) -> Posteriorgram:
-    probs = tt.softmax(enc.logitgram(utt.frames).logits).data
+    probs = tt.softmax(enc.forward(utt.frames)[1]).data
     return Posteriorgram(tt._finite(probs, "the posteriorgram"))
 
 

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tt
-from .lexicon import LogitGram
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,15 @@ class ConnectorConfig:
         return 1.0
 
 
-def blank_downscale(z: LogitGram, factor: float) -> LogitGram:
+def blank_downscale(logits: tt.Tensor, factor: float) -> tt.Tensor:
     """Subtract log(factor) from the blank (last) column only."""
     if factor < 1.0:
         raise ValueError("blank downscale factor must be >= 1")
     if factor == 1.0:
-        return z
-    width = z.width
-    delta = np.zeros(width, dtype=np.float64)
-    delta[width - 1] = -math.log(factor)
-    return LogitGram(tt.add(z.logits, tt.Tensor(delta)))
+        return logits
+    delta = np.zeros(logits.shape[1], dtype=np.float64)
+    delta[-1] = -math.log(factor)
+    return tt.add(logits, tt.Tensor(delta))
 
 
 def _check_k(k, width: int) -> int:
@@ -73,20 +71,25 @@ def _topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return order[:, :k]
 
 
-def reconstruct_full(z: LogitGram, table: tt.Tensor, cfg: ConnectorConfig,
+def _check_width(logits: tt.Tensor, table: tt.Tensor) -> int:
+    width = logits.shape[1]
+    if width != table.shape[0]:
+        raise ValueError(f"score width {width} does not match table rows {table.shape[0]}")
+    return width
+
+
+def reconstruct_full(logits: tt.Tensor, table: tt.Tensor, cfg: ConnectorConfig,
                      at_inference: bool = True, k: Optional[int] = None) -> tt.Tensor:
-    """Weighted sum of table rows under the per-frame distribution.
+    """Weighted sum of table rows under the per-frame distribution of the
+    [T, V+1] `logits`.
 
     With `k`, scores outside each frame's K highest (after blank downscale)
     are set to LOG_ZERO before the softmax, so only those K rows are summed.
     """
-    if z.width != table.shape[0]:
-        raise ValueError(
-            f"score width {z.width} does not match table rows {table.shape[0]}"
-        )
-    logits = blank_downscale(z, cfg.blk_downscale).logits
+    width = _check_width(logits, table)
+    logits = blank_downscale(logits, cfg.blk_downscale)
     if k is not None:
-        keep = _topk_indices(logits.data, _check_k(k, z.width))  # not differentiated
+        keep = _topk_indices(logits.data, _check_k(k, width))  # not differentiated
         mask = np.full(logits.shape, tt.LOG_ZERO)
         np.put_along_axis(mask, keep, 0.0, axis=1)
         logits = tt.add(logits, tt.Tensor(mask))
@@ -94,21 +97,15 @@ def reconstruct_full(z: LogitGram, table: tt.Tensor, cfg: ConnectorConfig,
     return tt.matmul(probs, table)
 
 
-def reconstruct_topP(z: LogitGram, table: tt.Tensor, k: int, proj: tt.Tensor,
+def reconstruct_topP(logits: tt.Tensor, table: tt.Tensor, k: int, proj: tt.Tensor,
                      cfg: ConnectorConfig, at_inference: bool = True) -> tt.Tensor:
     """Concatenate the K selected rows (descending score) and project back to d."""
-    if z.width != table.shape[0]:
-        raise ValueError(
-            f"score width {z.width} does not match table rows {table.shape[0]}"
-        )
-    k = _check_k(k, z.width)
+    k = _check_k(k, _check_width(logits, table))
     d = table.shape[1]
     if proj.shape != (k * d, d):
         raise ValueError(f"projection must be [{k * d}, {d}], got {proj.shape}")
-    zd = blank_downscale(z, cfg.blk_downscale)
-    frames = zd.frames
-    idx = _topk_indices(zd.logits.data, k)
+    idx = _topk_indices(blank_downscale(logits, cfg.blk_downscale).data, k)
 
     rows = tt.gather_rows(table, idx.reshape(-1))          # [frames*k, d]
-    concat = tt.reshape(rows, (frames, k * d))
+    concat = tt.reshape(rows, (logits.shape[0], k * d))
     return tt.matmul(concat, proj)

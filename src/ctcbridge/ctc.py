@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .lexicon import LogitGram, Posteriorgram, TokenSeq, collapse
+from .lexicon import Posteriorgram, TokenSeq, collapse
 
 INFEASIBLE_LOSS = 1.0e30  # sentinel: exp(-loss) == 0, gradient-free
 
@@ -66,14 +66,14 @@ def min_frames(y: TokenSeq) -> int:
     return len(y) + sum(1 for a, b in zip(y, y[1:]) if a == b)
 
 
-def ctc_loss(z: LogitGram, y: TokenSeq, blank_id: int) -> CtcLoss:
-    """-log P(y | z) summed over all alignments, differentiable through z.
+def ctc_loss(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> CtcLoss:
+    """-log P(y | logits) summed over all alignments, differentiable through
+    the [T, V+1] `logits`.
 
     Infeasible targets (more symbols than frames can carry) return the
     INFEASIBLE_LOSS sentinel with `feasible=False` instead of raising, so a
     training loop can skip and count them.
     """
-    logits = z.logits
     t_frames, width = logits.shape
     if t_frames < 1:
         raise ValueError("logit gram needs at least one frame")

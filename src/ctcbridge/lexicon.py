@@ -77,21 +77,6 @@ class Posteriorgram:
         return self.probs.shape[1]
 
 
-@dataclass(frozen=True)
-class LogitGram:
-    """Per-frame raw scores over the V+1 output slots; may be tape-recorded."""
-
-    logits: "object"  # tensor.Tensor
-
-    @property
-    def frames(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.logits.shape[1]
-
-
 def collapse(path: Alignment, blank_id: int) -> TokenSeq:
     """Merge adjacent repeats, then delete blanks."""
     out = []

@@ -1,4 +1,4 @@
-"""Trainable toy networks and the two training loops.
+"""Trainable toy networks and the training loop of both stages.
 
 The speech encoder subsamples frames by 4 (two stride-2 convolution
 stages), mixes with per-frame MLP + single-head self-attention blocks, and
@@ -8,8 +8,12 @@ the blank row (index V) takes part in reconstruction only, never in the
 output softmax.  Input and output embeddings are tied by default
 (`DecoderConfig.tie_output`).
 
-Two loops: CTC-train the encoder, then adapt the decoder against a frozen
-encoder through one entry of the `CONNECTIONS` registry.  An entry names
+One step loop, `_train`, with two front ends: `train_encoder_ctc`
+CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
+frozen encoder through one entry of the `CONNECTIONS` registry.  A front
+end hands the loop its parameters, rng stream, per-utterance loss and dev
+loss; the loop owns batching, augmentation, dropout rngs, gradient
+averaging, Adam, log rows and divergence handling.  An entry names
 what it reads from the encoder (logits, hidden states or an n-best list),
 the parameters it trains beside the decoder, and how it turns that readout
 into the decoder's speech prefix:
@@ -29,6 +33,7 @@ cannot drift by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -38,7 +43,7 @@ import numpy as np
 from . import tensor as tt
 from .connector import ConnectorConfig, reconstruct_full, reconstruct_topP
 from .ctc import NBestList, ctc_loss
-from .lexicon import LogitGram, TokenSeq, Vocabulary
+from .lexicon import TokenSeq, Vocabulary
 from .metrics import WerReport, corpus_wer
 from .rng import CounterRng
 from .synthdata import MaskConfig, Utterance, augment
@@ -211,9 +216,6 @@ class SpeechEncoder:
         logits = tt.matmul(hidden, _w(self.params, "out.w", tape))
         return hidden, logits
 
-    def logitgram(self, frames: np.ndarray) -> LogitGram:
-        return LogitGram(self.forward(frames)[1])
-
 
 # ---------------------------------------------------------------------------
 # decoder LM
@@ -305,23 +307,23 @@ def aec_build_input(nbest: NBestList, n: int, vocab: Vocabulary) -> TokenSeq:
 
 
 def _lm_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
-    return reconstruct_full(LogitGram(tt.Tensor(enc_out)), sys.decoder.embedding(tape),
+    return reconstruct_full(tt.Tensor(enc_out), sys.decoder.embedding(tape),
                             sys.conn, at_inference)
 
 
 def _topS_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
-    return reconstruct_full(LogitGram(tt.Tensor(enc_out)), sys.decoder.embedding(tape),
+    return reconstruct_full(tt.Tensor(enc_out), sys.decoder.embedding(tape),
                             sys.conn, at_inference, k=sys.conn.k)
 
 
 def _topP_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
-    return reconstruct_topP(LogitGram(tt.Tensor(enc_out)), sys.decoder.embedding(tape),
+    return reconstruct_topP(tt.Tensor(enc_out), sys.decoder.embedding(tape),
                             sys.conn.k, _w(sys.extra, "topp.proj", tape), sys.conn,
                             at_inference)
 
 
 def _adapter_prefix(sys: DecoderSystem, enc_out: np.ndarray, tape, at_inference: bool):
-    return reconstruct_full(LogitGram(tt.Tensor(enc_out)), _w(sys.extra, "adapter.table", tape),
+    return reconstruct_full(tt.Tensor(enc_out), _w(sys.extra, "adapter.table", tape),
                             sys.conn, at_inference)
 
 
@@ -435,22 +437,6 @@ def encoder_readout(reads: str, enc: SpeechEncoder, frames: np.ndarray) -> Optio
         return None
     hidden, logits = enc.forward(frames)
     return hidden.data if reads == "hidden" else logits.data
-
-
-class EncoderOutputCache:
-    """Per-utterance frozen-encoder outputs; valid only without augmentation."""
-
-    def __init__(self, enc: SpeechEncoder, reads: str):
-        self.enc = enc
-        self.reads = reads
-        self._data: dict[str, np.ndarray] = {}
-
-    def get(self, utt: Utterance) -> Optional[np.ndarray]:
-        out = self._data.get(utt.id)
-        if out is None:
-            out = encoder_readout(self.reads, self.enc, utt.frames)
-            self._data[utt.id] = out
-        return out
 
 
 def conditioning(sys: DecoderSystem, enc: SpeechEncoder, frames: np.ndarray,
@@ -597,24 +583,90 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _diverged(step: int, err: tt.NonFiniteError, replay: Callable[[], object]) -> TrainingDiverged:
-    """`err` came from a boundary check in `step`.  `replay` runs the step's
-    forward and backward passes again on tapes that check every op, which
-    names the op that first produced a non-finite value; batches,
-    augmentation and dropout come from step-keyed rng children, so the
-    replay computes the same values."""
+def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
+           dev_set: Sequence[Utterance], cfg: TrainConfig, stream: int,
+           loss_of: Callable[..., Optional[tt.Tensor]],
+           dev_loss: Callable[[Sequence[Utterance], Optional[tt.GradTape]], float],
+           start_step: int = 0) -> TrainLog:
+    """The step loop of both stages; deterministic per cfg.seed and `stream`.
+
+    Each step draws a batch, masks each utterance's frames when cfg.augment
+    is set, and records `loss_of(utt, frames, tape, drop_rng)` on a fresh
+    tape; None marks an infeasible target, which is counted and skipped.
+    Gradients are averaged over the utterances that gave a loss.
+    `dev_loss(subset, tape)` is a subset's mean loss, untaped except in a
+    divergence replay.  A non-finite value in a step, or in the dev pass
+    after it, raises TrainingDiverged for that step: the failed work is
+    replayed on tapes that check every op, which names the op that first
+    produced a non-finite value.  Batches, masks and dropout come from
+    step-keyed rng children and dev passes draw none, so the replay computes
+    the same values.
+    """
+    if not train_set:
+        raise ValueError("training set is empty")
+    opt = Adam([params[n] for n in sorted(params)], cfg.lr, cfg.steps, cfg.warmup)
+    opt.t = start_step
+    root = CounterRng(cfg.seed, stream=stream)
+    log = TrainLog(final_step=start_step)
+    dev_probe = list(dev_set[: cfg.dev_subset])
+    log.initial_dev_loss = dev_loss(dev_set, None)
+
+    def accumulate(step: int, check_ops: bool) -> tuple[int, float]:
+        """Gradients of `step`'s batch: (utterances with a loss, loss sum)."""
+        idx = root.child(f"batch{step}").integers(0, len(train_set), cfg.batch_size)
+        opt.zero_grad()
+        n_ok, loss_sum = 0, 0.0
+        for j, i in enumerate(idx):
+            utt = train_set[int(i)]
+            frames = utt.frames
+            if cfg.augment is not None:
+                frames = augment(frames, cfg.augment, root.child(f"aug{step}.{j}"))
+            tape = tt.GradTape(check_ops)
+            loss = loss_of(utt, frames, tape, root.child(f"drop{step}.{j}"))
+            if loss is None:
+                log.skipped += 1
+                continue
+            tape.backward(loss)
+            n_ok += 1
+            loss_sum += loss.item()
+        return n_ok, loss_sum
+
+    step = start_step - 1  # the last step taken
     try:
-        replay()
-    except tt.NonFiniteError as at_op:
-        err = at_op
-    return TrainingDiverged(step, str(err))
+        for step in range(start_step, cfg.steps):
+            replay = functools.partial(accumulate, step, True)
+            n_ok, loss_sum = accumulate(step, False)
+            if n_ok:
+                inv = 1.0 / n_ok
+                for p in opt.params:
+                    p.grad *= inv
+                opt.step()
+            log.final_step = step + 1
+            if step % cfg.log_every == 0 or step == cfg.steps - 1:
+                row = {"step": step, "lr": opt.lr_at(opt.t),
+                       "train_loss": loss_sum / max(n_ok, 1), "dev_loss": None}
+                if cfg.eval_every and (step % cfg.eval_every == 0 or step == cfg.steps - 1):
+                    replay = functools.partial(dev_loss, dev_probe, tt.GradTape(check_ops=True))
+                    row["dev_loss"] = dev_loss(dev_probe, None)
+                log.rows.append(row)
+        replay = functools.partial(dev_loss, dev_set, tt.GradTape(check_ops=True))
+        log.final_dev_loss = dev_loss(dev_set, None)
+    except tt.NonFiniteError as e:
+        err = e
+        try:
+            replay()
+        except tt.NonFiniteError as at_op:
+            err = at_op
+        raise TrainingDiverged(step, str(err)) from e
+    return log
 
 
 def mean_ctc_loss(enc: SpeechEncoder, dataset: Sequence[Utterance],
-                  blank_id: int) -> float:
+                  blank_id: int, tape: Optional[tt.GradTape] = None) -> float:
+    """Mean CTC loss over the feasible utterances of `dataset`."""
     total, count = 0.0, 0
     for utt in dataset:
-        res = ctc_loss(enc.logitgram(utt.frames), utt.source, blank_id)
+        res = ctc_loss(enc.forward(utt.frames, tape=tape)[1], utt.source, blank_id)
         if res.feasible:
             total += res.loss.item()
             count += 1
@@ -625,67 +677,14 @@ def train_encoder_ctc(enc: SpeechEncoder, train_set: Sequence[Utterance],
                       dev_set: Sequence[Utterance], cfg: TrainConfig,
                       blank_id: int, start_step: int = 0) -> TrainLog:
     """CTC training; deterministic per cfg.seed.  Raises on divergence."""
-    if not train_set:
-        raise ValueError("training set is empty")
-    names = sorted(enc.params)
-    opt = Adam([enc.params[n] for n in names], cfg.lr, cfg.steps, cfg.warmup)
-    opt.t = start_step
-    root = CounterRng(cfg.seed, stream=0x7E40)
-    log = TrainLog(final_step=start_step)
-    dev_probe = list(dev_set[: cfg.dev_subset])
-    log.initial_dev_loss = mean_ctc_loss(enc, dev_set, blank_id)
 
-    def accumulate(step: int, check_ops: bool) -> tuple[int, float]:
-        """Gradients of `step`'s batch: (feasible utterances, loss sum)."""
-        idx = root.child(f"batch{step}").integers(0, len(train_set), cfg.batch_size)
-        opt.zero_grad()
-        n_ok, loss_sum = 0, 0.0
-        for j, i in enumerate(idx):
-            utt = train_set[int(i)]
-            frames = augment(utt.frames, cfg.augment, root.child(f"aug{step}.{j}"))
-            tape = tt.GradTape(check_ops)
-            _, logits = enc.forward(frames, tape=tape, drop_rate=cfg.dropout,
-                                    drop_rng=root.child(f"drop{step}.{j}"))
-            res = ctc_loss(LogitGram(logits), utt.source, blank_id)
-            if not res.feasible:
-                log.skipped += 1
-                continue
-            tape.backward(res.loss)
-            n_ok += 1
-            loss_sum += res.loss.item()
-        return n_ok, loss_sum
+    def loss_of(utt: Utterance, frames: np.ndarray, tape, drop_rng) -> Optional[tt.Tensor]:
+        _, logits = enc.forward(frames, tape=tape, drop_rate=cfg.dropout, drop_rng=drop_rng)
+        res = ctc_loss(logits, utt.source, blank_id)
+        return res.loss if res.feasible else None
 
-    for step in range(start_step, cfg.steps):
-        try:
-            n_ok, loss_sum = accumulate(step, False)
-            if n_ok:
-                inv = 1.0 / n_ok
-                for n in names:
-                    enc.params[n].grad *= inv
-                opt.step()
-        except tt.NonFiniteError as e:
-            raise _diverged(step, e, lambda: accumulate(step, True)) from e
-        log.final_step = step + 1
-        if step % cfg.log_every == 0 or step == cfg.steps - 1:
-            row = {"step": step, "lr": opt.lr_at(opt.t), "train_loss": loss_sum / max(n_ok, 1),
-                   "dev_loss": None}
-            if cfg.eval_every and (step % cfg.eval_every == 0 or step == cfg.steps - 1):
-                row["dev_loss"] = mean_ctc_loss(enc, dev_probe, blank_id)
-            log.rows.append(row)
-    log.final_dev_loss = mean_ctc_loss(enc, dev_set, blank_id)
-    return log
-
-
-def _adapt_loss(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
-                utt: Utterance, frames: np.ndarray, tape, drop_rng,
-                drop_rate: float, nbest: Optional[NBestList],
-                enc_out: Optional[np.ndarray] = None) -> tt.Tensor:
-    speech = conditioning(sys, enc, frames, tape=tape, at_inference=False,
-                          enc_out=enc_out)
-    text, targets, mask = teacher_forcing_example(sys, vocab, utt.target, nbest)
-    logits = sys.decoder.forward(speech, text, tape=tape, drop_rate=drop_rate,
-                                 drop_rng=drop_rng)
-    return tt.cross_entropy(logits, targets, mask)
+    return _train(enc.params, train_set, dev_set, cfg, 0x7E40, loss_of,
+                  lambda subset, tape: mean_ctc_loss(enc, subset, blank_id, tape), start_step)
 
 
 def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
@@ -693,76 +692,32 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
                   cfg: TrainConfig,
                   aec_cache: Optional[dict[str, NBestList]] = None) -> TrainLog:
     """Fine-tune the decoder side; the encoder is frozen (never taped)."""
-    if not train_set:
-        raise ValueError("training set is empty")
     if sys.connection.reads == "nbest" and aec_cache is None:
         raise ValueError(f"mode {sys.mode!r} needs an n-best cache for the dataset")
     check_system(sys, enc.cfg)
-
-    trainable = dict(sys.decoder.params)
-    trainable.update(sys.extra)
-    names = sorted(trainable)
-    opt = Adam([trainable[n] for n in names], cfg.lr, cfg.steps, cfg.warmup)
-    root = CounterRng(cfg.seed, stream=0xADA7)
-    log = TrainLog()
-
-    def cache_for(utt):
-        return aec_cache.get(utt.id) if aec_cache is not None else None
-
     # without augmentation the frozen encoder's outputs never change
-    enc_cache = EncoderOutputCache(enc, sys.connection.reads) if cfg.augment is None else None
+    enc_outs: dict[str, Optional[np.ndarray]] = {}
 
-    def dev_loss(subset):
-        total, count = 0.0, 0
-        for utt in subset:
-            out = enc_cache.get(utt) if enc_cache is not None else None
-            loss = _adapt_loss(sys, enc, vocab, utt, utt.frames, None, None, 0.0,
-                               cache_for(utt), enc_out=out)
-            total += loss.item()
-            count += 1
-        return total / max(count, 1)
+    def loss_of(utt: Utterance, frames: np.ndarray, tape, drop_rng) -> tt.Tensor:
+        enc_out = None
+        if cfg.augment is None:
+            if utt.id not in enc_outs:
+                enc_outs[utt.id] = encoder_readout(sys.connection.reads, enc, frames)
+            enc_out = enc_outs[utt.id]
+        speech = conditioning(sys, enc, frames, tape=tape, at_inference=False,
+                              enc_out=enc_out)
+        nbest = aec_cache.get(utt.id) if aec_cache is not None else None
+        text, targets, mask = teacher_forcing_example(sys, vocab, utt.target, nbest)
+        # dev passes come without a drop rng and run without dropout
+        logits = sys.decoder.forward(speech, text, tape=tape, drop_rng=drop_rng,
+                                     drop_rate=cfg.dropout if drop_rng is not None else 0.0)
+        return tt.cross_entropy(logits, targets, mask)
 
-    dev_probe = list(dev_set[: cfg.dev_subset])
-    log.initial_dev_loss = dev_loss(dev_set)
+    def dev_loss(subset: Sequence[Utterance], tape) -> float:
+        return sum(loss_of(u, u.frames, tape, None).item() for u in subset) / max(len(subset), 1)
 
-    def accumulate(step: int, check_ops: bool) -> float:
-        """Gradients of `step`'s batch; returns the summed loss."""
-        idx = root.child(f"batch{step}").integers(0, len(train_set), cfg.batch_size)
-        opt.zero_grad()
-        loss_sum = 0.0
-        for j, i in enumerate(idx):
-            utt = train_set[int(i)]
-            if enc_cache is not None:
-                frames, out = utt.frames, enc_cache.get(utt)
-            else:
-                frames = augment(utt.frames, cfg.augment, root.child(f"aug{step}.{j}"))
-                out = None
-            tape = tt.GradTape(check_ops)
-            loss = _adapt_loss(sys, enc, vocab, utt, frames, tape,
-                               root.child(f"drop{step}.{j}"), cfg.dropout,
-                               cache_for(utt), enc_out=out)
-            tape.backward(loss)
-            loss_sum += loss.item()
-        return loss_sum
-
-    for step in range(cfg.steps):
-        try:
-            loss_sum = accumulate(step, False)
-            inv = 1.0 / cfg.batch_size
-            for n in names:
-                trainable[n].grad *= inv
-            opt.step()
-        except tt.NonFiniteError as e:
-            raise _diverged(step, e, lambda: accumulate(step, True)) from e
-        log.final_step = step + 1
-        if step % cfg.log_every == 0 or step == cfg.steps - 1:
-            row = {"step": step, "lr": opt.lr_at(opt.t),
-                   "train_loss": loss_sum / cfg.batch_size, "dev_loss": None}
-            if cfg.eval_every and (step % cfg.eval_every == 0 or step == cfg.steps - 1):
-                row["dev_loss"] = dev_loss(dev_probe)
-            log.rows.append(row)
-    log.final_dev_loss = dev_loss(dev_set)
-    return log
+    return _train({**sys.decoder.params, **sys.extra}, train_set, dev_set, cfg, 0xADA7,
+                  loss_of, dev_loss)
 
 
 # ---------------------------------------------------------------------------

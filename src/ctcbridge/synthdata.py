@@ -271,4 +271,6 @@ def utterance_from_json(line: str) -> Utterance:
     d = json.loads(line)
     raw = base64.b64decode(d["frames_b64"])
     frames = np.frombuffer(raw, dtype="<f4").reshape(d["T"], d["F"]).astype(np.float32)
+    if not np.isfinite(frames).all():
+        raise ValueError("frames hold non-finite values")
     return Utterance(d["id"], frames, tuple(d["src"]), tuple(d["tgt"]))

@@ -21,7 +21,7 @@ import numpy as np
 
 from ctcbridge import tensor as tt
 from ctcbridge.ctc import _LOG_PROB_FLOOR, INFEASIBLE_LOSS, CtcLoss, NBestList, min_frames
-from ctcbridge.lexicon import Alignment, LogitGram, Posteriorgram, TokenSeq, collapse
+from ctcbridge.lexicon import Alignment, Posteriorgram, TokenSeq, collapse
 from tape_ops import gather_flat, log_softmax, logaddexp, logsumexp, neg, precision, shift
 
 
@@ -38,14 +38,14 @@ def alignment_oracle(y: TokenSeq, frames: int, vocab_size: int, blank_id: int | 
     }
 
 
-def ctc_loss_reference(z: LogitGram, y: TokenSeq, blank_id: int) -> CtcLoss:
-    """-log P(y | z) summed over all alignments, differentiable through z.
+def ctc_loss_reference(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> CtcLoss:
+    """-log P(y | logits) summed over all alignments, differentiable through
+    the [T, V+1] `logits`.
 
     Infeasible targets (more symbols than frames can carry) return the
     INFEASIBLE_LOSS sentinel with `feasible=False` instead of raising, so a
     training loop can skip and count them.
     """
-    logits = z.logits
     t_frames, width = logits.shape
     if t_frames < 1:
         raise ValueError("logit gram needs at least one frame")

@@ -12,6 +12,7 @@ import pytest
 from ctcbridge import cli
 from ctcbridge import models as md
 from ctcbridge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from ctcbridge.synthdata import utterance_from_json, utterance_to_json
 from tape_ops import params_digest
 
 TASK = {
@@ -329,29 +330,48 @@ def test_malformed_split_line_exits_2(tiny, capsys, tmp_path):
     assert err.startswith(f"error: {path}:2: malformed utterance line") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_split_frames_exit_2(tiny, capsys, tmp_path, value):
+    assert cli.main(["gen-data", "--spec", tiny["spec"], "--out", str(tmp_path)]) == 0
+    path = tmp_path / "test.jsonl"
+    lines = path.read_text().splitlines()
+    utt = utterance_from_json(lines[1])
+    utt.frames[0, 0] = value
+    path.write_text("\n".join([lines[0], utterance_to_json(utt), *lines[2:]]) + "\n")
+    code, out, err = run(capsys, decode(tiny, "--data", str(tmp_path)))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:2: malformed utterance line") and err.count("\n") == 1
+    assert "non-finite" in err
+
+
 # ---------------------------------------------------------------------------
 # divergence: exit 1, naming where the first non-finite value appeared
 
 
-def _diverge(tiny, tmp_path, command, lr):
+def _diverge(tiny, tmp_path, command, lr, steps):
     if command == "train-encoder":
-        config = dict(TRAIN, steps=3, lr=lr, encoder={"width": 8, "ffn": 16, "blocks": 1})
+        config = dict(TRAIN, steps=steps, lr=lr, encoder={"width": 8, "ffn": 16, "blocks": 1})
         return ["train-encoder", "--spec", tiny["spec"], "--out", str(tmp_path / "div.ckpt"),
                 "--config", _write(tmp_path, "div.json", config)]
-    config = dict(TRAIN, steps=3, lr=lr, decoder=DECODER)
+    config = dict(TRAIN, steps=steps, lr=lr, decoder=DECODER)
     return ["adapt", "--mode", "lego", "--encoder", tiny["enc"], "--spec", tiny["spec"],
             "--out", str(tmp_path / "div.ckpt"), "--config", _write(tmp_path, "div.json", config)]
 
 
-@pytest.mark.parametrize("command, lr, step, message", [
+@pytest.mark.parametrize("command, lr, steps, step, message", [
     # the first update leaves weights near 1e30, so a matmul of the next step overflows
-    ("train-encoder", 1e30, 1, "non-finite values in the output of op 'matmul' (tape node "),
+    ("train-encoder", 1e30, 3, 1, "non-finite values in the output of op 'matmul' (tape node "),
     # Adam's first update itself overflows float32; nothing is written
-    ("train-encoder", 1e38, 0, "non-finite values in the Adam update of 'conv1.w'"),
-    ("adapt", 1e30, 1, "non-finite values in the output of op 'matmul' (tape node "),
-], ids=["train-encoder-1e30", "train-encoder-1e38", "adapt-1e30"])
-def test_divergence_exits_1_naming_the_op(tiny, capsys, tmp_path, command, lr, step, message):
-    code, out, err = run(capsys, _diverge(tiny, tmp_path, command, lr))
+    ("train-encoder", 1e38, 3, 0, "non-finite values in the Adam update of 'conv1.w'"),
+    ("adapt", 1e30, 3, 1, "non-finite values in the output of op 'matmul' (tape node "),
+    # with one step the overflow happens in the final dev pass
+    ("train-encoder", 1e30, 1, 0, "non-finite values in the output of op 'matmul' (tape node "),
+    ("adapt", 1e30, 1, 0, "non-finite values in the output of op 'matmul' (tape node "),
+], ids=["train-encoder-1e30", "train-encoder-1e38", "adapt-1e30", "train-encoder-1e30-1step",
+        "adapt-1e30-1step"])
+def test_divergence_exits_1_naming_the_op(tiny, capsys, tmp_path, command, lr, steps, step,
+                                          message):
+    code, out, err = run(capsys, _diverge(tiny, tmp_path, command, lr, steps))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: training diverged at step {step}: {message}")
     assert err.count("\n") == 1

@@ -11,7 +11,6 @@ from ctcbridge.connector import (
     reconstruct_full,
     reconstruct_topP,
 )
-from ctcbridge.lexicon import LogitGram
 from ctcbridge.rng import CounterRng
 from ctcbridge.synthdata import build_vocabulary
 from tape_ops import finite_diff_check, reduce_sum
@@ -33,7 +32,7 @@ def table(rng):
 
 @pytest.fixture
 def z(rng):
-    return LogitGram(tt.Tensor(rng.child("z").normals(T * WIDTH).reshape(T, WIDTH) * 2.0))
+    return tt.Tensor(rng.child("z").normals(T * WIDTH).reshape(T, WIDTH) * 2.0)
 
 
 @pytest.fixture
@@ -75,9 +74,9 @@ class TestBlankDownscale:
     def test_shifts_blank_by_log_factor(self, z):
         out = blank_downscale(z, 1e4)
         np.testing.assert_allclose(
-            z.logits.data[:, -1] - out.logits.data[:, -1], np.log(1e4), rtol=1e-5
+            z.data[:, -1] - out.data[:, -1], np.log(1e4), rtol=1e-5
         )
-        np.testing.assert_array_equal(out.logits.data[:, :-1], z.logits.data[:, :-1])
+        np.testing.assert_array_equal(out.data[:, :-1], z.data[:, :-1])
 
     def test_factor_below_one_rejected(self, z):
         with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ class TestBlankDownscale:
     def test_huge_factor_kills_blank_mass(self, z, table):
         cfg = ConnectorConfig(blk_downscale=1e12)
         out = reconstruct_full(z, table, cfg)
-        p_nb = tt.softmax(tt.Tensor(z.logits.data[:, :V])).data
+        p_nb = tt.softmax(tt.Tensor(z.data[:, :V])).data
         manual = p_nb @ table.data[:V]
         np.testing.assert_allclose(out.data, manual, atol=1e-6)
 
@@ -95,7 +94,7 @@ class TestReconstructFull:
     def test_saturated_softmax_returns_row(self, table):
         logits = np.zeros((1, WIDTH))
         logits[0, 3] = 40.0
-        out = reconstruct_full(LogitGram(tt.Tensor(logits)), table, ConnectorConfig())
+        out = reconstruct_full(tt.Tensor(logits), table, ConnectorConfig())
         np.testing.assert_allclose(out.data[0], table.data[3], atol=1e-6)
 
     def test_huge_tau_gives_column_mean(self, z, table):
@@ -134,7 +133,7 @@ class TestReconstructFull:
         probe = np.zeros((T, D))
         probe[2, 1] = 1.0
         tape.backward(reduce_sum(tt.mul(out, tt.Tensor(probe))))
-        o = tt.softmax(z.logits).data
+        o = tt.softmax(z).data
         np.testing.assert_allclose(p.grad[:, 1], o[2], atol=1e-6)
         assert np.abs(np.delete(p.grad, 1, axis=1)).max() == 0.0
 
@@ -148,19 +147,19 @@ class TestTopS:
 
     def test_k1_is_argmax_row_exact(self, z, table):
         out = reconstruct_full(z, table, ConnectorConfig(), k=1)
-        rows = table.data[np.argmax(z.logits.data, axis=1)]
+        rows = table.data[np.argmax(z.data, axis=1)]
         np.testing.assert_array_equal(out.data, rows)
 
     def test_k2_matches_masking_oracle(self, z, table):
         cfg = ConnectorConfig()
         out = reconstruct_full(z, table, cfg, k=2).data
-        masked = z.logits.data.copy()
+        masked = z.data.copy()
         for t in range(T):
             keep = np.argsort(-masked[t], kind="stable")[:2]
             row = np.full(WIDTH, tt.LOG_ZERO)
             row[keep] = masked[t, keep]
             masked[t] = row
-        oracle = reconstruct_full(LogitGram(tt.Tensor(masked)), table, cfg).data
+        oracle = reconstruct_full(tt.Tensor(masked), table, cfg).data
         np.testing.assert_allclose(out, oracle, atol=1e-6)
 
     def test_k_out_of_range(self, z, table, parts):
@@ -182,7 +181,7 @@ class TestTopS:
 class TestTopP:
     def test_k1_identity_projection(self, z, table):
         out = reconstruct_topP(z, table, 1, tt.Tensor(np.eye(D)), ConnectorConfig())
-        rows = table.data[np.argmax(z.logits.data, axis=1)]
+        rows = table.data[np.argmax(z.data, axis=1)]
         np.testing.assert_allclose(out.data, rows, atol=1e-6)
 
     def test_zero_projection(self, z, table):
@@ -195,7 +194,7 @@ class TestTopP:
         out = reconstruct_topP(z, table, k, tt.Tensor(proj), ConnectorConfig())
         proj32 = tt.Tensor(proj).data.astype(np.float64)
         for t in range(T):
-            idx = np.argsort(-z.logits.data[t], kind="stable")[:k]
+            idx = np.argsort(-z.data[t], kind="stable")[:k]
             manual = table.data[idx].reshape(-1).astype(np.float64) @ proj32
             np.testing.assert_allclose(out.data[t], manual, atol=1e-5)
 
@@ -219,15 +218,15 @@ class TestAdapter:
         adapter = md.build_system("adapter", enc, dec)
         adapter.extra["adapter.table"].value[...] = dec.params["emb"].value
         np.testing.assert_array_equal(
-            md.conditioning(adapter, enc, None, enc_out=z.logits.data).data,
-            md.conditioning(lego, enc, None, enc_out=z.logits.data).data,
+            md.conditioning(adapter, enc, None, enc_out=z.data).data,
+            md.conditioning(lego, enc, None, enc_out=z.data).data,
         )
 
     def test_onehot_returns_adapter_row(self, rng):
         adapter = tt.Tensor(rng.child("a").normals(4 * D).reshape(4, D))
         logits = np.zeros((1, 4))
         logits[0, 2] = 40.0
-        out = reconstruct_full(LogitGram(tt.Tensor(logits)), adapter, ConnectorConfig())
+        out = reconstruct_full(tt.Tensor(logits), adapter, ConnectorConfig())
         np.testing.assert_allclose(out.data[0], adapter.data[2], atol=1e-6)
 
     def test_gradient_wrt_adapter(self, z):
@@ -244,7 +243,7 @@ class TestOrderOfOperations:
             for blk in (1.0, 10.0, 1e4, 1e12):
                 cfg = ConnectorConfig(tau=tau, blk_downscale=blk)
                 zd = blank_downscale(z, blk)
-                probs = tt.softmax(zd.logits, tau=cfg.effective_tau(True)).data
+                probs = tt.softmax(zd, tau=cfg.effective_tau(True)).data
                 am = np.argmax(probs[:, :V], axis=1)
                 if base is None:
                     base = am
@@ -256,8 +255,8 @@ class TestOrderOfOperations:
         tau, blk = 2.0, 100.0
         cfg = ConnectorConfig(tau=tau, blk_downscale=blk)
         zd = blank_downscale(z, blk)
-        expect = tt.softmax(zd.logits, tau=tau).data
-        got = tt.softmax(blank_downscale(z, blk).logits, tau=cfg.effective_tau(True)).data
+        expect = tt.softmax(zd, tau=tau).data
+        got = tt.softmax(blank_downscale(z, blk), tau=cfg.effective_tau(True)).data
         np.testing.assert_allclose(got, expect)
         # and the fused entry point agrees
         full = reconstruct_full(z, table, cfg).data
@@ -281,7 +280,7 @@ class TestOrderOfOperations:
         }
         for mode, expect in direct.items():
             s = md.build_system(mode, enc, dec, cfg)
-            enc_out = hidden if s.connection.reads == "hidden" else z.logits.data
+            enc_out = hidden if s.connection.reads == "hidden" else z.data
             got = md.conditioning(s, enc, None, enc_out=enc_out)
             np.testing.assert_array_equal(got.data, expect(s).data)
         assert md.conditioning(md.build_system("aec", enc, dec, cfg), enc, None) is None

@@ -14,14 +14,14 @@ from ctcbridge.ctc import (
     nbest_from_json,
     nbest_to_json,
 )
-from ctcbridge.lexicon import LogitGram, Posteriorgram
+from ctcbridge.lexicon import Posteriorgram
 from ctcbridge.rng import CounterRng
 from ctc_oracles import alignment_oracle, beam_search_reference, ctc_loss_reference
 from tape_ops import finite_diff_check, precision
 
 
-def gram(logits) -> LogitGram:
-    return LogitGram(tt.Tensor(np.asarray(logits, dtype=np.float64)))
+def gram(logits) -> tt.Tensor:
+    return tt.Tensor(np.asarray(logits, dtype=np.float64))
 
 
 def onehot_gram(path, width, high=40.0):
@@ -112,14 +112,14 @@ class TestCtcLoss:
         z0 = rng.normals(4 * 3).reshape(4, 3)
 
         def f(z):
-            return ctc_loss(LogitGram(z), (0, 1), blank_id=2).loss
+            return ctc_loss(z, (0, 1), blank_id=2).loss
 
         assert finite_diff_check(f, z0, h=1e-4) < 1e-3
 
     def test_one_tape_node(self):
         p = tt.Parameter(CounterRng(15).normals(15 * 33).reshape(15, 33))
         tape = tt.GradTape()
-        z = LogitGram(tape.watch(p))
+        z = tape.watch(p)
         before = len(tape._parents)
         res = ctc_loss(z, tuple(range(9)), blank_id=32)
         assert res.feasible and res.loss.tape is tape
@@ -130,7 +130,7 @@ def taped_loss_and_grad(fn, z: np.ndarray, y, blank: int):
     """(feasible, loss bytes, d loss / d z) of one CTC implementation."""
     p = tt.Parameter(z)
     tape = tt.GradTape()
-    res = fn(LogitGram(tape.watch(p)), y, blank)
+    res = fn(tape.watch(p), y, blank)
     if res.feasible:
         tape.backward(res.loss)
     return res.feasible, res.loss.data.tobytes(), p.grad

@@ -1,10 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcbridge import tensor as tt
-from ctcbridge.lexicon import LogitGram, Vocabulary, collapse
+from ctcbridge.lexicon import Vocabulary, collapse
 
 
 @pytest.fixture
@@ -55,7 +53,3 @@ class TestCollapse:
             # idempotent on blank-free, repeat-free sequences
             assert collapse(out, blank) == out
 
-
-def test_logitgram_shape_accessors():
-    g = LogitGram(tt.Tensor(np.zeros((3, 4))))
-    assert g.frames == 3 and g.width == 4

@@ -10,7 +10,7 @@ from ctcbridge.ctc import NBestList
 from ctcbridge.lexicon import Vocabulary
 from ctcbridge import models as md
 from ctcbridge.rng import CounterRng
-from ctcbridge.synthdata import build_vocabulary
+from ctcbridge.synthdata import MaskConfig, build_vocabulary
 from tape_ops import finite_diff_check, params_digest, precision
 
 
@@ -109,13 +109,14 @@ class TestEncoderTraining:
 
     def test_same_seed_reproduces_loss(self, micro, vocab):
         _, train, dev, _ = micro
-        cfg = md.TrainConfig(steps=12, batch_size=2, lr=3e-3, warmup=2, eval_every=0,
-                             augment=None)
-        logs = []
-        for _ in range(2):
-            enc = tiny_encoder(vocab)
-            logs.append(md.train_encoder_ctc(enc, train, dev, cfg, vocab.blank_id))
-        assert logs[0].final_dev_loss == logs[1].final_dev_loss
+        for augment, dropout in ((None, 0.0), (MaskConfig(), 0.1)):
+            cfg = md.TrainConfig(steps=12, batch_size=2, lr=3e-3, warmup=2, eval_every=0,
+                                 augment=augment, dropout=dropout)
+            logs = []
+            for _ in range(2):
+                enc = tiny_encoder(vocab)
+                logs.append(md.train_encoder_ctc(enc, train, dev, cfg, vocab.blank_id))
+            assert logs[0].final_dev_loss == logs[1].final_dev_loss
 
     def test_empty_dataset_rejected(self, micro, vocab):
         cfg = md.TrainConfig(steps=1)
@@ -286,6 +287,24 @@ class TestAdaptation:
         assert log.final_dev_loss < log.initial_dev_loss
         assert params_digest(enc.params) == digest
 
+    @pytest.mark.parametrize("mode", ["lego", "sp", "topP"])
+    def test_encoder_output_cache_is_only_an_optimisation(self, micro, vocab, trained_encoder,
+                                                          mode):
+        # masks that mask nothing re-run the encoder every step; augment=None
+        # reads each utterance's encoder output from the cache
+        _, train, dev, _ = micro
+        enc, _ = trained_encoder
+        runs = []
+        for augment in (MaskConfig(time_masks=0, freq_masks=0), None):
+            sysm = md.build_system(mode, enc, tiny_decoder(vocab),
+                                   ConnectorConfig(k=3 if mode == "topP" else None), seed=0)
+            cfg = md.TrainConfig(steps=8, batch_size=4, lr=2e-3, warmup=2, dropout=0.1,
+                                 eval_every=4, log_every=1, dev_subset=4, augment=augment)
+            log = md.adapt_decoder(sysm, enc, vocab, train, dev, cfg)
+            runs.append((log.to_csv(), log.final_dev_loss,
+                         params_digest({**sysm.decoder.params, **sysm.extra})))
+        assert runs[0] == runs[1]
+
     def test_lego_star_pins_blank_downscale(self, micro, vocab):
         enc = tiny_encoder(vocab)
         sysm = md.build_system("lego_star", enc, tiny_decoder(vocab))
@@ -329,8 +348,7 @@ class TestAdaptation:
 
             def loss_with(table_tensor) -> tt.Tensor:
                 from ctcbridge.connector import reconstruct_full
-                from ctcbridge.lexicon import LogitGram
-                speech = reconstruct_full(LogitGram(tt.Tensor(z)), table_tensor, sysm.conn,
+                speech = reconstruct_full(tt.Tensor(z), table_tensor, sysm.conn,
                                           at_inference=False)
                 text_emb = tt.gather_rows(table_tensor, text)
                 seq = tt.concat_rows([speech, text_emb])
