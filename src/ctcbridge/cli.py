@@ -148,17 +148,25 @@ def load_task(source) -> TaskBundle:
     return TaskBundle(spec, sizes, seed, translation, raw)
 
 
-def _read_jsonl_split(data_dir: Path, split: str) -> list[Utterance]:
+def _read_jsonl_split(data_dir: Path, split: str, expected: Optional[str],
+                      manifest_path: Path) -> list[Utterance]:
+    """One split file's utterances, checked line by line, then against
+    `expected`, the sha256 that the gen-data manifest records for it."""
     path = data_dir / f"{split}.jsonl"
     if not path.exists():
         raise ConfigError(f"no such split file: {path}")
+    blob = path.read_bytes()
     utts = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(blob.decode(errors="replace").splitlines(), 1):
         if line:
             try:
                 utts.append(utterance_from_json(line))
             except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"{path}:{lineno}: malformed utterance line ({e!r})") from e
+    if expected is None:
+        raise ConfigError(f"{path}: {manifest_path} records no sha256 for this split")
+    if hashlib.sha256(blob).hexdigest() != expected:
+        raise ConfigError(f"{path}: contents differ from the sha256 in {manifest_path}")
     return utts
 
 
@@ -166,8 +174,14 @@ def resolve_dataset(args, split: str) -> list[Utterance]:
     """Materialised directory if --data was given, else on-the-fly from --spec."""
     if args.data:
         data_dir = Path(args.data)
-        load_task(_load_json(data_dir / "manifest.json")["task"])  # validates the manifest
-        return _read_jsonl_split(data_dir, split)
+        manifest_path = data_dir / "manifest.json"
+        manifest = _load_json(manifest_path)
+        try:
+            task, expected = dict(manifest["task"]), manifest.get("sha256", {}).get(split)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{manifest_path}: not a gen-data manifest ({e!r})") from e
+        load_task(task)  # validates the task block
+        return _read_jsonl_split(data_dir, split, expected, manifest_path)
     if not args.spec:
         raise ConfigError("need --spec TASK.json or --data DIR")
     train, dev, test = load_task(args.spec).splits()
@@ -217,9 +231,30 @@ def save_encoder_ckpt(path, enc: SpeechEncoder, vocab: Vocabulary, meta_extra: d
     save_checkpoint(path, tensors, meta)
 
 
+def _stacked_heads(tensors: dict, key: str) -> Optional[np.ndarray]:
+    """`blk{i}.wqkv` or `blk{i}.wo` from the per-head layout that checkpoints
+    held before attention was fused: `blk{i}.h{j}.{wq,wk,wv,wo}`.  The
+    query, key and value heads sit side by side in that order, the `wo`
+    heads on top of each other; None if a head's tensor is missing."""
+    block, kind = key.rsplit(".", 1)
+    heads = 0
+    while f"{block}.h{heads}.wq" in tensors:
+        heads += 1
+    parts = ("wq", "wk", "wv") if kind == "wqkv" else ("wo",)
+    names = [f"{block}.h{j}.{nm}" for nm in parts for j in range(heads)]
+    if not names or any(nm not in tensors for nm in names):
+        return None
+    try:
+        return np.concatenate([tensors[nm] for nm in names], axis=1 if kind == "wqkv" else 0)
+    except ValueError:  # heads of unequal shapes
+        return None
+
+
 def _fill(path, params: dict[str, tt.Parameter], tensors: dict, prefix: str) -> None:
     for n, p in params.items():
         t = tensors.get(f"{prefix}/{n}")
+        if t is None and n.endswith((".wqkv", ".wo")):
+            t = _stacked_heads(tensors, f"{prefix}/{n}")
         if t is None or t.shape != p.value.shape:
             raise CheckpointError(f"{path}: tensor {prefix}/{n} is missing or has the wrong shape")
         p.value[...] = t
@@ -235,6 +270,15 @@ def load_encoder_ckpt(path) -> tuple[SpeechEncoder, Vocabulary, dict]:
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint metadata ({e!r})") from e
     _fill(path, enc.params, tensors, "enc")
+    return enc, vocab, meta
+
+
+def load_trained_encoder(path) -> tuple[SpeechEncoder, Vocabulary, dict]:
+    """`load_encoder_ckpt`, refusing the checkpoint a diverged run leaves."""
+    enc, vocab, meta = load_encoder_ckpt(path)
+    if meta.get("diverged"):
+        raise CheckpointError(f"{path}: the encoder in this checkpoint diverged at step "
+                              f"{meta.get('step')}; train it again")
     return enc, vocab, meta
 
 
@@ -378,7 +422,7 @@ def cmd_train_encoder(args) -> int:
     enc_raw = raw_cfg.get("encoder", {})
     start_step = 0
     if args.resume:
-        enc, vocab_r, meta = load_encoder_ckpt(args.resume)
+        enc, vocab_r, meta = load_trained_encoder(args.resume)
         if vocab_r.tokens != vocab.tokens:
             raise ConfigError("resume checkpoint was trained on a different vocabulary")
         start_step = meta.get("step", 0)
@@ -418,7 +462,7 @@ def cmd_train_encoder(args) -> int:
 def cmd_adapt(args) -> int:
     if args.mode not in CONNECTIONS:
         raise ConfigError(f"unknown mode {args.mode!r}; choose from {tuple(CONNECTIONS)}")
-    enc, vocab, _ = load_encoder_ckpt(args.encoder)
+    enc, vocab, _ = load_trained_encoder(args.encoder)
     bundle = load_task(args.spec)
     if bundle.spec.vocab.tokens != vocab.tokens:
         raise ConfigError("task vocabulary differs from the encoder checkpoint")
@@ -480,7 +524,7 @@ def _eval_inputs(args) -> tuple[SpeechEncoder, Vocabulary, list[Utterance]]:
     for flag, value in (("--beam", args.beam), ("--limit", args.limit)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
-    enc, enc_vocab, _ = load_encoder_ckpt(args.encoder)
+    enc, enc_vocab, _ = load_trained_encoder(args.encoder)
     dataset = resolve_dataset(args, args.split)
     return enc, enc_vocab, dataset[:args.limit]
 

@@ -1,12 +1,14 @@
 """Trainable toy networks and the training loop of both stages.
 
 The speech encoder subsamples frames by 4 (two stride-2 convolution
-stages), mixes with per-frame MLP + single-head self-attention blocks, and
+stages), mixes with single-head self-attention + per-frame MLP blocks, and
 ends in a linear layer over the V+1 output slots.  The decoder is a causal
-transformer whose embedding table doubles as the reconstruction codebook;
-the blank row (index V) takes part in reconstruction only, never in the
-output softmax.  Input and output embeddings are tied by default
-(`DecoderConfig.tie_output`).
+multi-head transformer whose embedding table doubles as the reconstruction
+codebook; the blank row (index V) takes part in reconstruction only, never
+in the output softmax.  Input and output embeddings are tied by default
+(`DecoderConfig.tie_output`).  Both stacks share one pre-LN block,
+`_mix_block`, whose attention is one fused tape op (`tt.attention`) between
+a [d, 3d] query/key/value projection and a [d, d] output projection.
 
 One step loop, `_train`, with two front ends: `train_encoder_ctc`
 CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
@@ -116,23 +118,9 @@ def _w(params: dict[str, tt.Parameter], name: str, tape) -> tt.Tensor:
 
 def _mix_block(x: tt.Tensor, params, prefix: str, tape, causal: bool,
                drop_rate: float, drop_rng, heads: int = 1) -> tt.Tensor:
-    # attention output is a sum over heads of (att_h @ v_h) @ Wo_h, which is
-    # the usual concat-then-project written without column concatenation
-    head_dim = x.shape[1] // heads
-    scale = 1.0 / math.sqrt(head_dim)
-    mask = tt.causal_mask(x.shape[0]) if causal else None
     h = tt.layer_norm(x, _w(params, f"{prefix}.ln1g", tape), _w(params, f"{prefix}.ln1b", tape))
-    o = None
-    for j in range(heads):
-        q = tt.matmul(h, _w(params, f"{prefix}.h{j}.wq", tape))
-        k = tt.matmul(h, _w(params, f"{prefix}.h{j}.wk", tape))
-        v = tt.matmul(h, _w(params, f"{prefix}.h{j}.wv", tape))
-        scores = tt.mul(tt.matmul(q, tt.transpose(k)), scale)
-        if mask is not None:
-            scores = tt.add(scores, mask)
-        att = tt.softmax(scores)
-        part = tt.matmul(tt.matmul(att, v), _w(params, f"{prefix}.h{j}.wo", tape))
-        o = part if o is None else tt.add(o, part)
+    qkv = tt.matmul(h, _w(params, f"{prefix}.wqkv", tape))
+    o = tt.matmul(tt.attention(qkv, heads, causal), _w(params, f"{prefix}.wo", tape))
     if drop_rate > 0:
         o = tt.dropout(o, drop_rate, drop_rng)
     x = tt.add(x, o)
@@ -148,14 +136,19 @@ def _block_params(params, rng, prefix, width, ffn, heads: int = 1):
     if width % heads:
         raise ValueError("width must be divisible by the head count")
     head_dim = width // heads
+
+    def stacked(nm: str, shape: tuple[int, int], axis: int) -> np.ndarray:
+        # each head is drawn from its own rng child, `{prefix}.h{j}.{nm}`
+        blocks = [_init(rng, f"{prefix}.h{j}.{nm}", shape, 1.0 / math.sqrt(shape[0])).value
+                  for j in range(heads)]
+        return np.concatenate(blocks, axis=axis)
+
     params[f"{prefix}.ln1g"] = _const(rng, f"{prefix}.ln1g", (width,), 1.0)
     params[f"{prefix}.ln1b"] = _const(rng, f"{prefix}.ln1b", (width,), 0.0)
-    for j in range(heads):
-        for nm, shape in (("wq", (width, head_dim)), ("wk", (width, head_dim)),
-                          ("wv", (width, head_dim)), ("wo", (head_dim, width))):
-            params[f"{prefix}.h{j}.{nm}"] = _init(
-                rng, f"{prefix}.h{j}.{nm}", shape, 1.0 / math.sqrt(shape[0])
-            )
+    # columns: query heads 0..H-1, key heads, value heads; rows of wo: heads
+    qkv = [stacked(nm, (width, head_dim), 1) for nm in ("wq", "wk", "wv")]
+    params[f"{prefix}.wqkv"] = tt.Parameter(np.concatenate(qkv, axis=1), name=f"{prefix}.wqkv")
+    params[f"{prefix}.wo"] = tt.Parameter(stacked("wo", (head_dim, width), 0), name=f"{prefix}.wo")
     params[f"{prefix}.ln2g"] = _const(rng, f"{prefix}.ln2g", (width,), 1.0)
     params[f"{prefix}.ln2b"] = _const(rng, f"{prefix}.ln2b", (width,), 0.0)
     params[f"{prefix}.w1"] = _init(rng, f"{prefix}.w1", (width, ffn), 1.0 / math.sqrt(width))

@@ -1,8 +1,8 @@
 """Dense tensors with a recorded-operation reverse-mode gradient tape.
 
-Storage is 32-bit, row-major, contiguous.  Reductions (matmul, softmax
-and cross-entropy normalisers, layer-norm statistics) accumulate in
-64-bit before rounding back, which keeps them accurate without doubling
+Storage is 32-bit, row-major, contiguous.  Reductions (matmul, attention,
+softmax and cross-entropy normalisers, layer-norm statistics) accumulate
+in 64-bit before rounding back, which keeps them accurate without doubling
 memory.  Log-space code uses `LOG_ZERO` (a finite sentinel) where a true
 -inf would otherwise appear.
 
@@ -259,33 +259,6 @@ def add(a: Tensor, b) -> Tensor:
     return _emit(tape, out, parents, full_bwd)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; `b` may be a python scalar."""
-    a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        s = _DTYPE(b)
-        return _emit(a.tape, a.data * s, (a.nid,), lambda g: (g * s,))
-    b = as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    tape = _tape_of(a, b)
-    if tape is None:
-        return _emit(None, a.data * b.data)
-    pa = a.nid if a.tape is not None else None
-    pb = b.nid if b.tape is not None else None
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        res = []
-        if pa is not None:
-            res.append(g * bd)
-        if pb is not None:
-            res.append(g * ad)
-        return tuple(res)
-
-    return _emit(tape, ad * bd, tuple(p for p in (pa, pb) if p is not None), bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -459,6 +432,52 @@ def softmax(x: Tensor, tau: float = 1.0, axis: int = -1) -> Tensor:
     return _emit(x.tape, s, (x.nid,), bwd)
 
 
+def _heads(qkv: np.ndarray, heads: int) -> np.ndarray:
+    """[T, 3d] -> float64 [3, H, T, d/H]: the query, key and value heads."""
+    t = qkv.shape[0]
+    return _f64(qkv).reshape(t, 3, heads, -1).transpose(1, 2, 0, 3)
+
+
+def attention(qkv: Tensor, heads: int, causal: bool) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one op: [T, 3d] -> [T, d].
+
+    The columns of `qkv` hold query heads 0..H-1, then the key heads, then
+    the value heads, each d/H wide; the output holds the heads side by side
+    in the same order.  With `causal`, row t attends to rows <= t only: the
+    scores above the diagonal are set to LOG_ZERO before the softmax.  Runs
+    in float64 over [H, T, T].  The backward pass reads the saved attention
+    probabilities, in which masked scores are exact zeros, and recomputes
+    q, k and v from the op's input.
+    """
+    qkv = as_tensor(qkv)
+    if qkv.ndim != 2 or heads < 1 or qkv.shape[1] % (3 * heads):
+        raise ValueError(f"attention needs [T, 3d] input with d divisible by {heads} heads, "
+                         f"got {qkv.shape}")
+    t, width = qkv.shape[0], qkv.shape[1] // 3
+    scale = 1.0 / np.sqrt(width // heads)
+    q, k, v = _heads(qkv.data, heads)
+    p = (q @ k.transpose(0, 2, 1)) * scale
+    if causal:
+        p[:, np.triu(np.ones((t, t), dtype=bool), 1)] = LOG_ZERO
+    p -= p.max(axis=2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=2, keepdims=True)
+    out = (p @ v).transpose(1, 0, 2).reshape(t, width)
+    if qkv.tape is None:
+        return _emit(None, out)
+    saved = qkv.data
+
+    def bwd(g):
+        q, k, v = _heads(saved, heads)
+        go = _f64(g).reshape(t, heads, -1).transpose(1, 0, 2)
+        gp = go @ v.transpose(0, 2, 1)
+        gs = p * (gp - (gp * p).sum(axis=2, keepdims=True)) * scale
+        grads = np.stack((gs @ k, gs.transpose(0, 2, 1) @ q, p.transpose(0, 2, 1) @ go))
+        return (grads.transpose(2, 0, 1, 3).reshape(t, 3 * width).astype(g.dtype),)
+
+    return _emit(qkv.tape, out, (qkv.nid,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # losses / reductions
 
@@ -496,10 +515,3 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     out = _emit(logits.tape, loss, (logits.nid,), bwd)
     _finite(out.data, "the cross_entropy loss")
     return out
-
-
-def causal_mask(n: int) -> Tensor:
-    """[n, n] additive mask: 0 at or below the diagonal, LOG_ZERO above."""
-    m = np.zeros((n, n), dtype=_DTYPE)
-    m[np.triu_indices(n, k=1)] = LOG_ZERO
-    return _emit(None, m)

@@ -22,7 +22,7 @@ import numpy as np
 from ctcbridge import tensor as tt
 from ctcbridge.ctc import _LOG_PROB_FLOOR, INFEASIBLE_LOSS, CtcLoss, NBestList, min_frames
 from ctcbridge.lexicon import Alignment, Posteriorgram, TokenSeq, collapse
-from tape_ops import gather_flat, log_softmax, logaddexp, logsumexp, neg, precision, shift
+from tape_ops import gather_flat, log_softmax, logaddexp, logsumexp, mul, neg, precision, shift
 
 
 def alignment_oracle(y: TokenSeq, frames: int, vocab_size: int, blank_id: int | None = None) -> set[Alignment]:
@@ -95,7 +95,7 @@ def ctc_loss_reference(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> CtcLoss
         loss64 = tt.reshape(neg(total), ())
 
     # round the accumulated scalar back to storage precision
-    loss = tt.mul(loss64, 1.0)
+    loss = mul(loss64, 1.0)
     return CtcLoss(loss, True)
 
 

@@ -1,7 +1,8 @@
 """Tape ops and checks that only the tests use.
 
-`neg` and `reduce_sum` are plain tape ops the package has no use for, and
-`params_digest` fingerprints a set of parameters.  The log-space ops
+`neg`, `mul` and `reduce_sum` are plain tape ops the package has no use
+for, `causal_mask` is the additive mask of the per-head attention oracle
+in `block_oracles`, and `params_digest` fingerprints a set of parameters.  The log-space ops
 (`shift`, `gather_flat`, `logaddexp`, `logsumexp`, `log_softmax`) are the
 building blocks of `ctc_oracles.ctc_loss_reference`, the tape-built CTC
 recursion that the fused `ctcbridge.ctc.ctc_loss` is checked against.
@@ -49,6 +50,40 @@ def neg(a: Tensor) -> Tensor:
     if a.tape is None:
         return Tensor(-a.data)
     return _emit(a.tape, -a.data, (a.nid,), lambda g: (-g,))
+
+
+def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product; `b` may be a python scalar."""
+    a = as_tensor(a)
+    if isinstance(b, (int, float)):
+        s = tt._DTYPE(b)
+        return _emit(a.tape, a.data * s, (a.nid,), lambda g: (g * s,))
+    b = as_tensor(b)
+    if a.shape != b.shape:
+        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+    tape = _tape_of(a, b)
+    if tape is None:
+        return _emit(None, a.data * b.data)
+    pa = a.nid if a.tape is not None else None
+    pb = b.nid if b.tape is not None else None
+    ad, bd = a.data, b.data
+
+    def bwd(g):
+        res = []
+        if pa is not None:
+            res.append(g * bd)
+        if pb is not None:
+            res.append(g * ad)
+        return tuple(res)
+
+    return _emit(tape, ad * bd, tuple(p for p in (pa, pb) if p is not None), bwd)
+
+
+def causal_mask(n: int) -> Tensor:
+    """[n, n] additive mask: 0 at or below the diagonal, LOG_ZERO above."""
+    m = np.zeros((n, n), dtype=tt._DTYPE)
+    m[np.triu_indices(n, k=1)] = LOG_ZERO
+    return _emit(None, m)
 
 
 def reduce_sum(x: Tensor) -> Tensor:

@@ -13,6 +13,7 @@ from ctcbridge import cli
 from ctcbridge import models as md
 from ctcbridge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ctcbridge.synthdata import utterance_from_json, utterance_to_json
+from block_oracles import split_heads
 from tape_ops import params_digest
 
 TASK = {
@@ -231,10 +232,35 @@ def test_swap_and_sweep_tau_on_lego(tiny, systems, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "2"]
 
 
+def _per_head_layout(tensors, meta):
+    """Cut each fused attention pair of `tensors`, in place, into the per-head
+    tensors `{enc,dec}/blk{i}.h{j}.{wq,wk,wv,wo}` of older checkpoints."""
+    heads = {"enc": 1, "dec": meta.get("decoder_config", {}).get("heads")}
+    for name in [n for n in tensors if n.endswith(".wqkv")]:
+        block = name[:-len(".wqkv")]
+        parts = split_heads(tensors.pop(name), tensors.pop(f"{block}.wo"),
+                            heads[name.split("/")[0]])
+        tensors.update({f"{block}.{part}": arr for part, arr in parts.items()})
+
+
+def test_parent_format_encoder_checkpoint_loads(tiny, tmp_path):
+    tensors, meta = load_checkpoint(tiny["enc"])
+    _per_head_layout(tensors, meta)
+    assert "enc/blk0.h0.wq" in tensors and "enc/blk0.wqkv" not in tensors
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, tensors, meta)
+    loaded, _, _ = cli.load_encoder_ckpt(old)
+    current, _, _ = cli.load_encoder_ckpt(tiny["enc"])
+    assert params_digest(loaded.params) == params_digest(current.params)
+
+
 def test_parent_format_system_checkpoint_loads(systems, tmp_path):
-    # older checkpoints repeated the mode inside the connector block
+    # older checkpoints repeated the mode inside the connector block and
+    # held each attention head's projections as tensors of their own
     tensors, meta = load_checkpoint(systems["topP"])
     meta["connector"]["mode"] = "topP"
+    _per_head_layout(tensors, meta)
+    assert "dec/blk0.h1.wo" in tensors and "dec/blk0.wo" not in tensors
     old = tmp_path / "old.ckpt"
     save_checkpoint(old, tensors, meta)
     loaded, _, _ = cli.load_system_ckpt(old)
@@ -255,6 +281,9 @@ MALFORMED = {
     "extra-unknown": lambda t, m: t.update({"extra/sp.proj": t["extra/topp.proj"]}),
     "decoder-tensor": lambda t, m: _drop(t, "dec/emb"),
     "decoder-tensor-nan": lambda t, m: t["dec/emb"].__setitem__((0, 0), np.nan),
+    "per-head-missing": lambda t, m: (_per_head_layout(t, m), _drop(t, "dec/blk0.h1.wk")),
+    "per-head-shape": lambda t, m: (_per_head_layout(t, m),
+                                    t.update({"dec/blk0.h0.wo": t["dec/blk0.h0.wo"][:-1]})),
 }
 
 
@@ -330,6 +359,32 @@ def test_malformed_split_line_exits_2(tiny, capsys, tmp_path):
     assert err.startswith(f"error: {path}:2: malformed utterance line") and err.count("\n") == 1
 
 
+def test_edited_split_file_exits_2(tiny, capsys, tmp_path):
+    assert cli.main(["gen-data", "--spec", tiny["spec"], "--out", str(tmp_path)]) == 0
+    path = tmp_path / "test.jsonl"
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["tgt"][0] = (row["tgt"][0] + 1) % TASK["vocab_size"]  # still a valid line
+    path.write_text("\n".join([lines[0], json.dumps(row, sort_keys=True), *lines[2:]]) + "\n")
+    code, out, err = run(capsys, decode(tiny, "--data", str(tmp_path)))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: contents differ from the sha256 in "
+                   f"{tmp_path / 'manifest.json'}\n")
+
+
+def test_split_without_a_manifest_hash_exits_2(tiny, capsys, tmp_path):
+    assert cli.main(["gen-data", "--spec", tiny["spec"], "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest["sha256"]["test"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code, out, err = run(capsys, decode(tiny, "--data", str(tmp_path)))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {tmp_path / 'test.jsonl'}: {tmp_path / 'manifest.json'} "
+                   f"records no sha256 for this split\n")
+    code, _, _ = run(capsys, decode(tiny, "--data", str(tmp_path), "--split", "dev"))
+    assert code == 0
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_split_frames_exit_2(tiny, capsys, tmp_path, value):
     assert cli.main(["gen-data", "--spec", tiny["spec"], "--out", str(tmp_path)]) == 0
@@ -380,6 +435,26 @@ def test_divergence_exits_1_naming_the_op(tiny, capsys, tmp_path, command, lr, s
         enc, _, meta = cli.load_encoder_ckpt(tmp_path / "div.ckpt")
         assert (meta["diverged"], meta["step"]) == (True, step)
         assert all(np.isfinite(p.value).all() for p in enc.params.values())
+
+
+@pytest.mark.parametrize("command", ["resume", "adapt", "decode-eval", "swap", "sweep-tau"])
+def test_diverged_encoder_checkpoint_exits_2(tiny, systems, capsys, tmp_path, command):
+    assert run(capsys, _diverge(tiny, tmp_path, "train-encoder", 1e30, 3))[0] == 1
+    div = str(tmp_path / "div.ckpt")
+    argv = {
+        "resume": ["train-encoder", "--spec", tiny["spec"], "--config", tiny["enc_cfg"],
+                   "--resume", div, "--out", str(tmp_path / "resumed.ckpt")],
+        "adapt": ["adapt", "--mode", "lego", "--encoder", div, "--spec", tiny["spec"],
+                  "--config", tiny["dec_cfg"], "--out", str(tmp_path / "s.ckpt")],
+        "decode-eval": decode(tiny, "--encoder", div),
+        "swap": ["swap", "--encoder", div, "--decoder", systems["lego"], "--spec", tiny["spec"]],
+        "sweep-tau": ["sweep-tau", "--encoder", div, "--decoder", systems["lego"],
+                      "--spec", tiny["spec"]],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {div}: the encoder in this checkpoint diverged at step 1; "
+                   "train it again\n")
 
 
 def test_gen_data_writes_splits_matching_its_manifest(tmp_path, capsys):

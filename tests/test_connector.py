@@ -13,7 +13,7 @@ from ctcbridge.connector import (
 )
 from ctcbridge.rng import CounterRng
 from ctcbridge.synthdata import build_vocabulary
-from tape_ops import finite_diff_check, reduce_sum
+from tape_ops import finite_diff_check, mul, reduce_sum
 
 
 V, D, T = 6, 5, 4
@@ -132,7 +132,7 @@ class TestReconstructFull:
         # pick out s_2[1]: gradient wrt E should be o_2 on column 1
         probe = np.zeros((T, D))
         probe[2, 1] = 1.0
-        tape.backward(reduce_sum(tt.mul(out, tt.Tensor(probe))))
+        tape.backward(reduce_sum(mul(out, tt.Tensor(probe))))
         o = tt.softmax(z).data
         np.testing.assert_allclose(p.grad[:, 1], o[2], atol=1e-6)
         assert np.abs(np.delete(p.grad, 1, axis=1)).max() == 0.0

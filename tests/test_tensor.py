@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcbridge import tensor as tt
-from tape_ops import finite_diff_check, log_softmax, logaddexp, logsumexp, reduce_sum, shift
+from tape_ops import finite_diff_check, log_softmax, logaddexp, logsumexp, mul, reduce_sum, shift
 
 
 def entropy(p):
@@ -78,7 +78,7 @@ class TestBackward:
         p = tt.Parameter(np.array([3.0]))
         tape = tt.GradTape()
         x = tape.watch(p)
-        tape.backward(reduce_sum(tt.mul(x, x)))
+        tape.backward(reduce_sum(mul(x, x)))
         np.testing.assert_allclose(p.grad, [6.0], rtol=1e-6)
 
     def test_cross_entropy_softmax_identity(self):
@@ -104,7 +104,7 @@ class TestBackward:
         tape = tt.GradTape()
         x = tape.watch(p)
         with pytest.raises(ValueError):
-            tape.backward(tt.mul(x, 2.0))
+            tape.backward(mul(x, 2.0))
 
     def test_grad_accumulates_across_tapes(self):
         p = tt.Parameter(np.array([2.0]))
@@ -150,10 +150,10 @@ class TestOpsGradients:
             tt.layer_norm(x, tt.Tensor(np.linspace(0.5, 1.5, 4)), tt.Tensor(np.zeros(4)))
         ),
         "softmax": lambda x: reduce_sum(
-            tt.mul(tt.softmax(x), tt.Tensor(np.arange(8.0).reshape(2, 4)))
+            mul(tt.softmax(x), tt.Tensor(np.arange(8.0).reshape(2, 4)))
         ),
         "log_softmax": lambda x: reduce_sum(
-            tt.mul(log_softmax(x), tt.Tensor(np.arange(8.0).reshape(2, 4)))
+            mul(log_softmax(x), tt.Tensor(np.arange(8.0).reshape(2, 4)))
         ),
         "gather_rows": lambda x: reduce_sum(tt.gather_rows(x, [1, 0, 1])),
         "transpose_matmul": lambda x: reduce_sum(
@@ -170,6 +170,15 @@ class TestOpsGradients:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 4)) + 0.1
         assert finite_diff_check(self.CASES[name], x, h=1e-4) < 1e-3
+
+    @pytest.mark.parametrize("heads, causal", [(1, False), (1, True), (2, True), (3, False)])
+    def test_attention_gradient(self, heads, causal):
+        rng = np.random.default_rng(12)
+        probe = tt.Tensor(rng.normal(size=(5, 2 * heads)))
+        err = finite_diff_check(
+            lambda x: reduce_sum(mul(tt.attention(x, heads, causal), probe)),
+            rng.normal(size=(5, 6 * heads)), h=1e-4)
+        assert err < 1e-6
 
     def test_shift_and_logaddexp_gradient(self):
         def f(x):
@@ -210,7 +219,12 @@ class TestInvariants:
         with pytest.raises(ValueError):
             tt.add(tt.Tensor(np.ones((2, 3))), tt.Tensor(np.ones((3, 2))))
         with pytest.raises(ValueError):
-            tt.mul(tt.Tensor(np.ones((2, 3))), tt.Tensor(np.ones(3)))
+            mul(tt.Tensor(np.ones((2, 3))), tt.Tensor(np.ones(3)))
+
+    def test_attention_shape_checked(self):
+        for shape, heads in (((4, 7), 1), ((4, 12), 3), ((12,), 1)):
+            with pytest.raises(ValueError):
+                tt.attention(tt.Tensor(np.ones(shape)), heads, False)
 
     def test_dropout_zero_rate_is_identity(self):
         x = tt.Tensor(np.ones((2, 2)))
@@ -236,14 +250,22 @@ class TestCheckedTape:
     def test_check_ops_names_the_op_whose_gradient_overflows(self):
         def run(tape):
             p = tt.Parameter(np.array([1e-30]), "p")
-            y = tt.mul(tape.watch(p), tt.Tensor([1e30]))
-            tape.backward(reduce_sum(tt.mul(y, tt.Tensor([1e30]))))
+            y = mul(tape.watch(p), tt.Tensor([1e30]))
+            tape.backward(reduce_sum(mul(y, tt.Tensor([1e30]))))
             return p.grad
 
         assert np.isinf(run(tt.GradTape())).all()  # left for the optimiser's check
         with pytest.raises(tt.NonFiniteError,
                            match=r"gradient from op 'mul' \(tape node 1\)"):
             run(tt.GradTape(check_ops=True))
+
+    def test_check_ops_names_attention(self):
+        p = tt.Parameter(np.ones((3, 6)), "qkv")
+        p.value[2, 4] = np.inf  # a value entry that reached storage unchecked
+        tape = tt.GradTape(check_ops=True)
+        with pytest.raises(tt.NonFiniteError,
+                           match=r"output of op 'attention' \(tape node 1\)"):
+            tt.attention(tape.watch(p), 1, causal=True)
 
     def test_relu_propagates_nan(self):
         x = tt._unchecked(np.array([np.nan, -1.0, 2.0], dtype=np.float32))
