@@ -58,6 +58,7 @@ from .models import (
     train_encoder_ctc,
 )
 from .synthdata import (
+    SPLITS,
     MaskConfig,
     TaskSpec,
     Utterance,
@@ -103,9 +104,11 @@ class TaskBundle:
     translation: Optional[dict[int, int]]
     raw: dict  # resolved config, echoed into outputs
 
-    def splits(self):
+    def splits(self, *names: str) -> tuple[list[Utterance], ...]:
+        """The named splits (all three if none are named), in that order."""
         return make_splits(self.spec, self.sizes["train"], self.sizes["dev"],
-                           self.sizes["test"], self.seed, self.translation)
+                           self.sizes["test"], self.seed, self.translation,
+                           names or SPLITS)
 
 
 def load_task(source) -> TaskBundle:
@@ -141,6 +144,11 @@ def load_task(source) -> TaskBundle:
             translation = build_translation(vocab, raw.get("translation_seed", 5))
         sizes = dict(raw["splits"])
         seed = sizes.pop("seed", 0)
+        for name in SPLITS:  # all three, built or not
+            if type(sizes[name]) is not int or sizes[name] < 1:
+                raise ValueError(f"splits.{name} must be an int >= 1, got {sizes[name]!r}")
+        if type(seed) is not int:
+            raise ValueError(f"splits.seed must be an int, got {seed!r}")
     except KeyError as e:
         raise ConfigError(f"task spec is missing field {e}") from e
     except (TypeError, ValueError) as e:
@@ -184,8 +192,8 @@ def resolve_dataset(args, split: str) -> list[Utterance]:
         return _read_jsonl_split(data_dir, split, expected, manifest_path)
     if not args.spec:
         raise ConfigError("need --spec TASK.json or --data DIR")
-    train, dev, test = load_task(args.spec).splits()
-    return {"train": train, "dev": dev, "test": test}[split]
+    (utts,) = load_task(args.spec).splits(split)
+    return utts
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +409,8 @@ def cmd_gen_data(args) -> int:
     bundle = load_task(args.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train, dev, test = bundle.splits()
     hashes, sizes = {}, {}
-    for split, utts in (("train", train), ("dev", dev), ("test", test)):
+    for split, utts in zip(SPLITS, bundle.splits()):
         text = "\n".join(utterance_to_json(u) for u in utts) + "\n"
         (out / f"{split}.jsonl").write_text(text)
         hashes[split] = hashlib.sha256(text.encode()).hexdigest()
@@ -432,7 +439,7 @@ def cmd_train_encoder(args) -> int:
                                               out_slots=vocab.size + 1, **enc_raw), cfg.seed)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"encoder config: {e}") from e
-    train, dev, _ = bundle.splits()
+    train, dev = bundle.splits("train", "dev")
     try:
         log = train_encoder_ctc(enc, train, dev, cfg, vocab.blank_id,
                                 start_step=start_step)
@@ -479,7 +486,7 @@ def cmd_adapt(args) -> int:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"adapt config: {e}") from e
 
-    train, dev, _ = bundle.splits()
+    train, dev = bundle.splits("train", "dev")
     cache = None
     if sys_.connection.reads == "nbest":
         if not args.nbest_cache:

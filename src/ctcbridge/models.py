@@ -576,6 +576,7 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
            dev_set: Sequence[Utterance], cfg: TrainConfig, stream: int,
            loss_of: Callable[..., Optional[tt.Tensor]],
@@ -593,7 +594,8 @@ def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
     replayed on tapes that check every op, which names the op that first
     produced a non-finite value.  Batches, masks and dropout come from
     step-keyed rng children and dev passes draw none, so the replay computes
-    the same values.
+    the same values.  numpy's floating-point warnings are off for the whole
+    loop: those checks report a non-finite value instead.
     """
     if not train_set:
         raise ValueError("training set is empty")

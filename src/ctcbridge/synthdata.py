@@ -17,7 +17,8 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .lexicon import TokenSeq, Vocabulary
 from .rng import CounterRng
 
 SPECIALS = ("<sep>", "<bos>", "<eos>", "<tsk>")
+SPLITS = ("train", "dev", "test")
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,29 @@ class TaskSpec:
             if self.confusion.get(b) != a:
                 raise ValueError("confusion pairs must be symmetric")
 
+    # Derived tables are computed once per spec and kept read-only; a
+    # frozen dataclass lets `cached_property` store them on the instance.
+
+    @cached_property
     def prototypes(self) -> np.ndarray:
+        """[V, F] float32 rendering of each token."""
         rng = CounterRng(self.prototype_seed, stream=0x9070)
         protos = rng.normals(self.vocab.size * self.feat_dim)
-        return protos.reshape(self.vocab.size, self.feat_dim).astype(np.float32)
+        return _read_only(protos.reshape(self.vocab.size, self.feat_dim).astype(np.float32))
+
+    @cached_property
+    def walk_cdfs(self) -> tuple[np.ndarray, np.ndarray]:
+        """CDFs of the first token and of each transition row, last entry 1."""
+        init = np.cumsum(np.asarray(self.init_probs, dtype=np.float64))
+        init[-1] = 1.0
+        rows = np.cumsum(np.asarray(self.transition, dtype=np.float64), axis=1)
+        rows[:, -1] = 1.0
+        return _read_only(init), _read_only(rows)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -166,10 +187,12 @@ def sample_utterance(spec: TaskSpec, utt_id: str, rng: CounterRng,
     dmin, dmax = spec.duration_range
     length = int(rng.child("len").integers(lmin, lmax + 1, 1)[0])
 
-    walk_rng = rng.child("walk")
-    toks = [int(walk_rng.categorical(spec.init_probs, 1)[0])]
-    for _ in range(length - 1):
-        toks.append(int(walk_rng.categorical(spec.transition[toks[-1]], 1)[0]))
+    # one uniform per token, each looked up in the CDF row of its predecessor
+    walk = rng.child("walk").uniforms(length)
+    init_cdf, row_cdfs = spec.walk_cdfs
+    toks = [int(init_cdf.searchsorted(walk[0], side="right"))]
+    for u in walk[1:]:
+        toks.append(int(row_cdfs[toks[-1]].searchsorted(u, side="right")))
     source = tuple(toks)
 
     durs = rng.child("dur").integers(dmin, dmax + 1, length)
@@ -179,7 +202,7 @@ def sample_utterance(spec: TaskSpec, utt_id: str, rng: CounterRng,
         for tok, flip in zip(source, flips)
     ]
 
-    protos = spec.prototypes()
+    protos = spec.prototypes
     total = int(durs.sum())
     frames = np.repeat(protos[rendered], durs, axis=0)
     if spec.noise_sigma > 0:
@@ -190,23 +213,25 @@ def sample_utterance(spec: TaskSpec, utt_id: str, rng: CounterRng,
 
 
 def make_splits(spec: TaskSpec, n_train: int, n_dev: int, n_test: int, seed: int,
-                translation: Optional[dict[int, int]] = None
-                ) -> tuple[list[Utterance], list[Utterance], list[Utterance]]:
-    """Three disjoint utterance lists from sub-seeded streams."""
+                translation: Optional[dict[int, int]] = None,
+                names: Sequence[str] = SPLITS) -> tuple[list[Utterance], ...]:
+    """Disjoint utterance lists from sub-seeded streams, one per entry of
+    `names`, in that order.  Each split has its own stream, so a split is
+    the same whichever others are built with it."""
     if min(n_train, n_dev, n_test) < 1:
         raise ValueError("every split needs at least one utterance")
+    sizes = dict(zip(SPLITS, (n_train, n_dev, n_test)))
     root = CounterRng(seed, stream=0xDA7A)
     out = []
-    for split, count in (("train", n_train), ("dev", n_dev), ("test", n_test)):
+    for split in names:
         split_rng = root.child(split)
-        utts = [
+        out.append([
             sample_utterance(
                 spec, f"s{seed}-{split}-{i:05d}", split_rng.child(i), translation
             )
-            for i in range(count)
-        ]
-        out.append(utts)
-    return out[0], out[1], out[2]
+            for i in range(sizes[split])
+        ])
+    return tuple(out)
 
 
 def augment(frames: np.ndarray, cfg: Optional[MaskConfig], rng: CounterRng) -> np.ndarray:

@@ -5,6 +5,11 @@ diverging training run exits 1."""
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +143,22 @@ BAD_CONFIGS = {
     "encoder-ckpt-6-bytes": lambda t, d: decode(t, "--encoder", _six_bytes(d)),
     "resume-ckpt-6-bytes": lambda t, d: ["train-encoder", "--spec", t["spec"], "--resume",
                                          _six_bytes(d), "--out", str(d / "e.ckpt")],
+    "splits-test-0": lambda t, d: ["gen-data", "--spec", _splits(d, test=0),
+                                   "--out", str(d / "data")],
+    "splits-train-float": lambda t, d: ["train-encoder", "--spec", _splits(d, train=4.5),
+                                        "--out", str(d / "e.ckpt")],
+    "splits-dev-bool": lambda t, d: ["gen-data", "--spec", _splits(d, dev=True),
+                                     "--out", str(d / "data")],
+    "splits-seed-text": lambda t, d: ["adapt", "--mode", "lego", "--encoder", t["enc"],
+                                      "--spec", _splits(d, seed="1"), "--out", str(d / "s.ckpt")],
+    # decode-eval builds only the test split, yet a bad dev size is still an error
+    "splits-unbuilt-dev-0": lambda t, d: ["decode-eval", "--encoder", t["enc"],
+                                          "--spec", _splits(d, dev=0)],
 }
+
+
+def _splits(d, **sizes):
+    return _write(d, "task.json", dict(TASK, splits=dict(TASK["splits"], **sizes)))
 
 
 def _six_bytes(d):
@@ -435,6 +455,29 @@ def test_divergence_exits_1_naming_the_op(tiny, capsys, tmp_path, command, lr, s
         enc, _, meta = cli.load_encoder_ckpt(tmp_path / "div.ckpt")
         assert (meta["diverged"], meta["step"]) == (True, step)
         assert all(np.isfinite(p.value).all() for p in enc.params.values())
+
+
+@pytest.mark.parametrize("command, lr, steps", [
+    ("train-encoder", 1e30, 3), ("train-encoder", 1e38, 3), ("adapt", 1e30, 3),
+    ("train-encoder", 1e30, 1),
+], ids=["train-encoder-1e30", "train-encoder-1e38", "adapt-1e30", "train-encoder-1e30-1step"])
+def test_divergence_prints_no_numpy_warning(tiny, capsys, tmp_path, command, lr, steps):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, _diverge(tiny, tmp_path, command, lr, steps))
+    assert (code, out) == (1, "")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert err.startswith("error: training diverged") and err.count("\n") == 1
+
+
+def test_module_run_prints_no_warning():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ctcbridge.cli",
+                           "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "gen-data" in proc.stdout
 
 
 @pytest.mark.parametrize("command", ["resume", "adapt", "decode-eval", "swap", "sweep-tau"])

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcbridge.rng import CounterRng, fnv1a64
 from ctcbridge.synthdata import (
@@ -17,6 +21,7 @@ from ctcbridge.synthdata import (
     utterance_to_json,
 )
 from ctcbridge.cli import load_task
+import rng_oracles as oracle
 
 
 def invert_translation(target, mapping):
@@ -71,6 +76,33 @@ class TestRng:
         assert x.min() >= 3 and x.max() <= 8
 
 
+class TestRngMatchesOracle:
+    """Python-int keys and array words against the 0-d numpy oracle."""
+
+    @given(seed=st.integers(-2**63, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           tags=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=12)),
+                         min_size=1, max_size=3),
+           n=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_keys_and_words_equal(self, seed, stream, tags, n):
+        new, old = CounterRng(seed, stream), oracle.CounterRng(seed, stream)
+        assert new._key == int(old._key)
+        for tag in tags:
+            new, old = new.child(tag), old.child(tag)
+            assert new._key == int(old._key)
+            if isinstance(tag, str):
+                assert fnv1a64(tag) == oracle.fnv1a64(tag)
+        np.testing.assert_array_equal(new.raw(n), old.raw(n))
+        np.testing.assert_array_equal(new.uniforms(n), old.uniforms(n))
+        np.testing.assert_array_equal(new.normals(n), old.normals(n))
+        np.testing.assert_array_equal(new.integers(-3, n, n), old.integers(-3, n, n))
+
+    def test_non_ascii_tags(self):
+        for tag in ("é", "日本語", "🎲x", "\x00"):
+            assert fnv1a64(tag) == oracle.fnv1a64(tag)
+            assert CounterRng(7).child(tag)._key == int(oracle.CounterRng(7).child(tag)._key)
+
+
 class TestVocabularyLayout:
     def test_specials_at_top(self):
         v = build_vocabulary(16)
@@ -111,7 +143,7 @@ class TestSampling:
 
         clean = replace(spec, noise_sigma=0.0, confusion_prob=0.0)
         u = sample_utterance(clean, "u", CounterRng(5).child(1))
-        protos = clean.prototypes()
+        protos = clean.prototypes
         t = 0
         for tok in u.source:
             d = 0
@@ -133,7 +165,87 @@ class TestSampling:
             load_task(bad)
 
 
+@st.composite
+def task_specs(draw):
+    lmin = draw(st.integers(1, 5))
+    dmin = draw(st.integers(4, 6))
+    task = {
+        "vocab_size": draw(st.integers(6, 40)), "feat_dim": draw(st.integers(1, 8)),
+        "length_range": [lmin, draw(st.integers(lmin, lmin + 12))],
+        "duration_range": [dmin, draw(st.integers(dmin, dmin + 4))],
+        "noise_sigma": draw(st.sampled_from([0.0, 0.5])),
+        "confusion_prob": draw(st.sampled_from([0.0, 0.3])),
+        "prototype_seed": draw(st.integers(0, 2**32)),
+        "chain": {"seed": draw(st.integers(0, 2**32))},
+        "task": draw(st.sampled_from(["asr", "ast"])),
+        "translation_seed": draw(st.integers(0, 2**32)),
+        "splits": {"train": 1, "dev": 1, "test": 1},
+    }
+    return load_task(task)
+
+
+class TestSamplingMatchesOracle:
+    @given(bundle=task_specs(), seed=st.integers(0, 2**64 - 1),
+           idx=st.lists(st.integers(0, 2**20), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_byte_equal(self, bundle, seed, idx):
+        spec, translation = bundle.spec, bundle.translation
+        for i in idx:
+            got = sample_utterance(spec, "u", CounterRng(seed).child(i), translation)
+            want = oracle.sample_utterance(spec, "u", oracle.CounterRng(seed).child(i),
+                                           translation)
+            assert (got.source, got.target) == (want.source, want.target)
+            assert got.frames.tobytes() == want.frames.tobytes()
+            assert got.frames.shape == want.frames.shape
+
+    @given(bundle=task_specs())
+    @settings(max_examples=30, deadline=None)
+    def test_cdf_rows_are_categoricals(self, bundle):
+        # the oracle's categorical: cumsum, then the last entry pinned to exactly 1
+        spec = bundle.spec
+        init_cdf, row_cdfs = spec.walk_cdfs
+        for probs, cdf in zip([spec.init_probs, *spec.transition], [init_cdf, *row_cdfs]):
+            want = np.cumsum(probs)
+            want[-1] = 1.0
+            assert cdf.tobytes() == want.tobytes()
+
+
+# the benchmark task (perfbench/task.json) at the benchmark's split sizes
+BENCH_TASK = {
+    "name": "bench", "vocab_size": 32, "feat_dim": 16,
+    "length_range": [5, 14], "duration_range": [4, 8],
+    "noise_sigma": 0.5, "confusion_prob": 0.1, "prototype_seed": 7,
+    "chain": {"seed": 3},
+}
+
+
+def _bench_bundle(seed, **extra):
+    return load_task(dict(BENCH_TASK, splits={"train": 128, "dev": 24, "test": 160,
+                                              "seed": seed}, **extra))
+
+
 class TestSplits:
+    # sha256 of the utterance_to_json lines of all three splits, one per line
+    @pytest.mark.parametrize("seed, extra, digest", [
+        (1, {}, "fa72067ef15acaa4bd826238bd63d902d80251a55398610771d56809d16d06bf"),
+        (2, {}, "e94dd8cc02e7f459c28c7fe864d92df7764dc360d1eb5f0cc58fdc8e0f1031d0"),
+        (1, {"task": "ast"}, "ec664bc0b0cfe3ce14120e20f24242ce0c99ad3b6e0544ce6ab29b3db52d6b4c"),
+    ], ids=["seed1", "seed2", "seed1-ast"])
+    def test_golden_digest(self, seed, extra, digest):
+        lines = [utterance_to_json(u) for split in _bench_bundle(seed, **extra).splits()
+                 for u in split]
+        assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("names", [("train", "dev"), ("test",), ("dev",), ("test", "train")])
+    def test_subset_equals_full(self, names):
+        bundle = _bench_bundle(3)
+        full = dict(zip(("train", "dev", "test"), bundle.splits()))
+        subset = bundle.splits(*names)
+        assert len(subset) == len(names)
+        for name, utts in zip(names, subset):
+            assert [utterance_to_json(u) for u in utts] == [
+                utterance_to_json(u) for u in full[name]]
+
     def test_same_seed_identical(self, spec):
         a = make_splits(spec, 4, 2, 2, seed=9)
         b = make_splits(spec, 4, 2, 2, seed=9)
