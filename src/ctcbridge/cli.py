@@ -53,6 +53,7 @@ from .models import (
     TrainingDiverged,
     adapt_decoder,
     build_system,
+    check_fits,
     check_system,
     evaluate_system,
     train_encoder_ctc,
@@ -393,11 +394,21 @@ def read_nbest_cache(paths: Sequence[str]) -> dict[str, NBestList]:
     return cache
 
 
+def _check_fits(sys_: DecoderSystem, vocab: Vocabulary, dataset: Sequence[Utterance],
+                cache: Optional[dict[str, NBestList]]) -> None:
+    """ConfigError naming the first utterance too long for the decoder."""
+    try:
+        check_fits(sys_, vocab, dataset, cache)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
 def eval_connected(sys_: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
                    dataset: Sequence[Utterance], beam: int, max_new: int):
     cache = None
     if sys_.connection.reads == "nbest":
         cache = build_aec_cache(enc, dataset, beam=max(beam, sys_.aec_n), n=sys_.aec_n)
+    _check_fits(sys_, vocab, dataset, cache)
     return evaluate_system(sys_, enc, vocab, dataset, max_new=max_new, aec_cache=cache)
 
 
@@ -504,6 +515,7 @@ def cmd_adapt(args) -> int:
             if not all(type(c) is int and 0 <= c < vocab.size for h, _ in hyps for c in h):
                 raise ConfigError(f"the n-best list of {u.id} holds a token that is not "
                                   f"an id in [0, {vocab.size})")
+    _check_fits(sys_, vocab, list(train) + list(dev), cache)
     try:
         log = adapt_decoder(sys_, enc, vocab, train, dev, cfg, aec_cache=cache)
     except TrainingDiverged as e:

@@ -10,15 +10,23 @@ in the output softmax.  Input and output embeddings are tied by default
 `_mix_block`, whose attention is one fused tape op (`tt.attention`) between
 a [d, 3d] query/key/value projection and a [d, d] output projection.
 
+Both stacks take a packed batch: the utterances' rows stacked as [sum T, d]
+with a table of their lengths, so a batch is one pass of each op.  Row-wise
+ops need no table; attention and dropout take it, and each utterance is its
+own sequence (its own conv padding, attention block and positions), so a
+packed pass gives each utterance what a pass of it alone would give.  One
+array or one token sequence is a batch of one, the form inference uses.
+
 One step loop, `_train`, with two front ends: `train_encoder_ctc`
 CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
 frozen encoder through one entry of the `CONNECTIONS` registry.  A front
-end hands the loop its parameters, rng stream, per-utterance loss and dev
-loss; the loop owns batching, augmentation, dropout rngs, gradient
-averaging, Adam, log rows and divergence handling.  An entry names
-what it reads from the encoder (logits, hidden states or an n-best list),
-the parameters it trains beside the decoder, and how it turns that readout
-into the decoder's speech prefix:
+end hands the loop its parameters, rng stream, batch loss and dev loss;
+the loop owns batching, augmentation, dropout rngs, Adam, log rows and
+divergence handling, and records each step's batch on one tape with one
+backward pass.  Dev passes run in packed chunks of the batch size.  An
+entry names what it reads from the encoder (logits, hidden states or an
+n-best list), the parameters it trains beside the decoder, and how it
+turns that readout into the decoder's speech prefix:
 
   lego / lego_star   posterior-weighted reconstruction against the LM
                      table (lego_star pins blank downscale to 1e4)
@@ -117,18 +125,22 @@ def _w(params: dict[str, tt.Parameter], name: str, tape) -> tt.Tensor:
 
 
 def _mix_block(x: tt.Tensor, params, prefix: str, tape, causal: bool,
-               drop_rate: float, drop_rng, heads: int = 1) -> tt.Tensor:
+               drop_rate: float, drop_rng, heads: int = 1,
+               lengths: Optional[Sequence[int]] = None) -> tt.Tensor:
+    """One pre-LN block over the rows of `x`; with `lengths`, a packed batch of
+    segments that attend within themselves and draw dropout from their own
+    rng in `drop_rng`."""
     h = tt.layer_norm(x, _w(params, f"{prefix}.ln1g", tape), _w(params, f"{prefix}.ln1b", tape))
     qkv = tt.matmul(h, _w(params, f"{prefix}.wqkv", tape))
-    o = tt.matmul(tt.attention(qkv, heads, causal), _w(params, f"{prefix}.wo", tape))
+    o = tt.matmul(tt.attention(qkv, heads, causal, lengths), _w(params, f"{prefix}.wo", tape))
     if drop_rate > 0:
-        o = tt.dropout(o, drop_rate, drop_rng)
+        o = tt.dropout(o, drop_rate, drop_rng, lengths)
     x = tt.add(x, o)
     h2 = tt.layer_norm(x, _w(params, f"{prefix}.ln2g", tape), _w(params, f"{prefix}.ln2b", tape))
     m = tt.add(tt.matmul(h2, _w(params, f"{prefix}.w1", tape)), _w(params, f"{prefix}.b1", tape))
     m = tt.add(tt.matmul(tt.relu(m), _w(params, f"{prefix}.w2", tape)), _w(params, f"{prefix}.b2", tape))
     if drop_rate > 0:
-        m = tt.dropout(m, drop_rate, drop_rng)
+        m = tt.dropout(m, drop_rate, drop_rng, lengths)
     return tt.add(x, m)
 
 
@@ -182,29 +194,54 @@ class SpeechEncoder:
         p["out.w"] = _init(rng, "out.w", (cfg.width, cfg.out_slots), 1.0 / math.sqrt(cfg.width))
         self.params = p
 
-    def _conv(self, x: tt.Tensor, prefix: str, tape) -> tt.Tensor:
-        t, c = x.shape
-        zero = tt.Tensor(np.zeros((1, c), dtype=np.float32))
+    @classmethod
+    def out_len(cls, frames: int) -> int:
+        """Output rows of an utterance of `frames` input frames: ceil(T/4)."""
+        return -(-frames // cls.SUBSAMPLE)
+
+    def _conv(self, x: tt.Tensor, lengths: list[int], prefix: str,
+              tape) -> tuple[tt.Tensor, list[int]]:
+        """Width-3, stride-2 convolution of each segment of `lengths` rows,
+        zero-padded by one row at both of its ends: T rows give ceil(T/2)."""
+        zero = tt._unchecked(np.zeros((1, x.shape[1]), dtype=x.data.dtype))
         padded = tt.concat_rows([zero, x, zero])
-        t_out = (t + 2 - 3) // 2 + 1  # == ceil(t / 2)
-        rows = (np.arange(t_out)[:, None] * 2 + np.arange(3)[None, :]).reshape(-1)
-        windows = tt.reshape(tt.gather_rows(padded, rows), (t_out, 3 * c))
+        rows, start = [], 0
+        for t in lengths:
+            # rows of [0; segment; 0] under each window, 0 for the padding
+            taps = np.arange((t + 1) // 2)[:, None] * 2 + np.arange(3)
+            rows.append(taps if len(lengths) == 1 else
+                        np.where((taps == 0) | (taps > t), 0, taps + start))
+            start += t
+        outs = [(t + 1) // 2 for t in lengths]
+        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        windows = tt.reshape(tt.gather_rows(padded, rows.reshape(-1)),
+                             (sum(outs), 3 * x.shape[1]))
         y = tt.add(tt.matmul(windows, _w(self.params, f"{prefix}.w", tape)),
                    _w(self.params, f"{prefix}.b", tape))
-        return tt.relu(y)
+        return tt.relu(y), outs
 
-    def forward(self, frames: np.ndarray, tape=None, drop_rate: float = 0.0,
+    def forward(self, frames, tape=None, drop_rate: float = 0.0,
                 drop_rng=None) -> tuple[tt.Tensor, tt.Tensor]:
-        """Returns (hidden [T', width], logits [T', V+1]); T' = ceil(T/4)."""
-        if frames.shape[0] < self.SUBSAMPLE:
-            raise ValueError(f"need at least {self.SUBSAMPLE} input frames, got {frames.shape[0]}")
-        if frames.shape[1] != self.cfg.feat_dim:
-            raise ValueError("feature dimension mismatch")
-        x = self._conv(tt.Tensor(frames), "conv1", tape)
-        x = self._conv(x, "conv2", tape)
+        """Returns (hidden [T', width], logits [T', V+1]); T' = ceil(T/4).
+
+        `frames` is one utterance's [T, F] array, or a list of them: a packed
+        batch, one pass whose outputs hold each utterance's `out_len` rows in
+        turn and whose `drop_rng` is a list of one rng per utterance.  An
+        utterance's rows depend on its own frames only.
+        """
+        batch = frames if isinstance(frames, list) else [frames]
+        for f in batch:
+            if f.shape[0] < self.SUBSAMPLE:
+                raise ValueError(f"need at least {self.SUBSAMPLE} input frames, got {f.shape[0]}")
+            if f.shape[1] != self.cfg.feat_dim:
+                raise ValueError("feature dimension mismatch")
+        x = tt.Tensor(batch[0] if len(batch) == 1 else np.concatenate(batch))
+        x, lengths = self._conv(x, [f.shape[0] for f in batch], "conv1", tape)
+        x, lengths = self._conv(x, lengths, "conv2", tape)
+        segments = lengths if batch is frames else None
         for i in range(self.cfg.blocks):
             x = _mix_block(x, self.params, f"blk{i}", tape, causal=False,
-                           drop_rate=drop_rate, drop_rng=drop_rng, heads=1)
+                           drop_rate=drop_rate, drop_rng=drop_rng, heads=1, lengths=segments)
         hidden = tt.layer_norm(x, _w(self.params, "lnog", tape), _w(self.params, "lnob", tape))
         logits = tt.matmul(hidden, _w(self.params, "out.w", tape))
         return hidden, logits
@@ -238,42 +275,85 @@ class DecoderLM:
     def embedding(self, tape=None) -> tt.Tensor:
         return _w(self.params, "emb", tape)
 
-    def forward(self, speech: Optional[tt.Tensor], text_ids: Sequence[int],
-                tape=None, drop_rate: float = 0.0, drop_rng=None) -> tt.Tensor:
+    def forward(self, speech: Optional[tt.Tensor], text_ids, tape=None,
+                drop_rate: float = 0.0, drop_rng=None,
+                speech_lens: Optional[Sequence[int]] = None) -> tt.Tensor:
         """Next-token logits over V for every text position.
 
         `speech` is a [S, d] prefix (already in embedding space) visible to
-        every text position; text attends causally within itself. The blocks
-        are pre-LN, so the prefix is read only through layer_norm: adding a
-        constant to a whole speech row does not change the logits.
+        every text position; the sequence [speech; text] is causal, so text
+        attends causally within itself. The blocks are pre-LN, so the prefix
+        is read only through layer_norm: adding a constant to a whole speech
+        row does not change the logits.
+
+        A packed batch passes `text_ids` as a list of token sequences,
+        `speech` as their prefixes stacked (or None) with `speech_lens` rows
+        each, and `drop_rng` as one rng per utterance.  Each utterance is its
+        own sequence, with positions from 0, and the logits of its text rows
+        follow those of the utterance before.
         """
-        ids = np.asarray(text_ids, dtype=np.intp)
-        if ids.size == 0:
-            raise ValueError("text must be non-empty")
-        if ids[0] != self.vocab.bos_id:
-            raise ValueError("text must begin with <bos>")
-        if ids.max() >= self.cfg.vocab or ids.min() < 0:
-            raise ValueError("text id outside [0, V)")
-        s = 0 if speech is None else speech.shape[0]
-        total = s + ids.size
-        if total > self.cfg.max_len:
-            raise ValueError(f"sequence length {total} exceeds max_len {self.cfg.max_len}")
+        batched = len(text_ids) > 0 and not np.isscalar(text_ids[0])
+        seqs = [np.asarray(t, dtype=np.intp) for t in (text_ids if batched else [text_ids])]
+        if speech is None:
+            s_lens = [0] * len(seqs)
+        elif batched:
+            s_lens = list(speech_lens or ())
+            if len(s_lens) != len(seqs) or sum(s_lens) != speech.shape[0]:
+                raise ValueError("speech_lens must give each sequence's prefix rows")
+        else:
+            s_lens = [speech.shape[0]]
+        for s, ids in zip(s_lens, seqs):
+            if ids.size == 0:
+                raise ValueError("text must be non-empty")
+            if ids[0] != self.vocab.bos_id:
+                raise ValueError("text must begin with <bos>")
+            if ids.max() >= self.cfg.vocab or ids.min() < 0:
+                raise ValueError("text id outside [0, V)")
+            if s + ids.size > self.cfg.max_len:
+                raise ValueError(f"sequence length {s + ids.size} exceeds max_len "
+                                 f"{self.cfg.max_len}")
 
         emb = self.embedding(tape)
-        text_emb = tt.gather_rows(emb, ids)
-        seq = text_emb if speech is None else tt.concat_rows([speech, text_emb])
-        pos = tt.slice_rows(_w(self.params, "pos", tape), 0, total)
-        x = tt.add(seq, pos)
+        seq = tt.gather_rows(emb, seqs[0] if len(seqs) == 1 else np.concatenate(seqs))
+        if speech is not None:
+            seq = tt.concat_rows([speech, seq])
+        pos = _w(self.params, "pos", tape)
+        if batched:
+            order, positions, text_rows = _packed_rows(s_lens, [ids.size for ids in seqs])
+            if speech is not None:
+                seq = tt.gather_rows(seq, order)
+            x = tt.add(seq, tt.gather_rows(pos, positions))
+        else:
+            x = tt.add(seq, tt.slice_rows(pos, 0, s_lens[0] + seqs[0].size))
+        lengths = [s + ids.size for s, ids in zip(s_lens, seqs)] if batched else None
         for i in range(self.cfg.blocks):
-            x = _mix_block(x, self.params, f"blk{i}", tape, causal=True,
-                           drop_rate=drop_rate, drop_rng=drop_rng, heads=self.cfg.heads)
+            x = _mix_block(x, self.params, f"blk{i}", tape, causal=True, drop_rate=drop_rate,
+                           drop_rng=drop_rng, heads=self.cfg.heads, lengths=lengths)
         h = tt.layer_norm(x, _w(self.params, "lnfg", tape), _w(self.params, "lnfb", tape))
-        h_text = tt.slice_rows(h, s, total)
+        if batched:
+            h_text = tt.gather_rows(h, text_rows)
+        else:
+            h_text = tt.slice_rows(h, s_lens[0], s_lens[0] + seqs[0].size)
         if self.cfg.tie_output:
             out_w = tt.transpose(tt.slice_rows(emb, 0, self.cfg.vocab))
         else:
             out_w = _w(self.params, "out.w", tape)
         return tt.matmul(h_text, out_w)
+
+
+def _packed_rows(s_lens: Sequence[int], t_lens: Sequence[int]):
+    """Index arrays of a packed decoder batch, whose rows are [speech_i;
+    text_i] in turn: the row of [all speech; all text] that each packed row
+    reads, each row's position, and the packed rows of the text."""
+    s_starts = np.cumsum([0] + list(s_lens))
+    t_starts = np.cumsum([0] + list(t_lens)) + s_starts[-1]
+    order, positions, text_rows, row = [], [], [], 0
+    for s_start, s, t_start, t in zip(s_starts, s_lens, t_starts, t_lens):
+        order += [np.arange(s_start, s_start + s), np.arange(t_start, t_start + t)]
+        positions.append(np.arange(s + t))
+        text_rows.append(np.arange(row + s, row + s + t))
+        row += s + t
+    return np.concatenate(order), np.concatenate(positions), np.concatenate(text_rows)
 
 
 def sp_project(hidden: tt.Tensor, proj: tt.Tensor) -> tt.Tensor:
@@ -424,25 +504,34 @@ def check_system(sys: DecoderSystem, enc_cfg: EncoderConfig) -> None:
         raise ValueError("encoder output slots do not match the LM vocabulary")
 
 
-def encoder_readout(reads: str, enc: SpeechEncoder, frames: np.ndarray) -> Optional[np.ndarray]:
-    """What an entry consumes: hidden states, logits, or None for n-best entries."""
+def encoder_readout(reads: str, enc: SpeechEncoder, frames):
+    """What an entry consumes: hidden states, logits, or None for n-best
+    entries.  For a list of utterances' frames, a list of one array per
+    utterance, from one packed encoder pass."""
     if reads == "nbest":
         return None
     hidden, logits = enc.forward(frames)
-    return hidden.data if reads == "hidden" else logits.data
+    out = hidden.data if reads == "hidden" else logits.data
+    if not isinstance(frames, list):
+        return out
+    return np.split(out, np.cumsum([enc.out_len(f.shape[0]) for f in frames])[:-1])
 
 
-def conditioning(sys: DecoderSystem, enc: SpeechEncoder, frames: np.ndarray,
-                 tape=None, at_inference: bool = True,
-                 enc_out: Optional[np.ndarray] = None) -> Optional[tt.Tensor]:
-    """Speech-side prefix for one utterance; None for text-input modes.
+def conditioning(sys: DecoderSystem, enc: SpeechEncoder, frames, tape=None,
+                 at_inference: bool = True, enc_out=None) -> Optional[tt.Tensor]:
+    """Speech-side prefix for one utterance, or for a list of them the
+    utterances' prefixes stacked; None for text-input modes.
 
     The encoder always runs off-tape: its outputs are constants during
     adaptation, which is the freeze contract in mechanical form.  Pass
-    `enc_out` to reuse a cached readout instead of re-running the encoder.
+    `enc_out` (one array, or a list like `frames`) to reuse cached readouts
+    instead of re-running the encoder.  Every prefix is row-wise, so a
+    batch's prefixes come from one call on its readouts stacked.
     """
     if enc_out is None:
         enc_out = encoder_readout(sys.connection.reads, enc, frames)
+    if isinstance(enc_out, list):
+        enc_out = np.concatenate(enc_out)
     return sys.connection.prefix(sys, enc_out, tape, at_inference)
 
 
@@ -469,6 +558,21 @@ def teacher_forcing_example(sys: DecoderSystem, vocab: Vocabulary, target: Token
     mask = np.zeros(len(text), dtype=np.float64)
     mask[len(prompt) - 1:] = 1.0
     return text, targets, mask
+
+
+def check_fits(sys: DecoderSystem, vocab: Vocabulary, dataset: Sequence[Utterance],
+               aec_cache: Optional[dict[str, NBestList]] = None) -> None:
+    """Raise ValueError naming the first utterance whose teacher-forced
+    sequence -- speech prefix, prompt and target -- is longer than the
+    decoder's max_len: it could neither be trained on nor decoded in full."""
+    max_len = sys.decoder.cfg.max_len
+    for utt in dataset:
+        s = 0 if sys.connection.reads == "nbest" else SpeechEncoder.out_len(utt.frames.shape[0])
+        nbest = aec_cache.get(utt.id) if aec_cache is not None else None
+        text = len(prompt_ids(sys, vocab, nbest)) + len(utt.target)
+        if s + text > max_len:
+            raise ValueError(f"utterance {utt.id} needs {s + text} decoder rows ({s} speech + "
+                             f"{text} text), more than the decoder's max_len {max_len}")
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +683,18 @@ class TrainLog:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
            dev_set: Sequence[Utterance], cfg: TrainConfig, stream: int,
-           loss_of: Callable[..., Optional[tt.Tensor]],
+           loss_of: Callable[..., tuple[Optional[tt.Tensor], int]],
            dev_loss: Callable[[Sequence[Utterance], Optional[tt.GradTape]], float],
            start_step: int = 0) -> TrainLog:
     """The step loop of both stages; deterministic per cfg.seed and `stream`.
 
     Each step draws a batch, masks each utterance's frames when cfg.augment
-    is set, and records `loss_of(utt, frames, tape, drop_rng)` on a fresh
-    tape; None marks an infeasible target, which is counted and skipped.
-    Gradients are averaged over the utterances that gave a loss.
+    is set, and records `loss_of(utts, frames, tape, drop_rngs)` on one
+    fresh tape, with one dropout rng per utterance.  It returns the batch's
+    mean loss over the utterances that gave one and their count; an
+    infeasible target gives none and is counted and skipped, and a batch
+    with no loss at all is (None, 0).  One backward pass of that mean
+    gives gradients averaged over those utterances.
     `dev_loss(subset, tape)` is a subset's mean loss, untaped except in a
     divergence replay.  A non-finite value in a step, or in the dev pass
     after it, raises TrainingDiverged for that step: the failed work is
@@ -607,39 +714,34 @@ def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
     log.initial_dev_loss = dev_loss(dev_set, None)
 
     def accumulate(step: int, check_ops: bool) -> tuple[int, float]:
-        """Gradients of `step`'s batch: (utterances with a loss, loss sum)."""
+        """Gradients of `step`'s batch: (utterances with a loss, their mean loss)."""
         idx = root.child(f"batch{step}").integers(0, len(train_set), cfg.batch_size)
+        utts = [train_set[int(i)] for i in idx]
+        frames = [u.frames for u in utts]
+        if cfg.augment is not None:
+            frames = [augment(f, cfg.augment, root.child(f"aug{step}.{j}"))
+                      for j, f in enumerate(frames)]
+        drop_rngs = [root.child(f"drop{step}.{j}") for j in range(len(utts))]
         opt.zero_grad()
-        n_ok, loss_sum = 0, 0.0
-        for j, i in enumerate(idx):
-            utt = train_set[int(i)]
-            frames = utt.frames
-            if cfg.augment is not None:
-                frames = augment(frames, cfg.augment, root.child(f"aug{step}.{j}"))
-            tape = tt.GradTape(check_ops)
-            loss = loss_of(utt, frames, tape, root.child(f"drop{step}.{j}"))
-            if loss is None:
-                log.skipped += 1
-                continue
-            tape.backward(loss)
-            n_ok += 1
-            loss_sum += loss.item()
-        return n_ok, loss_sum
+        tape = tt.GradTape(check_ops)
+        loss, n_ok = loss_of(utts, frames, tape, drop_rngs)
+        log.skipped += len(utts) - n_ok
+        if loss is None:
+            return 0, 0.0
+        tape.backward(loss)
+        return n_ok, loss.item()
 
     step = start_step - 1  # the last step taken
     try:
         for step in range(start_step, cfg.steps):
             replay = functools.partial(accumulate, step, True)
-            n_ok, loss_sum = accumulate(step, False)
+            n_ok, train_loss = accumulate(step, False)
             if n_ok:
-                inv = 1.0 / n_ok
-                for p in opt.params:
-                    p.grad *= inv
                 opt.step()
             log.final_step = step + 1
             if step % cfg.log_every == 0 or step == cfg.steps - 1:
-                row = {"step": step, "lr": opt.lr_at(opt.t),
-                       "train_loss": loss_sum / max(n_ok, 1), "dev_loss": None}
+                row = {"step": step, "lr": opt.lr_at(opt.t), "train_loss": train_loss,
+                       "dev_loss": None}
                 if cfg.eval_every and (step % cfg.eval_every == 0 or step == cfg.steps - 1):
                     replay = functools.partial(dev_loss, dev_probe, tt.GradTape(check_ops=True))
                     row["dev_loss"] = dev_loss(dev_probe, None)
@@ -656,16 +758,35 @@ def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
     return log
 
 
-def mean_ctc_loss(enc: SpeechEncoder, dataset: Sequence[Utterance],
-                  blank_id: int, tape: Optional[tt.GradTape] = None) -> float:
-    """Mean CTC loss over the feasible utterances of `dataset`."""
-    total, count = 0.0, 0
-    for utt in dataset:
-        res = ctc_loss(enc.forward(utt.frames, tape=tape)[1], utt.source, blank_id)
+def _chunks(dataset: Sequence[Utterance], size: int):
+    return (dataset[i:i + size] for i in range(0, len(dataset), size))
+
+
+def _ctc_losses(enc: SpeechEncoder, frames: Sequence[np.ndarray], targets: Sequence[TokenSeq],
+               blank_id: int, tape=None, drop_rate: float = 0.0,
+               drop_rngs=None) -> list[tt.Tensor]:
+    """CTC losses of the utterances with a feasible target, from one packed
+    encoder pass over `frames`."""
+    _, logits = enc.forward(list(frames), tape=tape, drop_rate=drop_rate, drop_rng=drop_rngs)
+    losses, start = [], 0
+    for f, y in zip(frames, targets):
+        stop = start + enc.out_len(f.shape[0])
+        res = ctc_loss(tt.slice_rows(logits, start, stop), y, blank_id)
         if res.feasible:
-            total += res.loss.item()
-            count += 1
-    return total / max(count, 1)
+            losses.append(res.loss)
+        start = stop
+    return losses
+
+
+def mean_ctc_loss(enc: SpeechEncoder, dataset: Sequence[Utterance],
+                  blank_id: int, tape: Optional[tt.GradTape] = None,
+                  batch_size: int = 8) -> float:
+    """Mean CTC loss over the feasible utterances of `dataset`, in packed
+    passes of `batch_size` utterances."""
+    losses = [loss.item() for chunk in _chunks(dataset, batch_size)
+              for loss in _ctc_losses(enc, [u.frames for u in chunk],
+                                     [u.source for u in chunk], blank_id, tape)]
+    return sum(losses) / max(len(losses), 1)
 
 
 def train_encoder_ctc(enc: SpeechEncoder, train_set: Sequence[Utterance],
@@ -673,43 +794,62 @@ def train_encoder_ctc(enc: SpeechEncoder, train_set: Sequence[Utterance],
                       blank_id: int, start_step: int = 0) -> TrainLog:
     """CTC training; deterministic per cfg.seed.  Raises on divergence."""
 
-    def loss_of(utt: Utterance, frames: np.ndarray, tape, drop_rng) -> Optional[tt.Tensor]:
-        _, logits = enc.forward(frames, tape=tape, drop_rate=cfg.dropout, drop_rng=drop_rng)
-        res = ctc_loss(logits, utt.source, blank_id)
-        return res.loss if res.feasible else None
+    def loss_of(utts, frames, tape, drop_rngs) -> tuple[Optional[tt.Tensor], int]:
+        losses = _ctc_losses(enc, frames, [u.source for u in utts], blank_id, tape,
+                            cfg.dropout, drop_rngs)
+        return (tt.mean(losses) if losses else None), len(losses)
 
     return _train(enc.params, train_set, dev_set, cfg, 0x7E40, loss_of,
-                  lambda subset, tape: mean_ctc_loss(enc, subset, blank_id, tape), start_step)
+                  lambda subset, tape: mean_ctc_loss(enc, subset, blank_id, tape,
+                                                     cfg.batch_size), start_step)
 
 
 def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
                   train_set: Sequence[Utterance], dev_set: Sequence[Utterance],
                   cfg: TrainConfig,
                   aec_cache: Optional[dict[str, NBestList]] = None) -> TrainLog:
-    """Fine-tune the decoder side; the encoder is frozen (never taped)."""
-    if sys.connection.reads == "nbest" and aec_cache is None:
+    """Fine-tune the decoder side; the encoder is frozen (never taped).
+
+    Raises ValueError before the first step if an utterance does not fit
+    the decoder (`check_fits`)."""
+    reads = sys.connection.reads
+    if reads == "nbest" and aec_cache is None:
         raise ValueError(f"mode {sys.mode!r} needs an n-best cache for the dataset")
     check_system(sys, enc.cfg)
+    check_fits(sys, vocab, list(train_set) + list(dev_set), aec_cache)
     # without augmentation the frozen encoder's outputs never change
-    enc_outs: dict[str, Optional[np.ndarray]] = {}
+    cache: dict[str, np.ndarray] = {}
 
-    def loss_of(utt: Utterance, frames: np.ndarray, tape, drop_rng) -> tt.Tensor:
-        enc_out = None
-        if cfg.augment is None:
-            if utt.id not in enc_outs:
-                enc_outs[utt.id] = encoder_readout(sys.connection.reads, enc, frames)
-            enc_out = enc_outs[utt.id]
-        speech = conditioning(sys, enc, frames, tape=tape, at_inference=False,
-                              enc_out=enc_out)
-        nbest = aec_cache.get(utt.id) if aec_cache is not None else None
-        text, targets, mask = teacher_forcing_example(sys, vocab, utt.target, nbest)
-        # dev passes come without a drop rng and run without dropout
-        logits = sys.decoder.forward(speech, text, tape=tape, drop_rng=drop_rng,
-                                     drop_rate=cfg.dropout if drop_rng is not None else 0.0)
-        return tt.cross_entropy(logits, targets, mask)
+    def readouts(utts, frames) -> Optional[list[np.ndarray]]:
+        if reads == "nbest" or cfg.augment is not None:
+            return encoder_readout(reads, enc, list(frames))
+        todo = {u.id: f for u, f in zip(utts, frames) if u.id not in cache}
+        if todo:
+            cache.update(zip(todo, encoder_readout(reads, enc, list(todo.values()))))
+        return [cache[u.id] for u in utts]
+
+    def loss_of(utts, frames, tape, drop_rngs) -> tuple[tt.Tensor, int]:
+        """The mean over `utts` of each one's mean next-token cross-entropy,
+        from one packed decoder pass."""
+        examples = [teacher_forcing_example(
+            sys, vocab, u.target, aec_cache.get(u.id) if aec_cache is not None else None)
+            for u in utts]
+        enc_outs = readouts(utts, frames)
+        speech = conditioning(sys, enc, None, tape=tape, at_inference=False, enc_out=enc_outs)
+        # dev passes come without drop rngs and run without dropout
+        logits = sys.decoder.forward(
+            speech, [text for text, _, _ in examples], tape=tape, drop_rng=drop_rngs,
+            drop_rate=cfg.dropout if drop_rngs is not None else 0.0,
+            speech_lens=None if speech is None else [len(e) for e in enc_outs])
+        # an utterance's rows weigh 1 / its count, so the weights sum to len(utts)
+        weights = np.concatenate([mask / mask.sum() for _, _, mask in examples])
+        targets = np.concatenate([y for _, y, _ in examples])
+        return tt.cross_entropy(logits, targets, weights), len(utts)
 
     def dev_loss(subset: Sequence[Utterance], tape) -> float:
-        return sum(loss_of(u, u.frames, tape, None).item() for u in subset) / max(len(subset), 1)
+        total = sum(loss_of(chunk, [u.frames for u in chunk], tape, None)[0].item() * len(chunk)
+                    for chunk in _chunks(subset, cfg.batch_size))
+        return total / max(len(subset), 1)
 
     return _train({**sys.decoder.params, **sys.extra}, train_set, dev_set, cfg, 0xADA7,
                   loss_of, dev_loss)

@@ -119,7 +119,9 @@ def _op_kind(backward: Callable) -> str:
 
 
 class GradTape:
-    """Ordered record of ops; backward replays it in reverse exactly once.
+    """Ordered record of ops; backward replays it in reverse exactly once,
+    dropping each node's gradient and backward rule once it has passed the
+    gradient on, so the pass holds little more than the forward already did.
 
     With `check_ops`, every op output recorded here and every gradient the
     backward pass produces is checked, and the first non-finite one raises
@@ -173,12 +175,15 @@ class GradTape:
         grads: list[Optional[np.ndarray]] = [None] * n
         grads[loss.nid] = np.ones_like(loss.data)
         for i in range(loss.nid, -1, -1):
-            if not needed[i] or grads[i] is None:
+            gi = grads[i]
+            if not needed[i] or gi is None:
                 continue
             bwd = self._backward[i]
-            if bwd is None:
+            if bwd is None:  # a leaf: its gradient is read below
                 continue
-            for pid, g in zip(self._parents[i], bwd(grads[i])):
+            grads[i] = None
+            self._backward[i] = None
+            for pid, g in zip(self._parents[i], bwd(gi)):
                 if g is None:
                     continue
                 if self.check_ops:
@@ -297,14 +302,24 @@ def relu(a: Tensor) -> Tensor:
     return _emit(a.tape, out, (a.nid,), lambda g: (g * mask,))
 
 
-def dropout(a: Tensor, rate: float, rng) -> Tensor:
-    """Inverted dropout; identity when rate == 0.  `rng` is a CounterRng."""
+def dropout(a: Tensor, rate: float, rng, lengths: Optional[Sequence[int]] = None) -> Tensor:
+    """Inverted dropout; identity when rate == 0.  `rng` is a CounterRng; with
+    `lengths`, a sequence of them, one per segment of that many rows, each
+    drawing its own segment's mask."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return a
     a = as_tensor(a)
-    keep = (rng.uniforms(a.size).reshape(a.shape) >= rate).astype(a.data.dtype)
+    if lengths is None:
+        draws = rng.uniforms(a.size)
+    else:
+        _segments(a.shape[0], lengths)  # checks the table
+        if len(rng) != len(lengths):
+            raise ValueError(f"dropout needs one rng per segment, got {len(rng)} for "
+                             f"{len(lengths)}")
+        draws = np.concatenate([r.uniforms(n * a.shape[1]) for r, n in zip(rng, lengths)])
+    keep = (draws.reshape(a.shape) >= rate).astype(a.data.dtype)
     mask = keep / _DTYPE(1.0 - rate)
     return _emit(a.tape, a.data * mask, (a.nid,), lambda g: (g * mask,))
 
@@ -379,26 +394,34 @@ def reshape(x: Tensor, shape) -> Tensor:
 # normalisation
 
 
+def _normalise(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """float64 (xhat, 1/std) of each row of `x`."""
+    xd = _f64(x)
+    xc = xd - xd.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    return xc * inv, inv
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-row normalisation, then gain and bias.  The backward pass
+    recomputes the float64 normalised rows from the stored input, which is
+    half their size."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if x.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
         raise ValueError("layer_norm expects [n, c] input with [c] gain/bias")
     tape = _tape_of(x, gain, bias)
-    xd = _f64(x.data)
-    mu = xd.mean(axis=1, keepdims=True)
-    xc = xd - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
-    xhat = xc * inv
+    xhat, _ = _normalise(x.data, eps)
     out = xhat * _f64(gain.data) + _f64(bias.data)
     if tape is None:
         return _emit(None, out)
     px = x.nid if x.tape is not None else None
     pg = gain.nid if gain.tape is not None else None
     pb = bias.nid if bias.tape is not None else None
-    gd = _f64(gain.data)
+    xd, gd = x.data, _f64(gain.data)
 
     def bwd(g):
         g64 = _f64(g)
+        xhat, inv = _normalise(xd, eps)
         res = []
         if px is not None:
             dxhat = g64 * gd
@@ -432,22 +455,38 @@ def softmax(x: Tensor, tau: float = 1.0, axis: int = -1) -> Tensor:
     return _emit(x.tape, s, (x.nid,), bwd)
 
 
+def _segments(t: int, lengths: Optional[Sequence[int]]) -> list[tuple[int, int]]:
+    """Row ranges [start, stop) of the consecutive segments of `lengths` rows,
+    which must cover all `t` rows; None is one segment."""
+    if lengths is None:
+        return [(0, t)]
+    if min(lengths, default=0) < 1 or sum(lengths) != t:
+        raise ValueError(f"segment lengths must be ints >= 1 summing to {t} rows, "
+                         f"got {list(lengths)}")
+    stops = np.cumsum(lengths).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
 def _heads(qkv: np.ndarray, heads: int) -> np.ndarray:
     """[T, 3d] -> float64 [3, H, T, d/H]: the query, key and value heads."""
     t = qkv.shape[0]
     return _f64(qkv).reshape(t, 3, heads, -1).transpose(1, 2, 0, 3)
 
 
-def attention(qkv: Tensor, heads: int, causal: bool) -> Tensor:
+def attention(qkv: Tensor, heads: int, causal: bool,
+              lengths: Optional[Sequence[int]] = None) -> Tensor:
     """Multi-head scaled dot-product self-attention as one op: [T, 3d] -> [T, d].
 
     The columns of `qkv` hold query heads 0..H-1, then the key heads, then
     the value heads, each d/H wide; the output holds the heads side by side
-    in the same order.  With `causal`, row t attends to rows <= t only: the
-    scores above the diagonal are set to LOG_ZERO before the softmax.  Runs
-    in float64 over [H, T, T].  The backward pass reads the saved attention
-    probabilities, in which masked scores are exact zeros, and recomputes
-    q, k and v from the op's input.
+    in the same order.  `lengths` splits the rows into consecutive segments
+    (the utterances of a packed batch; None is one segment) and a row
+    attends only to rows of its own segment.  With `causal`, row t attends
+    to rows <= t only: the scores above the diagonal are set to LOG_ZERO
+    before the softmax.  Runs in float64 over each segment's own [H, t, t]
+    block, so a packed batch never holds scores across segments.  The
+    backward pass reads the saved attention probabilities, in which masked
+    scores are exact zeros, and recomputes q, k and v from the op's input.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or heads < 1 or qkv.shape[1] % (3 * heads):
@@ -455,31 +494,66 @@ def attention(qkv: Tensor, heads: int, causal: bool) -> Tensor:
                          f"got {qkv.shape}")
     t, width = qkv.shape[0], qkv.shape[1] // 3
     scale = 1.0 / np.sqrt(width // heads)
-    q, k, v = _heads(qkv.data, heads)
-    p = (q @ k.transpose(0, 2, 1)) * scale
+    segs = _segments(t, lengths)
+    saved = qkv.data
+    q, k, v = _heads(saved, heads)
     if causal:
-        p[:, np.triu(np.ones((t, t), dtype=bool), 1)] = LOG_ZERO
-    p -= p.max(axis=2, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=2, keepdims=True)
-    out = (p @ v).transpose(1, 0, 2).reshape(t, width)
+        longest = t if lengths is None else max(lengths)
+        above = np.triu(np.ones((longest, longest), dtype=bool), 1)
+    blocks = [(q, k, v)] if lengths is None else [
+        (q[:, a:b], k[:, a:b], v[:, a:b]) for a, b in segs]
+    outs, probs = [], []
+    for qs, ks, vs in blocks:
+        p = qs @ ks.transpose(0, 2, 1)
+        p *= scale
+        if causal:
+            n = p.shape[1]
+            p[:, above[:n, :n]] = LOG_ZERO
+        p -= p.max(axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=2, keepdims=True)
+        outs.append((p @ vs).transpose(1, 0, 2))
+        probs.append(p)
+    out = (outs[0] if len(outs) == 1 else np.concatenate(outs)).reshape(t, width)
     if qkv.tape is None:
         return _emit(None, out)
-    saved = qkv.data
 
     def bwd(g):
         q, k, v = _heads(saved, heads)
         go = _f64(g).reshape(t, heads, -1).transpose(1, 0, 2)
-        gp = go @ v.transpose(0, 2, 1)
-        gs = p * (gp - (gp * p).sum(axis=2, keepdims=True)) * scale
-        grads = np.stack((gs @ k, gs.transpose(0, 2, 1) @ q, p.transpose(0, 2, 1) @ go))
-        return (grads.transpose(2, 0, 1, 3).reshape(t, 3 * width).astype(g.dtype),)
+        grad = np.empty((t, 3, heads, width // heads))
+        for (a, b), p in zip(segs, probs):
+            gp = go[:, a:b] @ v[:, a:b].transpose(0, 2, 1)
+            gs = p * (gp - (gp * p).sum(axis=2, keepdims=True)) * scale
+            grad[a:b, 0] = (gs @ k[:, a:b]).transpose(1, 0, 2)
+            grad[a:b, 1] = (gs.transpose(0, 2, 1) @ q[:, a:b]).transpose(1, 0, 2)
+            grad[a:b, 2] = (p.transpose(0, 2, 1) @ go[:, a:b]).transpose(1, 0, 2)
+        return (grad.reshape(t, 3 * width).astype(g.dtype),)
 
     return _emit(qkv.tape, out, (qkv.nid,), bwd)
 
 
 # ---------------------------------------------------------------------------
 # losses / reductions
+
+
+def mean(parts: Sequence[Tensor]) -> Tensor:
+    """Mean of one-element tensors as one op, e.g. a batch's per-utterance losses."""
+    parts = [as_tensor(p) for p in parts]
+    if not parts or any(p.size != 1 for p in parts):
+        raise ValueError("mean needs at least one one-element tensor")
+    tape = _tape_of(*parts)
+    n = len(parts)
+    out = sum(float(p.data.reshape(())) for p in parts) / n
+    if tape is None:
+        return _emit(None, out)
+    shapes = [p.shape for p in parts if p.tape is not None]
+
+    def bwd(g):
+        share = g / g.dtype.type(n)
+        return tuple(share.reshape(shape) for shape in shapes)
+
+    return _emit(tape, out, tuple(p.nid for p in parts if p.tape is not None), bwd)
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:

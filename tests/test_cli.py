@@ -151,6 +151,11 @@ BAD_CONFIGS = {
                                      "--out", str(d / "data")],
     "splits-seed-text": lambda t, d: ["adapt", "--mode", "lego", "--encoder", t["enc"],
                                       "--spec", _splits(d, seed="1"), "--out", str(d / "s.ckpt")],
+    # one utterance's encoder rows and text exceed the decoder's max_len
+    "adapt-too-long": lambda t, d: ["adapt", "--mode", "lego", "--encoder", t["enc"],
+                                    "--spec", t["spec"], "--out", str(d / "s.ckpt"),
+                                    "--config", _write(d, "adapt.json", dict(
+                                        TRAIN, decoder=dict(DECODER, max_len=6)))],
     # decode-eval builds only the test split, yet a bad dev size is still an error
     "splits-unbuilt-dev-0": lambda t, d: ["decode-eval", "--encoder", t["enc"],
                                           "--spec", _splits(d, dev=0)],
@@ -172,6 +177,19 @@ def test_bad_config_values_exit_2(tiny, capsys, tmp_path, case):
     code, out, err = run(capsys, BAD_CONFIGS[case](tiny, tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["decode-eval", "swap", "sweep-tau"])
+def test_utterances_too_long_for_the_decoder_exit_2(tiny, capsys, tmp_path, command):
+    # 70+ tokens of 8+ frames: about 150 encoder rows and 70 text rows, over
+    # the decoder's 192; decoding them would score every token as deleted
+    spec = _write(tmp_path, "long.json", dict(TASK, length_range=[70, 74],
+                                              duration_range=[8, 9]))
+    code, out, err = run(capsys, [command, "--encoder", tiny["enc"], "--decoder", tiny["sys"],
+                                  "--spec", spec, "--limit", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: utterance ") and err.count("\n") == 1
+    assert "decoder rows" in err and "max_len 192" in err
 
 
 # ---------------------------------------------------------------------------

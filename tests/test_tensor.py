@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,36 @@ class TestBackward:
             tape = tt.GradTape()
             tape.backward(reduce_sum(tape.watch(p)))
         np.testing.assert_allclose(p.grad, [3.0])
+
+    def test_backward_frees_gradients_as_it_goes(self):
+        # each relu hands its gradient on and drops it, so the pass holds a
+        # couple of [64, 64] gradients at a time, not one per op
+        def peak(ops: int) -> int:
+            tape = tt.GradTape()
+            x = tape.watch(tt.Parameter(np.ones((64, 64))))
+            for _ in range(ops):
+                x = tt.relu(x)
+            loss = reduce_sum(x)
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) < 2 * peak(40)
+
+    def test_mean_of_scalars(self):
+        ps = [tt.Parameter(np.array(v)) for v in (1.0, 2.0, 6.0)]
+        tape = tt.GradTape()
+        loss = tt.mean([tape.watch(p) for p in ps])
+        assert loss.item() == 3.0
+        tape.backward(loss)
+        np.testing.assert_allclose([p.grad for p in ps], [1 / 3] * 3, rtol=1e-7)
+        with pytest.raises(ValueError):
+            tt.mean([])
+        with pytest.raises(ValueError):
+            tt.mean([tt.Tensor(np.ones(2))])
 
     def test_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(7)
