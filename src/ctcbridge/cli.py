@@ -403,12 +403,20 @@ def _check_fits(sys_: DecoderSystem, vocab: Vocabulary, dataset: Sequence[Uttera
         raise ConfigError(str(e)) from e
 
 
-def eval_connected(sys_: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
-                   dataset: Sequence[Utterance], beam: int, max_new: int):
+def connected_inputs(sys_: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
+                     dataset: Sequence[Utterance], beam: int) -> Optional[dict[str, NBestList]]:
+    """The n-best lists an aec system reads (None for the other modes),
+    after checking that every utterance fits the decoder."""
     cache = None
     if sys_.connection.reads == "nbest":
         cache = build_aec_cache(enc, dataset, beam=max(beam, sys_.aec_n), n=sys_.aec_n)
     _check_fits(sys_, vocab, dataset, cache)
+    return cache
+
+
+def eval_connected(sys_: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
+                   dataset: Sequence[Utterance], beam: int, max_new: int):
+    cache = connected_inputs(sys_, enc, vocab, dataset, beam)
     return evaluate_system(sys_, enc, vocab, dataset, max_new=max_new, aec_cache=cache)
 
 
@@ -598,10 +606,13 @@ def _tau_grid(text: Optional[str], conn: ConnectorConfig) -> list[ConnectorConfi
 def cmd_sweep_tau(args) -> int:
     enc, enc_vocab, dataset = _eval_inputs(args)
     sys_, dec_vocab = _load_decoder(args, enc, enc_vocab)
+    grid = _tau_grid(args.grid, sys_.conn)
+    # neither the encoder nor the beam changes along the grid
+    cache = connected_inputs(sys_, enc, dec_vocab, dataset, args.beam)
     lines = ["tau,wer,sub,del,ins,n_ref"]
-    for conn in _tau_grid(args.grid, sys_.conn):
+    for conn in grid:
         sys_.conn = conn
-        r = eval_connected(sys_, enc, dec_vocab, dataset, args.beam, args.max_new)
+        r = evaluate_system(sys_, enc, dec_vocab, dataset, max_new=args.max_new, aec_cache=cache)
         lines.append(f"{conn.tau:g},{r.wer:.6f},{r.substitutions},{r.deletions},"
                      f"{r.insertions},{r.n_ref}")
     csv = "\n".join(lines) + "\n"

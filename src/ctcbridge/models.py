@@ -15,7 +15,14 @@ with a table of their lengths, so a batch is one pass of each op.  Row-wise
 ops need no table; attention and dropout take it, and each utterance is its
 own sequence (its own conv padding, attention block and positions), so a
 packed pass gives each utterance what a pass of it alone would give.  One
-array or one token sequence is a batch of one, the form inference uses.
+array or one token sequence is a batch of one.
+
+Greedy generation is batched and cached: `generate` decodes a batch of
+utterances in one call.  Packed passes over their [speech; prompt]
+sequences fill a `KVCache` with every block's keys and values and give
+each utterance's first token; then every further token is one decoder
+step that feeds only the utterance's newest row, which attends over its
+cached rows.  `evaluate_system` decodes a whole dataset in one call.
 
 One step loop, `_train`, with two front ends: `train_encoder_ctc`
 CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
@@ -126,13 +133,14 @@ def _w(params: dict[str, tt.Parameter], name: str, tape) -> tt.Tensor:
 
 def _mix_block(x: tt.Tensor, params, prefix: str, tape, causal: bool,
                drop_rate: float, drop_rng, heads: int = 1,
-               lengths: Optional[Sequence[int]] = None) -> tt.Tensor:
+               lengths: Optional[Sequence[int]] = None, kv=None) -> tt.Tensor:
     """One pre-LN block over the rows of `x`; with `lengths`, a packed batch of
     segments that attend within themselves and draw dropout from their own
-    rng in `drop_rng`."""
+    rng in `drop_rng`.  `kv` is the block's slot of a K/V cache (see
+    `tt.attention`)."""
     h = tt.layer_norm(x, _w(params, f"{prefix}.ln1g", tape), _w(params, f"{prefix}.ln1b", tape))
     qkv = tt.matmul(h, _w(params, f"{prefix}.wqkv", tape))
-    o = tt.matmul(tt.attention(qkv, heads, causal, lengths), _w(params, f"{prefix}.wo", tape))
+    o = tt.matmul(tt.attention(qkv, heads, causal, lengths, kv), _w(params, f"{prefix}.wo", tape))
     if drop_rate > 0:
         o = tt.dropout(o, drop_rate, drop_rng, lengths)
     x = tt.add(x, o)
@@ -277,7 +285,8 @@ class DecoderLM:
 
     def forward(self, speech: Optional[tt.Tensor], text_ids, tape=None,
                 drop_rate: float = 0.0, drop_rng=None,
-                speech_lens: Optional[Sequence[int]] = None) -> tt.Tensor:
+                speech_lens: Optional[Sequence[int]] = None,
+                cache: Optional[KVCache] = None) -> tt.Tensor:
         """Next-token logits over V for every text position.
 
         `speech` is a [S, d] prefix (already in embedding space) visible to
@@ -291,6 +300,12 @@ class DecoderLM:
         each, and `drop_rng` as one rng per utterance.  Each utterance is its
         own sequence, with positions from 0, and the logits of its text rows
         follow those of the utterance before.
+
+        With a `cache` (untaped only), sequence b continues the rows the
+        cache holds for it: its positions start after them, it attends to
+        them too, and its keys and values are added to the cache.  The first
+        call on an empty cache is a packed pass as above; a later one feeds
+        one token per sequence and no speech.
         """
         batched = len(text_ids) > 0 and not np.isscalar(text_ids[0])
         seqs = [np.asarray(t, dtype=np.intp) for t in (text_ids if batched else [text_ids])]
@@ -302,38 +317,46 @@ class DecoderLM:
                 raise ValueError("speech_lens must give each sequence's prefix rows")
         else:
             s_lens = [speech.shape[0]]
-        for s, ids in zip(s_lens, seqs):
-            if ids.size == 0:
-                raise ValueError("text must be non-empty")
-            if ids[0] != self.vocab.bos_id:
-                raise ValueError("text must begin with <bos>")
-            if ids.max() >= self.cfg.vocab or ids.min() < 0:
-                raise ValueError("text id outside [0, V)")
-            if s + ids.size > self.cfg.max_len:
-                raise ValueError(f"sequence length {s + ids.size} exceeds max_len "
-                                 f"{self.cfg.max_len}")
+        t_lens = np.array([ids.size for ids in seqs], dtype=np.intp)
+        starts = np.zeros_like(t_lens) if cache is None else cache.filled
+        ids = seqs[0] if len(seqs) == 1 else np.concatenate(seqs)
+        if t_lens.min() == 0:
+            raise ValueError("text must be non-empty")
+        if np.any((starts == 0) & (ids[np.cumsum(t_lens) - t_lens] != self.vocab.bos_id)):
+            raise ValueError("text must begin with <bos>")
+        if ids.max() >= self.cfg.vocab or ids.min() < 0:
+            raise ValueError("text id outside [0, V)")
+        total = int((starts + s_lens + t_lens).max())
+        if total > self.cfg.max_len:
+            raise ValueError(f"sequence length {total} exceeds max_len {self.cfg.max_len}")
+        if cache is not None and total > cache.rows:
+            raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
 
         emb = self.embedding(tape)
-        seq = tt.gather_rows(emb, seqs[0] if len(seqs) == 1 else np.concatenate(seqs))
+        seq = tt.gather_rows(emb, ids)
         if speech is not None:
             seq = tt.concat_rows([speech, seq])
         pos = _w(self.params, "pos", tape)
-        if batched:
-            order, positions, text_rows = _packed_rows(s_lens, [ids.size for ids in seqs])
+        packed = batched or cache is not None
+        if packed:
+            order, positions, text_rows = _packed_rows(s_lens, t_lens, starts)
             if speech is not None:
                 seq = tt.gather_rows(seq, order)
             x = tt.add(seq, tt.gather_rows(pos, positions))
         else:
-            x = tt.add(seq, tt.slice_rows(pos, 0, s_lens[0] + seqs[0].size))
-        lengths = [s + ids.size for s, ids in zip(s_lens, seqs)] if batched else None
+            x = tt.add(seq, tt.slice_rows(pos, 0, s_lens[0] + ids.size))
+        lengths = (np.asarray(s_lens) + t_lens).tolist() if packed else None
         for i in range(self.cfg.blocks):
             x = _mix_block(x, self.params, f"blk{i}", tape, causal=True, drop_rate=drop_rate,
-                           drop_rng=drop_rng, heads=self.cfg.heads, lengths=lengths)
+                           drop_rng=drop_rng, heads=self.cfg.heads, lengths=lengths,
+                           kv=None if cache is None else (*cache.blocks[i], cache.filled))
+        if cache is not None:
+            cache.filled += lengths
         h = tt.layer_norm(x, _w(self.params, "lnfg", tape), _w(self.params, "lnfb", tape))
-        if batched:
+        if packed:
             h_text = tt.gather_rows(h, text_rows)
         else:
-            h_text = tt.slice_rows(h, s_lens[0], s_lens[0] + seqs[0].size)
+            h_text = tt.slice_rows(h, s_lens[0], s_lens[0] + ids.size)
         if self.cfg.tie_output:
             out_w = tt.transpose(tt.slice_rows(emb, 0, self.cfg.vocab))
         else:
@@ -341,19 +364,56 @@ class DecoderLM:
         return tt.matmul(h_text, out_w)
 
 
-def _packed_rows(s_lens: Sequence[int], t_lens: Sequence[int]):
+class KVCache:
+    """The keys and values of every row a batch of B decoder sequences has
+    fed, for untaped generation (the per-layer cache of Pope et al., 2022,
+    "Efficiently Scaling Transformer Inference"): per block, [B, H, rows,
+    d/H] key and value arrays in the storage dtype, which holds `qkv`
+    exactly, and each sequence's filled length."""
+
+    def __init__(self, cfg: DecoderConfig, batch: int, rows: int):
+        shape = (batch, cfg.heads, rows, cfg.dim // cfg.heads)
+        self.blocks = [(np.zeros(shape, tt._DTYPE), np.zeros(shape, tt._DTYPE))
+                       for _ in range(cfg.blocks)]
+        self.filled = np.zeros(batch, dtype=np.intp)
+        self.rows = rows
+
+    def part(self, start: int, stop: int) -> KVCache:
+        """Sequences [start, stop) as a cache of their own, over views of
+        this one's arrays: what a forward call adds there is added here."""
+        part = object.__new__(KVCache)
+        part.blocks = [(k[start:stop], v[start:stop]) for k, v in self.blocks]
+        part.filled, part.rows = self.filled[start:stop], self.rows
+        return part
+
+    def load(self, seq: int, src: KVCache, src_seq: int) -> None:
+        """Replace sequence `seq` with a copy of sequence `src_seq` of `src`."""
+        n = src.filled[src_seq]
+        for (k, v), (src_k, src_v) in zip(self.blocks, src.blocks):
+            k[seq, :, :n] = src_k[src_seq, :, :n]
+            v[seq, :, :n] = src_v[src_seq, :, :n]
+        self.filled[seq] = n
+
+    def keep(self, index: np.ndarray) -> None:
+        """Keep only the sequences at `index`, in that order."""
+        self.blocks = [(k[index], v[index]) for k, v in self.blocks]
+        self.filled = self.filled[index]
+
+
+def _packed_rows(s_lens: Sequence[int], t_lens: Sequence[int], starts: Sequence[int]):
     """Index arrays of a packed decoder batch, whose rows are [speech_i;
     text_i] in turn: the row of [all speech; all text] that each packed row
-    reads, each row's position, and the packed rows of the text."""
-    s_starts = np.cumsum([0] + list(s_lens))
-    t_starts = np.cumsum([0] + list(t_lens)) + s_starts[-1]
-    order, positions, text_rows, row = [], [], [], 0
-    for s_start, s, t_start, t in zip(s_starts, s_lens, t_starts, t_lens):
-        order += [np.arange(s_start, s_start + s), np.arange(t_start, t_start + t)]
-        positions.append(np.arange(s + t))
-        text_rows.append(np.arange(row + s, row + s + t))
-        row += s + t
-    return np.concatenate(order), np.concatenate(positions), np.concatenate(text_rows)
+    reads, each row's position (sequence i's from starts[i]), and the packed
+    rows of the text."""
+    s_lens, t_lens = np.asarray(s_lens, dtype=np.intp), np.asarray(t_lens, dtype=np.intp)
+    lens = s_lens + t_lens
+    seq = np.repeat(np.arange(lens.size), lens)
+    offset = np.arange(lens.sum()) - (np.cumsum(lens) - lens)[seq]  # row within its sequence
+    speech_row = (np.cumsum(s_lens) - s_lens)[seq] + offset
+    text_row = s_lens.sum() + (np.cumsum(t_lens) - t_lens - s_lens)[seq] + offset
+    is_text = offset >= s_lens[seq]
+    return (np.where(is_text, text_row, speech_row), np.asarray(starts)[seq] + offset,
+            np.flatnonzero(is_text))
 
 
 def sp_project(hidden: tt.Tensor, proj: tt.Tensor) -> tt.Tensor:
@@ -579,23 +639,100 @@ def check_fits(sys: DecoderSystem, vocab: Vocabulary, dataset: Sequence[Utteranc
 # generation
 
 
-def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: list[int],
-             max_new: int = 48) -> TokenSeq:
-    """Greedy autoregressive decode until <eos> or `max_new` generated tokens."""
+# utterances per prefill pass, which bounds the pass's float64 temporaries:
+# about 1.3 MB for 16 bench utterances, against 3.7 MB for 48 in one pass
+_PREFILL_BATCH = 16
+# utterances one decoder step feeds at most.  A step costs nearly the same
+# for 1 row as for 48 (its cost is per-op overhead), so a wider step
+# decodes a batch faster, but its time then follows how long the longest
+# utterance runs rather than the tokens the batch emits: at 48 rows a batch
+# costs `max_new` steps whether one utterance runs that long or all do.
+# One row per step keeps a decode's time in proportion to its tokens.
+_STEP_ROWS = 1
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt, max_new: int = 48,
+             speech_lens: Optional[Sequence[int]] = None):
+    """Greedy autoregressive decode until <eos> or `max_new` generated
+    tokens, or fewer where the decoder's max_len comes first.
+
+    `prompt` is one token list, giving one tuple, or a packed batch in
+    `DecoderLM.forward`'s form (a list of prompts, their speech prefixes
+    stacked with `speech_lens` rows each), giving one tuple per utterance.
+    Packed passes over the [speech; prompt] sequences of up to
+    `_PREFILL_BATCH` utterances fill a K/V cache and give each utterance's
+    first token.  Then each step feeds the newest token of up to
+    `_STEP_ROWS` utterances, in order, as one row each of one cached pass;
+    an utterance leaves at <eos> or its budget and the next waiting one
+    takes its place with a copy of its cached rows.
+    numpy's floating-point warnings are off: the check on each step's
+    logits reports a non-finite value instead.
+    """
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
     dec = sys.decoder
-    eos = dec.vocab.eos_id
-    s = 0 if speech is None else speech.shape[0]
-    budget = min(max_new, dec.cfg.max_len - s - len(prompt))
-    ids = list(prompt)
-    for _ in range(budget):
-        logits = tt._finite(dec.forward(speech, ids).data[-1], "the next-token logits")
-        nxt = int(np.argmax(logits))
-        if nxt == eos:
-            break
-        ids.append(nxt)
-    return tuple(ids[len(prompt):])
+    batched = len(prompt) > 0 and not np.isscalar(prompt[0])
+    prompts = [list(p) for p in (prompt if batched else [prompt])]
+    if speech is None:
+        s_lens = [0] * len(prompts)
+    elif batched:
+        s_lens = list(speech_lens or ())
+        if len(s_lens) != len(prompts) or sum(s_lens) != speech.shape[0]:
+            raise ValueError("speech_lens must give each prompt's prefix rows")
+    else:
+        s_lens = [speech.shape[0]]
+    budgets = np.array([min(max_new, dec.cfg.max_len - s - len(p))
+                        for s, p in zip(s_lens, prompts)], dtype=np.intp)
+    tokens = np.zeros((len(prompts), max(budgets.max(), 0)), dtype=np.intp)
+    n_out = np.zeros(len(prompts), dtype=np.intp)
+    live = np.flatnonzero(budgets > 0)
+    if live.size:
+        prefixes = [s_lens[b] + len(prompts[b]) for b in live]
+        prefilled = KVCache(dec.cfg, live.size, max(prefixes))
+        s_starts = np.cumsum([0] + s_lens)
+        rows = []
+        for lo in range(0, live.size, _PREFILL_BATCH):
+            part = live[lo:lo + _PREFILL_BATCH]
+            part_speech = None if speech is None else tt.gather_rows(speech, np.concatenate(
+                [np.arange(s_starts[b], s_starts[b + 1]) for b in part]))
+            logits = dec.forward(part_speech, [prompts[b] for b in part],
+                                 cache=prefilled.part(lo, lo + part.size),
+                                 speech_lens=None if speech is None else [s_lens[b] for b in part])
+            rows.append(logits.data[np.cumsum([len(prompts[b]) for b in part]) - 1])
+        last = np.argmax(tt._finite(np.concatenate(rows), "the next-token logits"), axis=1)
+        going = last != dec.vocab.eos_id
+        tokens[live[going], 0] = last[going]
+        n_out[live[going]] = 1
+        # positions in `live` of the utterances that go on, in order
+        waiting = np.flatnonzero(going & (budgets[live] > 1))
+        slots = waiting[:_STEP_ROWS].copy()  # the position each step row decodes
+        if slots.size:
+            # the last token is never fed back
+            cache = KVCache(dec.cfg, slots.size, max(prefixes[i] + budgets[live[i]] - 1
+                                                     for i in waiting))
+            for j, i in enumerate(slots):
+                cache.load(j, prefilled, i)
+            queued = slots.size
+        while slots.size:
+            rows = dec.forward(None, last[slots, None], cache=cache).data
+            nxt = np.argmax(tt._finite(rows, "the next-token logits"), axis=1)
+            last[slots] = nxt
+            b = live[slots]
+            going = nxt != dec.vocab.eos_id
+            tokens[b[going], n_out[b[going]]] = nxt[going]
+            n_out[b[going]] += 1
+            going &= n_out[b] < budgets[b]
+            for j in np.flatnonzero(~going)[:waiting.size - queued]:
+                slots[j] = waiting[queued]
+                cache.load(j, prefilled, slots[j])
+                going[j] = True
+                queued += 1
+            if not going.all():
+                slots = slots[going]
+                cache.keep(np.flatnonzero(going))
+    hyps = [tuple(row[:n].tolist()) for row, n in zip(tokens, n_out)]
+    return hyps if batched else hyps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -859,20 +996,16 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
 # evaluation
 
 
-def decode_utterance(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
-                     utt: Utterance, max_new: int = 48,
-                     nbest: Optional[NBestList] = None) -> TokenSeq:
-    speech = conditioning(sys, enc, utt.frames, tape=None, at_inference=True)
-    prompt = prompt_ids(sys, vocab, nbest)
-    return generate(sys, speech, prompt, max_new=max_new)
-
-
 def evaluate_system(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
                     dataset: Sequence[Utterance], max_new: int = 48,
                     aec_cache: Optional[dict[str, NBestList]] = None) -> WerReport:
-    refs, hyps = [], []
-    for utt in dataset:
-        nb = aec_cache.get(utt.id) if aec_cache is not None else None
-        hyps.append(decode_utterance(sys, enc, vocab, utt, max_new=max_new, nbest=nb))
-        refs.append(utt.target)
-    return corpus_wer(refs, hyps)
+    """Corpus WER of the system's greedy transcripts: one packed encoder and
+    prefix pass over the dataset, then one batched `generate`."""
+    frames = [utt.frames for utt in dataset]
+    speech = conditioning(sys, enc, frames)
+    prompts = [prompt_ids(sys, vocab, aec_cache.get(utt.id) if aec_cache is not None else None)
+               for utt in dataset]
+    hyps = generate(sys, speech, prompts, max_new=max_new,
+                    speech_lens=None if speech is None else [enc.out_len(f.shape[0])
+                                                             for f in frames])
+    return corpus_wer([utt.target for utt in dataset], hyps)

@@ -21,10 +21,11 @@ names the op kind and tape node of the first non-finite one: a training
 loop replays a failed step on such a tape to localise it.
 
 Ops are pure -- inputs are never mutated -- so untaped tensors are safe to
-share across threads.  A `GradTape` and the `Parameter`s watched on it are
-confined to a single training thread: run the forward pass with taped
-inputs, call `tape.backward(loss)` once, and gradients accumulate into
-`Parameter.grad`.
+share across threads; the one thing an op writes is the K/V cache of an
+`attention` call that continues a caller's decode.  A `GradTape` and the
+`Parameter`s watched on it are confined to a single training thread: run
+the forward pass with taped inputs, call `tape.backward(loss)` once, and
+gradients accumulate into `Parameter.grad`.
 """
 
 from __future__ import annotations
@@ -474,7 +475,7 @@ def _heads(qkv: np.ndarray, heads: int) -> np.ndarray:
 
 
 def attention(qkv: Tensor, heads: int, causal: bool,
-              lengths: Optional[Sequence[int]] = None) -> Tensor:
+              lengths: Optional[Sequence[int]] = None, cache=None) -> Tensor:
     """Multi-head scaled dot-product self-attention as one op: [T, 3d] -> [T, d].
 
     The columns of `qkv` hold query heads 0..H-1, then the key heads, then
@@ -487,6 +488,15 @@ def attention(qkv: Tensor, heads: int, causal: bool,
     block, so a packed batch never holds scores across segments.  The
     backward pass reads the saved attention probabilities, in which masked
     scores are exact zeros, and recomputes q, k and v from the op's input.
+
+    `cache` continues B causal sequences, untaped: a `(k, v, filled)`
+    triple of [B, H, L, d/H] key and value arrays and the number of rows
+    each sequence has already fed.  Segment b's keys and values go to
+    sequence b's cache rows from filled[b] on, and its rows also attend to
+    the cached rows before them.  While nothing is filled, the scores are
+    the packed ones above; after that each segment must be one row, and
+    all B rows are scored as one padded [B, H, 1, L] block whose columns
+    past a sequence's own rows are LOG_ZERO.  The caller advances `filled`.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or heads < 1 or qkv.shape[1] % (3 * heads):
@@ -496,6 +506,15 @@ def attention(qkv: Tensor, heads: int, causal: bool,
     scale = 1.0 / np.sqrt(width // heads)
     segs = _segments(t, lengths)
     saved = qkv.data
+    if cache is not None:
+        if qkv.tape is not None or not causal:
+            raise ValueError("a K/V cache continues untaped causal attention only")
+        stepping = cache[2].any()
+        if stepping and t != len(segs):
+            raise ValueError("a K/V cache that holds rows takes one new row per sequence")
+        _write_cache(saved, heads, cache, [b - a for a, b in segs])
+        if stepping:
+            return _emit(None, _cached_step(saved, heads, scale, cache))
     q, k, v = _heads(saved, heads)
     if causal:
         longest = t if lengths is None else max(lengths)
@@ -531,6 +550,35 @@ def attention(qkv: Tensor, heads: int, causal: bool,
         return (grad.reshape(t, 3 * width).astype(g.dtype),)
 
     return _emit(qkv.tape, out, (qkv.nid,), bwd)
+
+
+def _write_cache(qkv: np.ndarray, heads: int, cache, lengths: list[int]) -> None:
+    """Store the keys and values of `qkv`'s segments after each sequence's
+    filled rows of `cache`."""
+    k, v, filled = cache
+    if len(lengths) != k.shape[0]:
+        raise ValueError(f"the cache holds {k.shape[0]} sequences, got {len(lengths)} segments")
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    row = filled[seq] + np.arange(qkv.shape[0]) - (np.cumsum(lengths) - lengths)[seq]
+    parts = qkv.reshape(qkv.shape[0], 3, heads, -1)
+    k[seq, :, row] = parts[:, 1]
+    v[seq, :, row] = parts[:, 2]
+
+
+def _cached_step(qkv: np.ndarray, heads: int, scale: float, cache) -> np.ndarray:
+    """Attention of one new row per sequence over its cached rows, itself
+    included, in float64: [B, 3d] -> [B, d]."""
+    k, v, filled = cache
+    b, width = qkv.shape[0], qkv.shape[1] // 3
+    n = int(filled.max()) + 1  # no sequence reads a column past this
+    q = _f64(qkv[:, :width]).reshape(b, heads, 1, -1)
+    p = q @ _f64(k[:, :, :n]).transpose(0, 1, 3, 2)
+    p *= scale
+    p[np.broadcast_to((np.arange(n) > filled[:, None])[:, None, None, :], p.shape)] = LOG_ZERO
+    p -= p.max(axis=3, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=3, keepdims=True)
+    return (p @ _f64(v[:, :, :n])).reshape(b, width)
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,38 @@ def test_swap_and_sweep_tau_on_lego(tiny, systems, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "2"]
 
 
+def test_sweep_tau_builds_aec_lists_once(tiny, systems, capsys, monkeypatch):
+    calls = []
+    real = cli.beam_search
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "beam_search", counted)
+    code, out, _ = run(capsys, ["sweep-tau", "--encoder", tiny["enc"], "--decoder",
+                                systems["aec"], "--spec", tiny["spec"], "--max-new", "4"])
+    assert code == 0
+    assert len(out.splitlines()) == 1 + len(cli.DEFAULT_TAU_GRID)
+    assert len(calls) == TASK["splits"]["test"]
+
+
+@pytest.mark.parametrize("command", ["decode-eval", "swap", "sweep-tau"])
+def test_overflowing_decoder_exits_1_naming_the_logits(tiny, capsys, tmp_path, command):
+    # finite weights whose final layer norm overflows float32 in every pass
+    tensors, meta = load_checkpoint(tiny["sys"])
+    tensors["dec/lnfg"] = tensors["dec/lnfg"] * np.float32(3e38)
+    bad = tmp_path / "overflow.ckpt"
+    save_checkpoint(bad, tensors, meta)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [command, "--encoder", tiny["enc"], "--decoder", str(bad),
+                                      "--spec", tiny["spec"]])
+    assert (code, out) == (1, "")
+    assert err == "error: non-finite values in the next-token logits\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def _per_head_layout(tensors, meta):
     """Cut each fused attention pair of `tensors`, in place, into the per-head
     tensors `{enc,dec}/blk{i}.h{j}.{wq,wk,wv,wo}` of older checkpoints."""
@@ -343,14 +375,14 @@ def _aec_config(tmp_path, **extra):
 
 
 def _bad_line_cache(tmp_path, caches):
-    lines = open(caches[1]).read().splitlines()
+    lines = Path(caches[1]).read_text().splitlines()
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join([lines[0], "{not json}", *lines[1:]]) + "\n")
     return ["--nbest-cache", str(path), *caches[2:]], f"{path}:2: malformed n-best line"
 
 
 def _bad_token_cache(tmp_path, caches):
-    lines = open(caches[1]).read().splitlines()
+    lines = Path(caches[1]).read_text().splitlines()
     row = json.loads(lines[-1])
     row["hyps"][0]["tokens"] = [TASK["vocab_size"]]
     path = tmp_path / "bad.jsonl"

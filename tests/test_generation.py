@@ -1,0 +1,226 @@
+"""Batched greedy generation with a K/V cache against the one-utterance,
+full-pass oracle in `generation_oracles`.
+
+Hypotheses must be token-identical to the oracle's.  A cached step's
+logits agree with the last row of a full decoder pass over the same
+sequence within 1e-5 of the largest logit magnitude in float32 and 1e-10 in
+float64, bounds set from the dtypes: only float64 summation order differs.
+Measured over 60 random decoders of 1-4 heads, 20 steps each: the float32
+logits were bit-identical, the float64 ones within 1.6e-15.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import generation_oracles as oracle
+from ctcbridge import models as md
+from ctcbridge import tensor as tt
+from ctcbridge.cli import build_aec_cache, load_task
+from ctcbridge.connector import ConnectorConfig
+from ctcbridge.metrics import corpus_wer
+from ctcbridge.rng import CounterRng
+from ctcbridge.synthdata import build_vocabulary, prompt_token_id
+from tape_ops import precision
+
+TASK = {
+    "name": "gen", "vocab_size": 12, "feat_dim": 8,
+    "length_range": [3, 6], "duration_range": [4, 6],
+    "noise_sigma": 0.3, "confusion_prob": 0.1, "prototype_seed": 7,
+    "chain": {"seed": 11, "successors": 3, "weights": [0.5, 0.3, 0.2], "smoothing": 0.02},
+    "splits": {"train": 24, "dev": 8, "test": 10, "seed": 5},
+}
+MAX_NEW = 8
+
+
+def normals(seed, *shape):
+    return CounterRng(seed).normals(int(np.prod(shape))).reshape(shape)
+
+
+def decoder(vocab, seed=0, **kw):
+    cfg = dict(dict(dim=24, ffn=48, blocks=2, heads=2, max_len=96), **kw)
+    return md.DecoderLM(md.DecoderConfig(vocab=vocab.size, **cfg), vocab, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def task():
+    bundle = load_task(TASK)
+    return (bundle.spec.vocab, *bundle.splits())
+
+
+@pytest.fixture(scope="module")
+def systems(task):
+    """(encoder, {mode: (adapted system, its n-best lists or None)})."""
+    vocab, train, dev, test = task
+    enc = md.SpeechEncoder(md.EncoderConfig(feat_dim=8, out_slots=vocab.size + 1, width=24,
+                                            ffn=48, blocks=2), seed=0)
+    cfg = md.TrainConfig(steps=40, batch_size=4, lr=5e-3, warmup=4, eval_every=0, augment=None)
+    md.train_encoder_ctc(enc, train, dev, cfg, vocab.blank_id)
+    lists = build_aec_cache(enc, [*train, *dev, *test], beam=4, n=2)
+    out = {}
+    for mode, entry in md.CONNECTIONS.items():
+        # lego_star also reads a prompt token, so prompts of two lengths are covered
+        sysm = md.build_system(mode, enc, decoder(vocab), ConnectorConfig(
+            k=3 if entry.needs_k else None), seed=0, aec_n=2,
+            prompt_id=prompt_token_id(vocab) if mode == "lego_star" else None)
+        cache = lists if entry.reads == "nbest" else None
+        md.adapt_decoder(sysm, enc, vocab, train, dev, md.TrainConfig(
+            steps=30, batch_size=4, lr=5e-3, warmup=4, eval_every=0, augment=None),
+            aec_cache=cache)
+        out[mode] = (sysm, cache)
+    return enc, out
+
+
+def batch_inputs(sysm, enc, vocab, utts, cache):
+    """(stacked speech prefixes, prompts, speech_lens) of `utts`, as
+    `evaluate_system` builds them."""
+    frames = [u.frames for u in utts]
+    speech = md.conditioning(sysm, enc, frames)
+    prompts = [md.prompt_ids(sysm, vocab, cache[u.id] if cache else None) for u in utts]
+    lens = None if speech is None else [enc.out_len(f.shape[0]) for f in frames]
+    return speech, prompts, lens
+
+
+@pytest.fixture(params=[1, 3], ids=lambda w: f"width{w}")
+def step_rows(request, monkeypatch):
+    """`_STEP_ROWS` as shipped and wider, so refills of several rows and
+    the drain run too."""
+    monkeypatch.setattr(md, "_STEP_ROWS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("mode", tuple(md.CONNECTIONS))
+def test_every_mode_matches_the_oracle(task, systems, mode, step_rows):
+    vocab, _, dev, test = task
+    utts = [*dev, *test]  # more than one prefill pass holds
+    assert len(utts) > md._PREFILL_BATCH
+    enc, (sysm, cache) = systems[0], systems[1][mode]
+    want = [oracle.decode_utterance(sysm, enc, vocab, u, MAX_NEW, cache[u.id] if cache else None)
+            for u in utts]
+    assert any(want)
+    speech, prompts, lens = batch_inputs(sysm, enc, vocab, utts, cache)
+    assert md.generate(sysm, speech, prompts, MAX_NEW, lens) == want
+    one = md.generate(sysm, md.conditioning(sysm, enc, utts[0].frames), prompts[0], MAX_NEW)
+    assert one == want[0]
+    report = md.evaluate_system(sysm, enc, vocab, utts, MAX_NEW, aec_cache=cache)
+    assert report == corpus_wer([u.target for u in utts], want)
+
+
+def test_batch_mixing_eos_budget_and_max_len_stops(task, systems, step_rows):
+    """One utterance meets <eos> at step 0, one runs to its budget of
+    `max_new` tokens, and one's budget is cut short by max_len."""
+    vocab, _, _, test = task
+    enc, (sysm, _) = systems[0], systems[1]["lego"]
+    max_len, max_new = sysm.decoder.cfg.max_len, 2
+    prefixes = [md.conditioning(sysm, enc, u.frames) for u in test]
+    free = [oracle.generate(sysm, sp, [vocab.bos_id], 16) for sp in prefixes]
+    # its own greedy output as prompt: the next greedy token is <eos>
+    a = next(i for i, out in enumerate(free) if len(out) < 16)
+    b = next(i for i, out in enumerate(free) if len(out) >= max_new)
+    c = 0
+    filler = [vocab.bos_id] + [i % 4 for i in range(max_len - prefixes[c].shape[0] - 2)]
+    order = [a, b, c, 1, 2]
+    prompts = [[vocab.bos_id, *free[a]], [vocab.bos_id], filler,
+               [vocab.bos_id], [vocab.bos_id, *free[2][:1]]]
+    want = [oracle.generate(sysm, prefixes[i], p, max_new) for i, p in zip(order, prompts)]
+    assert want[0] == () and len(want[1]) == max_new
+    assert max_len - prefixes[c].shape[0] - len(filler) == 1 < max_new
+    speech = tt.Tensor(np.concatenate([prefixes[i].data for i in order]))
+    got = md.generate(sysm, speech, prompts, max_new, [prefixes[i].shape[0] for i in order])
+    assert got == want
+
+
+def test_steps_stay_full_while_utterances_wait(task, systems, monkeypatch, step_rows):
+    """A cached step feeds at most `_STEP_ROWS` rows, one per utterance,
+    and fewer only once no utterance waits: at most `max_new` steps at the
+    end, so the step count follows the tokens fed back."""
+    vocab, _, dev, test = task
+    enc, (sysm, _) = systems[0], systems[1]["lego"]
+    utts = [*dev, *test]
+    speech, prompts, lens = batch_inputs(sysm, enc, vocab, utts, None)
+    widths = []
+    forward = md.DecoderLM.forward
+
+    def spy(self, speech, text_ids, *args, cache=None, **kw):
+        if cache is not None and cache.filled.all():
+            widths.append(len(text_ids))
+        return forward(self, speech, text_ids, *args, cache=cache, **kw)
+
+    monkeypatch.setattr(md.DecoderLM, "forward", spy)
+    hyps = md.generate(sysm, speech, prompts, MAX_NEW, lens)
+    fed = sum(len(h) - (len(h) == MAX_NEW) for h in hyps)  # the last token is never fed
+    assert sum(widths) == fed > 2 * md._STEP_ROWS
+    assert max(widths) == md._STEP_ROWS
+    short = [i for i, w in enumerate(widths) if w < md._STEP_ROWS]
+    assert len(short) < MAX_NEW and short == list(range(len(widths) - len(short), len(widths)))
+
+
+VOCAB = build_vocabulary(8)
+
+
+@given(seed=st.integers(0, 2 ** 16), heads=st.sampled_from([1, 2]), blocks=st.integers(1, 2),
+       shape=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)), min_size=1, max_size=6),
+       with_speech=st.booleans(), max_new=st.integers(1, 8), max_len=st.integers(4, 20),
+       step_rows=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_random_decoders_match_the_oracle(seed, heads, blocks, shape, with_speech, max_new,
+                                          max_len, step_rows):
+    """Random decoders, batch sizes, prompts, speech rows, budgets and step
+    widths; an utterance whose [speech; prompt] leaves no room gets no
+    tokens."""
+    dec = decoder(VOCAB, seed=seed, dim=8 * heads, ffn=16, blocks=blocks, heads=heads,
+                  max_len=max_len)
+    sysm = md.DecoderSystem(decoder=dec, mode="lego", conn=ConnectorConfig())
+    draws = CounterRng(seed, stream=1).integers(0, VOCAB.size, 6 * len(shape)).reshape(-1, 6)
+    prompts = [[VOCAB.bos_id, *draws[i, :p - 1].tolist()] for i, (_, p) in enumerate(shape)]
+    s_lens = [s if with_speech else 0 for s, _ in shape]
+    prefixes = [tt.Tensor(normals(seed + i, s, dec.cfg.dim) * 0.5) for i, s in enumerate(s_lens)]
+    want = [oracle.generate(sysm, sp if with_speech else None, p, max_new)
+            for sp, p in zip(prefixes, prompts)]
+    speech = tt.Tensor(np.concatenate([sp.data for sp in prefixes])) if with_speech else None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(md, "_STEP_ROWS", step_rows)
+        got = md.generate(sysm, speech, prompts, max_new, s_lens if with_speech else None)
+    assert got == want
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+def test_cached_steps_match_full_passes(task, dtype, tol):
+    vocab = task[0]
+    with precision(dtype):
+        dec = decoder(vocab, seed=3)
+        s_lens, seqs = [3, 5, 1], [[vocab.bos_id], [vocab.bos_id, 2, 4, 1], [vocab.bos_id, 0]]
+        prefixes = [tt.Tensor(normals(30 + i, s, 24)) for i, s in enumerate(s_lens)]
+        cache = md.KVCache(dec.cfg, len(seqs), 24)
+        logits = dec.forward(tt.Tensor(np.concatenate([p.data for p in prefixes])), seqs,
+                             speech_lens=s_lens, cache=cache)
+        rows = logits.data[np.cumsum([len(s) for s in seqs]) - 1]
+        worst = 0.0
+        for _ in range(8):
+            for sp, seq, row in zip(prefixes, seqs, rows):
+                full = dec.forward(sp, seq).data[-1]
+                worst = max(worst, float(np.abs(row - full).max() / np.abs(full).max()))
+            nxt = rows.argmax(axis=1)
+            for seq, token in zip(seqs, nxt):
+                seq.append(int(token))
+            rows = dec.forward(None, nxt[:, None], cache=cache).data
+        assert cache.filled.tolist() == [s + len(seq) for s, seq in zip(s_lens, seqs)]
+    assert worst <= tol
+
+
+def test_cache_rejects_a_tape_and_overlong_steps(task):
+    vocab = task[0]
+    dec = decoder(vocab, max_len=6)
+    with pytest.raises(ValueError, match="untaped"):
+        dec.forward(None, [[vocab.bos_id, 1]], tape=tt.GradTape(), cache=md.KVCache(dec.cfg, 1, 6))
+    cache = md.KVCache(dec.cfg, 2, 6)
+    dec.forward(None, [[vocab.bos_id] * 6, [vocab.bos_id]], cache=cache)
+    with pytest.raises(ValueError, match="sequence length 7 exceeds max_len 6"):
+        dec.forward(None, [[1], [1]], cache=cache)
+    cache.keep(np.array([1]))
+    with pytest.raises(ValueError, match="one new row per sequence"):
+        dec.forward(None, [[1, 1]], cache=cache)
+    dec.forward(None, [[1]], cache=cache)
+    with pytest.raises(ValueError, match="exceeds the cache's 2 rows"):
+        dec.forward(None, [[vocab.bos_id, 1, 1]], cache=md.KVCache(dec.cfg, 1, 2))
