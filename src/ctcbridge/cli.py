@@ -18,9 +18,11 @@ or "ast") and `translation_seed`.  A train config (`--config`) holds
 `encoder` block of `EncoderConfig` fields for `train-encoder`, and for
 `adapt` a `decoder` block of `DecoderConfig` fields, a `connector` block of
 `ConnectorConfig` fields, `aec_n` and `use_prompt_token`.  Command-line
-flags override file values, and every emitted JSON/CSV embeds the
-effective config so a result can be traced to its inputs.  Exit codes: 0
-success, 1 runtime or numerical failure, 2 usage/config errors.
+flags override file values, and every JSON result embeds the effective
+config so it can be traced to its inputs: a `gen-data` manifest as `task`,
+the other commands under `config`.  The `sweep-tau` CSV and `--curve` loss
+CSVs carry none.  Exit codes: 0 success, 1 runtime or numerical failure,
+2 usage/config errors.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .lexicon import Posteriorgram, Vocabulary
 from .metrics import corpus_wer, werr
 from .models import (
     CONNECTIONS,
+    INFERENCE_BATCH,
     DecoderConfig,
     DecoderLM,
     DecoderSystem,
@@ -55,6 +58,7 @@ from .models import (
     build_system,
     check_fits,
     check_system,
+    encoder_readout,
     evaluate_system,
     train_encoder_ctc,
 )
@@ -354,9 +358,16 @@ def _check_compatible(sys_: DecoderSystem, enc: SpeechEncoder,
 # evaluation plumbing shared by decode-eval / sweep / swap
 
 
-def _posteriorgram(enc: SpeechEncoder, utt: Utterance) -> Posteriorgram:
-    probs = tt.softmax(enc.forward(utt.frames)[1]).data
-    return Posteriorgram(tt._finite(probs, "the posteriorgram"))
+def posteriorgrams(enc: SpeechEncoder, dataset: Sequence[Utterance]) -> list[Posteriorgram]:
+    """Each utterance's CTC posteriorgram, from packed encoder passes of at
+    most `INFERENCE_BATCH` utterances."""
+    grams = []
+    for lo in range(0, len(dataset), INFERENCE_BATCH):
+        chunk = [utt.frames for utt in dataset[lo:lo + INFERENCE_BATCH]]
+        for logits in encoder_readout("logits", enc, chunk):
+            probs = tt.softmax(tt._unchecked(logits)).data
+            grams.append(Posteriorgram(tt._finite(probs, "the posteriorgram")))
+    return grams
 
 
 def eval_ctc_beam(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
@@ -367,17 +378,14 @@ def eval_ctc_beam(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
 
 def eval_ctc_greedy(enc: SpeechEncoder, dataset: Sequence[Utterance]):
     refs = [utt.source for utt in dataset]
-    hyps = [greedy_decode(_posteriorgram(enc, utt)) for utt in dataset]
-    return corpus_wer(refs, hyps)
+    return corpus_wer(refs, [greedy_decode(p) for p in posteriorgrams(enc, dataset)])
 
 
 def build_aec_cache(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
                     n: int) -> dict[str, NBestList]:
     """Each utterance's n-best list from CTC prefix beam search, by utterance id."""
-    return {
-        utt.id: beam_search(_posteriorgram(enc, utt), beam=beam, n=n)
-        for utt in dataset
-    }
+    return {utt.id: beam_search(p, beam=beam, n=n)
+            for utt, p in zip(dataset, posteriorgrams(enc, dataset))}
 
 
 def read_nbest_cache(paths: Sequence[str]) -> dict[str, NBestList]:
@@ -607,12 +615,14 @@ def cmd_sweep_tau(args) -> int:
     enc, enc_vocab, dataset = _eval_inputs(args)
     sys_, dec_vocab = _load_decoder(args, enc, enc_vocab)
     grid = _tau_grid(args.grid, sys_.conn)
-    # neither the encoder nor the beam changes along the grid
+    # neither the encoder's readouts nor the beam change along the grid
     cache = connected_inputs(sys_, enc, dec_vocab, dataset, args.beam)
+    enc_out = encoder_readout(sys_.connection.reads, enc, [u.frames for u in dataset])
     lines = ["tau,wer,sub,del,ins,n_ref"]
     for conn in grid:
         sys_.conn = conn
-        r = evaluate_system(sys_, enc, dec_vocab, dataset, max_new=args.max_new, aec_cache=cache)
+        r = evaluate_system(sys_, enc, dec_vocab, dataset, max_new=args.max_new,
+                            aec_cache=cache, enc_out=enc_out)
         lines.append(f"{conn.tau:g},{r.wer:.6f},{r.substitutions},{r.deletions},"
                      f"{r.insertions},{r.n_ref}")
     csv = "\n".join(lines) + "\n"

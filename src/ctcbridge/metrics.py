@@ -1,15 +1,12 @@
-"""Error-rate and likelihood metrics over token-id sequences.
+"""Error-rate metrics over token-id sequences.
 
 WER runs on ids, not strings -- the synthetic task has no orthography --
-and always satisfies wer * n_ref == sub + del + ins exactly.  BLEU is
-corpus-level with clipped n-gram precision and no smoothing unless asked.
+and always satisfies wer * n_ref == sub + del + ins exactly.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,37 +90,3 @@ def werr(baseline_wer: float, system_wer: float) -> float:
         raise ValueError("baseline WER must be > 0")
     return (baseline_wer - system_wer) / baseline_wer
 
-
-def _ngrams(seq: TokenSeq, n: int) -> Counter:
-    return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
-
-
-def bleu(refs: Sequence[TokenSeq], hyps: Sequence[TokenSeq], max_n: int = 4,
-         smooth: bool = False) -> float:
-    """Corpus BLEU in [0, 100]: clipped n-gram precision under a geometric
-    mean, times the brevity penalty exp(min(0, 1 - ref_len/hyp_len))."""
-    if not hyps or len(refs) != len(hyps):
-        raise ValueError("need equally many refs and hyps, at least one pair")
-    matches = [0] * max_n
-    totals = [0] * max_n
-    ref_len = hyp_len = 0
-    for r, h in zip(refs, hyps):
-        ref_len += len(r)
-        hyp_len += len(h)
-        for n in range(1, max_n + 1):
-            hc = _ngrams(h, n)
-            rc = _ngrams(r, n)
-            totals[n - 1] += sum(hc.values())
-            matches[n - 1] += sum(min(c, rc[g]) for g, c in hc.items())
-    if hyp_len == 0:
-        return 0.0
-    log_p = 0.0
-    for k in range(max_n):
-        num, den = matches[k], totals[k]
-        if smooth:
-            num, den = num + 1, den + 1
-        if num == 0 or den == 0:
-            return 0.0
-        log_p += math.log(num / den)
-    bp = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
-    return 100.0 * bp * math.exp(log_p / max_n)

@@ -10,12 +10,12 @@ in the output softmax.  Input and output embeddings are tied by default
 `_mix_block`, whose attention is one fused tape op (`tt.attention`) between
 a [d, 3d] query/key/value projection and a [d, d] output projection.
 
-Both stacks take a packed batch: the utterances' rows stacked as [sum T, d]
-with a table of their lengths, so a batch is one pass of each op.  Row-wise
-ops need no table; attention and dropout take it, and each utterance is its
-own sequence (its own conv padding, attention block and positions), so a
-packed pass gives each utterance what a pass of it alone would give.  One
-array or one token sequence is a batch of one.
+Every pass takes a packed batch, and one utterance is a batch of one: the
+utterances' rows stacked as [sum T, d] with a table of their lengths, so a
+batch is one pass of each op.  Row-wise ops need no table; attention and
+dropout take it, and each utterance is its own sequence (its own conv
+padding, attention block and positions), so a packed pass gives each
+utterance what a pass of it alone would give.
 
 Greedy generation is batched and cached: `generate` decodes a batch of
 utterances in one call.  Packed passes over their [speech; prompt]
@@ -212,44 +212,38 @@ class SpeechEncoder:
         """Width-3, stride-2 convolution of each segment of `lengths` rows,
         zero-padded by one row at both of its ends: T rows give ceil(T/2)."""
         zero = tt._unchecked(np.zeros((1, x.shape[1]), dtype=x.data.dtype))
-        padded = tt.concat_rows([zero, x, zero])
+        padded = tt.concat_rows([zero, x])
         rows, start = [], 0
         for t in lengths:
             # rows of [0; segment; 0] under each window, 0 for the padding
             taps = np.arange((t + 1) // 2)[:, None] * 2 + np.arange(3)
-            rows.append(taps if len(lengths) == 1 else
-                        np.where((taps == 0) | (taps > t), 0, taps + start))
+            rows.append(np.where((taps == 0) | (taps > t), 0, taps + start))
             start += t
         outs = [(t + 1) // 2 for t in lengths]
-        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
-        windows = tt.reshape(tt.gather_rows(padded, rows.reshape(-1)),
+        windows = tt.reshape(tt.gather_rows(padded, np.concatenate(rows).reshape(-1)),
                              (sum(outs), 3 * x.shape[1]))
         y = tt.add(tt.matmul(windows, _w(self.params, f"{prefix}.w", tape)),
                    _w(self.params, f"{prefix}.b", tape))
         return tt.relu(y), outs
 
-    def forward(self, frames, tape=None, drop_rate: float = 0.0,
+    def forward(self, frames: Sequence[np.ndarray], tape=None, drop_rate: float = 0.0,
                 drop_rng=None) -> tuple[tt.Tensor, tt.Tensor]:
-        """Returns (hidden [T', width], logits [T', V+1]); T' = ceil(T/4).
-
-        `frames` is one utterance's [T, F] array, or a list of them: a packed
-        batch, one pass whose outputs hold each utterance's `out_len` rows in
-        turn and whose `drop_rng` is a list of one rng per utterance.  An
-        utterance's rows depend on its own frames only.
+        """One packed pass over a batch of utterances' [T, F] frames: returns
+        (hidden [sum T', width], logits [sum T', V+1]), each utterance's
+        T' = ceil(T/4) rows in turn.  `drop_rng` holds one rng per utterance.
+        An utterance's rows depend on its own frames only.
         """
-        batch = frames if isinstance(frames, list) else [frames]
-        for f in batch:
+        for f in frames:
+            if f.ndim != 2 or f.shape[1] != self.cfg.feat_dim:
+                raise ValueError("feature dimension mismatch")
             if f.shape[0] < self.SUBSAMPLE:
                 raise ValueError(f"need at least {self.SUBSAMPLE} input frames, got {f.shape[0]}")
-            if f.shape[1] != self.cfg.feat_dim:
-                raise ValueError("feature dimension mismatch")
-        x = tt.Tensor(batch[0] if len(batch) == 1 else np.concatenate(batch))
-        x, lengths = self._conv(x, [f.shape[0] for f in batch], "conv1", tape)
+        x = tt.Tensor(np.concatenate(frames))
+        x, lengths = self._conv(x, [f.shape[0] for f in frames], "conv1", tape)
         x, lengths = self._conv(x, lengths, "conv2", tape)
-        segments = lengths if batch is frames else None
         for i in range(self.cfg.blocks):
             x = _mix_block(x, self.params, f"blk{i}", tape, causal=False,
-                           drop_rate=drop_rate, drop_rng=drop_rng, heads=1, lengths=segments)
+                           drop_rate=drop_rate, drop_rng=drop_rng, heads=1, lengths=lengths)
         hidden = tt.layer_norm(x, _w(self.params, "lnog", tape), _w(self.params, "lnob", tape))
         logits = tt.matmul(hidden, _w(self.params, "out.w", tape))
         return hidden, logits
@@ -283,23 +277,20 @@ class DecoderLM:
     def embedding(self, tape=None) -> tt.Tensor:
         return _w(self.params, "emb", tape)
 
-    def forward(self, speech: Optional[tt.Tensor], text_ids, tape=None,
-                drop_rate: float = 0.0, drop_rng=None,
+    def forward(self, speech: Optional[tt.Tensor], text_ids: Sequence[Sequence[int]],
+                tape=None, drop_rate: float = 0.0, drop_rng=None,
                 speech_lens: Optional[Sequence[int]] = None,
                 cache: Optional[KVCache] = None) -> tt.Tensor:
-        """Next-token logits over V for every text position.
+        """Next-token logits over V for every text position of a packed batch.
 
-        `speech` is a [S, d] prefix (already in embedding space) visible to
-        every text position; the sequence [speech; text] is causal, so text
-        attends causally within itself. The blocks are pre-LN, so the prefix
+        `text_ids` holds one token sequence per utterance, `speech` their
+        [S, d] prefixes (already in embedding space) stacked, with
+        `speech_lens` rows each, or None, and `drop_rng` one rng per
+        utterance.  Each utterance is its own causal sequence [speech;
+        text], with positions from 0, and the logits of its text rows follow
+        those of the utterance before.  The blocks are pre-LN, so the prefix
         is read only through layer_norm: adding a constant to a whole speech
         row does not change the logits.
-
-        A packed batch passes `text_ids` as a list of token sequences,
-        `speech` as their prefixes stacked (or None) with `speech_lens` rows
-        each, and `drop_rng` as one rng per utterance.  Each utterance is its
-        own sequence, with positions from 0, and the logits of its text rows
-        follow those of the utterance before.
 
         With a `cache` (untaped only), sequence b continues the rows the
         cache holds for it: its positions start after them, it attends to
@@ -307,21 +298,13 @@ class DecoderLM:
         call on an empty cache is a packed pass as above; a later one feeds
         one token per sequence and no speech.
         """
-        batched = len(text_ids) > 0 and not np.isscalar(text_ids[0])
-        seqs = [np.asarray(t, dtype=np.intp) for t in (text_ids if batched else [text_ids])]
-        if speech is None:
-            s_lens = [0] * len(seqs)
-        elif batched:
-            s_lens = list(speech_lens or ())
-            if len(s_lens) != len(seqs) or sum(s_lens) != speech.shape[0]:
-                raise ValueError("speech_lens must give each sequence's prefix rows")
-        else:
-            s_lens = [speech.shape[0]]
+        seqs = [np.asarray(t, dtype=np.intp) for t in text_ids]
         t_lens = np.array([ids.size for ids in seqs], dtype=np.intp)
-        starts = np.zeros_like(t_lens) if cache is None else cache.filled
-        ids = seqs[0] if len(seqs) == 1 else np.concatenate(seqs)
-        if t_lens.min() == 0:
+        if not seqs or t_lens.min() == 0:
             raise ValueError("text must be non-empty")
+        s_lens = _speech_lens(speech, speech_lens, len(seqs))
+        starts = np.zeros_like(t_lens) if cache is None else cache.filled
+        ids = np.concatenate(seqs)
         if np.any((starts == 0) & (ids[np.cumsum(t_lens) - t_lens] != self.vocab.bos_id)):
             raise ValueError("text must begin with <bos>")
         if ids.max() >= self.cfg.vocab or ids.min() < 0:
@@ -333,19 +316,17 @@ class DecoderLM:
             raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
 
         emb = self.embedding(tape)
-        seq = tt.gather_rows(emb, ids)
+        positions, is_text = _packed_rows(s_lens, t_lens, starts)
+        # each packed row reads its token's row of the table, or its speech
+        # row, placed after the table: one gather builds [speech_i; text_i]
+        table, rows = emb, np.empty(is_text.size, dtype=np.intp)
+        rows[is_text] = ids
         if speech is not None:
-            seq = tt.concat_rows([speech, seq])
-        pos = _w(self.params, "pos", tape)
-        packed = batched or cache is not None
-        if packed:
-            order, positions, text_rows = _packed_rows(s_lens, t_lens, starts)
-            if speech is not None:
-                seq = tt.gather_rows(seq, order)
-            x = tt.add(seq, tt.gather_rows(pos, positions))
-        else:
-            x = tt.add(seq, tt.slice_rows(pos, 0, s_lens[0] + ids.size))
-        lengths = (np.asarray(s_lens) + t_lens).tolist() if packed else None
+            table = tt.concat_rows([emb, speech])
+            rows[~is_text] = emb.shape[0] + np.arange(speech.shape[0])
+        x = tt.add(tt.gather_rows(table, rows),
+                   tt.gather_rows(_w(self.params, "pos", tape), positions))
+        lengths = (s_lens + t_lens).tolist()
         for i in range(self.cfg.blocks):
             x = _mix_block(x, self.params, f"blk{i}", tape, causal=True, drop_rate=drop_rate,
                            drop_rng=drop_rng, heads=self.cfg.heads, lengths=lengths,
@@ -353,10 +334,7 @@ class DecoderLM:
         if cache is not None:
             cache.filled += lengths
         h = tt.layer_norm(x, _w(self.params, "lnfg", tape), _w(self.params, "lnfb", tape))
-        if packed:
-            h_text = tt.gather_rows(h, text_rows)
-        else:
-            h_text = tt.slice_rows(h, s_lens[0], s_lens[0] + ids.size)
+        h_text = tt.gather_rows(h, np.flatnonzero(is_text))
         if self.cfg.tie_output:
             out_w = tt.transpose(tt.slice_rows(emb, 0, self.cfg.vocab))
         else:
@@ -400,20 +378,25 @@ class KVCache:
         self.filled = self.filled[index]
 
 
-def _packed_rows(s_lens: Sequence[int], t_lens: Sequence[int], starts: Sequence[int]):
-    """Index arrays of a packed decoder batch, whose rows are [speech_i;
-    text_i] in turn: the row of [all speech; all text] that each packed row
-    reads, each row's position (sequence i's from starts[i]), and the packed
-    rows of the text."""
-    s_lens, t_lens = np.asarray(s_lens, dtype=np.intp), np.asarray(t_lens, dtype=np.intp)
+def _speech_lens(speech: Optional[tt.Tensor], speech_lens: Optional[Sequence[int]],
+                 n: int) -> np.ndarray:
+    """Each of `n` sequences' speech-prefix rows: `speech_lens`, checked
+    against the stacked `speech`, or zeros without speech."""
+    if speech is None:
+        return np.zeros(n, dtype=np.intp)
+    lens = np.asarray(speech_lens if speech_lens is not None else (), dtype=np.intp)
+    if lens.shape != (n,) or lens.sum() != speech.shape[0]:
+        raise ValueError("speech_lens must give each sequence's prefix rows")
+    return lens
+
+
+def _packed_rows(s_lens: np.ndarray, t_lens: np.ndarray, starts: np.ndarray):
+    """A packed decoder batch's rows are [speech_i; text_i] in turn: each
+    row's position (sequence i's from starts[i]) and whether it holds text."""
     lens = s_lens + t_lens
     seq = np.repeat(np.arange(lens.size), lens)
     offset = np.arange(lens.sum()) - (np.cumsum(lens) - lens)[seq]  # row within its sequence
-    speech_row = (np.cumsum(s_lens) - s_lens)[seq] + offset
-    text_row = s_lens.sum() + (np.cumsum(t_lens) - t_lens - s_lens)[seq] + offset
-    is_text = offset >= s_lens[seq]
-    return (np.where(is_text, text_row, speech_row), np.asarray(starts)[seq] + offset,
-            np.flatnonzero(is_text))
+    return starts[seq] + offset, offset >= s_lens[seq]
 
 
 def sp_project(hidden: tt.Tensor, proj: tt.Tensor) -> tt.Tensor:
@@ -564,35 +547,40 @@ def check_system(sys: DecoderSystem, enc_cfg: EncoderConfig) -> None:
         raise ValueError("encoder output slots do not match the LM vocabulary")
 
 
-def encoder_readout(reads: str, enc: SpeechEncoder, frames):
-    """What an entry consumes: hidden states, logits, or None for n-best
-    entries.  For a list of utterances' frames, a list of one array per
-    utterance, from one packed encoder pass."""
+# utterances per untaped inference pass (a generation prefill, a CTC
+# decode's posteriorgrams), which bounds the pass's float64 temporaries:
+# about 1.3 MB for 16 bench utterances, against 3.7 MB for 48 in one pass
+INFERENCE_BATCH = 16
+
+
+def encoder_readout(reads: str, enc: SpeechEncoder,
+                    frames: Sequence[np.ndarray]) -> Optional[list[np.ndarray]]:
+    """What an entry consumes from each utterance of `frames`, from one
+    packed encoder pass: hidden states or logits, or None for n-best
+    entries."""
     if reads == "nbest":
         return None
     hidden, logits = enc.forward(frames)
     out = hidden.data if reads == "hidden" else logits.data
-    if not isinstance(frames, list):
-        return out
     return np.split(out, np.cumsum([enc.out_len(f.shape[0]) for f in frames])[:-1])
 
 
-def conditioning(sys: DecoderSystem, enc: SpeechEncoder, frames, tape=None,
-                 at_inference: bool = True, enc_out=None) -> Optional[tt.Tensor]:
-    """Speech-side prefix for one utterance, or for a list of them the
-    utterances' prefixes stacked; None for text-input modes.
+def conditioning(sys: DecoderSystem, enc: SpeechEncoder, frames: Sequence[np.ndarray],
+                 tape=None, at_inference: bool = True,
+                 enc_out: Optional[list[np.ndarray]] = None) -> Optional[tt.Tensor]:
+    """The speech-side prefixes of a batch of utterances, stacked; None for
+    text-input modes.
 
     The encoder always runs off-tape: its outputs are constants during
     adaptation, which is the freeze contract in mechanical form.  Pass
-    `enc_out` (one array, or a list like `frames`) to reuse cached readouts
-    instead of re-running the encoder.  Every prefix is row-wise, so a
-    batch's prefixes come from one call on its readouts stacked.
+    `enc_out` (`encoder_readout`'s list) to reuse cached readouts instead of
+    re-running the encoder.  Every prefix is row-wise, so a batch's
+    prefixes come from one call on its readouts stacked.
     """
     if enc_out is None:
         enc_out = encoder_readout(sys.connection.reads, enc, frames)
-    if isinstance(enc_out, list):
-        enc_out = np.concatenate(enc_out)
-    return sys.connection.prefix(sys, enc_out, tape, at_inference)
+    stacked = None if enc_out is None else np.concatenate(enc_out)
+    return sys.connection.prefix(sys, stacked, tape, at_inference)
 
 
 def prompt_ids(sys: DecoderSystem, vocab: Vocabulary,
@@ -639,9 +627,6 @@ def check_fits(sys: DecoderSystem, vocab: Vocabulary, dataset: Sequence[Utteranc
 # generation
 
 
-# utterances per prefill pass, which bounds the pass's float64 temporaries:
-# about 1.3 MB for 16 bench utterances, against 3.7 MB for 48 in one pass
-_PREFILL_BATCH = 16
 # utterances one decoder step feeds at most.  A step costs nearly the same
 # for 1 row as for 48 (its cost is per-op overhead), so a wider step
 # decodes a batch faster, but its time then follows how long the longest
@@ -652,16 +637,15 @@ _STEP_ROWS = 1
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt, max_new: int = 48,
-             speech_lens: Optional[Sequence[int]] = None):
+def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[Sequence[int]],
+             max_new: int = 48, speech_lens: Optional[Sequence[int]] = None) -> list[TokenSeq]:
     """Greedy autoregressive decode until <eos> or `max_new` generated
-    tokens, or fewer where the decoder's max_len comes first.
+    tokens, or fewer where the decoder's max_len comes first: one tuple per
+    utterance of a packed batch in `DecoderLM.forward`'s form (a list of
+    prompts, their speech prefixes stacked with `speech_lens` rows each).
 
-    `prompt` is one token list, giving one tuple, or a packed batch in
-    `DecoderLM.forward`'s form (a list of prompts, their speech prefixes
-    stacked with `speech_lens` rows each), giving one tuple per utterance.
     Packed passes over the [speech; prompt] sequences of up to
-    `_PREFILL_BATCH` utterances fill a K/V cache and give each utterance's
+    `INFERENCE_BATCH` utterances fill a K/V cache and give each utterance's
     first token.  Then each step feeds the newest token of up to
     `_STEP_ROWS` utterances, in order, as one row each of one cached pass;
     an utterance leaves at <eos> or its budget and the next waiting one
@@ -672,16 +656,8 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt, max_new: i
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
     dec = sys.decoder
-    batched = len(prompt) > 0 and not np.isscalar(prompt[0])
-    prompts = [list(p) for p in (prompt if batched else [prompt])]
-    if speech is None:
-        s_lens = [0] * len(prompts)
-    elif batched:
-        s_lens = list(speech_lens or ())
-        if len(s_lens) != len(prompts) or sum(s_lens) != speech.shape[0]:
-            raise ValueError("speech_lens must give each prompt's prefix rows")
-    else:
-        s_lens = [speech.shape[0]]
+    prompts = [list(p) for p in prompt]
+    s_lens = _speech_lens(speech, speech_lens, len(prompts)).tolist()
     budgets = np.array([min(max_new, dec.cfg.max_len - s - len(p))
                         for s, p in zip(s_lens, prompts)], dtype=np.intp)
     tokens = np.zeros((len(prompts), max(budgets.max(), 0)), dtype=np.intp)
@@ -692,8 +668,8 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt, max_new: i
         prefilled = KVCache(dec.cfg, live.size, max(prefixes))
         s_starts = np.cumsum([0] + s_lens)
         rows = []
-        for lo in range(0, live.size, _PREFILL_BATCH):
-            part = live[lo:lo + _PREFILL_BATCH]
+        for lo in range(0, live.size, INFERENCE_BATCH):
+            part = live[lo:lo + INFERENCE_BATCH]
             part_speech = None if speech is None else tt.gather_rows(speech, np.concatenate(
                 [np.arange(s_starts[b], s_starts[b + 1]) for b in part]))
             logits = dec.forward(part_speech, [prompts[b] for b in part],
@@ -731,8 +707,7 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt, max_new: i
             if not going.all():
                 slots = slots[going]
                 cache.keep(np.flatnonzero(going))
-    hyps = [tuple(row[:n].tolist()) for row, n in zip(tokens, n_out)]
-    return hyps if batched else hyps[0]
+    return [tuple(row[:n].tolist()) for row, n in zip(tokens, n_out)]
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +879,7 @@ def _ctc_losses(enc: SpeechEncoder, frames: Sequence[np.ndarray], targets: Seque
                drop_rngs=None) -> list[tt.Tensor]:
     """CTC losses of the utterances with a feasible target, from one packed
     encoder pass over `frames`."""
-    _, logits = enc.forward(list(frames), tape=tape, drop_rate=drop_rate, drop_rng=drop_rngs)
+    _, logits = enc.forward(frames, tape=tape, drop_rate=drop_rate, drop_rng=drop_rngs)
     losses, start = [], 0
     for f, y in zip(frames, targets):
         stop = start + enc.out_len(f.shape[0])
@@ -959,7 +934,7 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
 
     def readouts(utts, frames) -> Optional[list[np.ndarray]]:
         if reads == "nbest" or cfg.augment is not None:
-            return encoder_readout(reads, enc, list(frames))
+            return encoder_readout(reads, enc, frames)
         todo = {u.id: f for u, f in zip(utts, frames) if u.id not in cache}
         if todo:
             cache.update(zip(todo, encoder_readout(reads, enc, list(todo.values()))))
@@ -998,11 +973,13 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
 
 def evaluate_system(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
                     dataset: Sequence[Utterance], max_new: int = 48,
-                    aec_cache: Optional[dict[str, NBestList]] = None) -> WerReport:
+                    aec_cache: Optional[dict[str, NBestList]] = None,
+                    enc_out: Optional[list[np.ndarray]] = None) -> WerReport:
     """Corpus WER of the system's greedy transcripts: one packed encoder and
-    prefix pass over the dataset, then one batched `generate`."""
+    prefix pass over the dataset (or its `encoder_readout` passed as
+    `enc_out`), then one batched `generate`."""
     frames = [utt.frames for utt in dataset]
-    speech = conditioning(sys, enc, frames)
+    speech = conditioning(sys, enc, frames, enc_out=enc_out)
     prompts = [prompt_ids(sys, vocab, aec_cache.get(utt.id) if aec_cache is not None else None)
                for utt in dataset]
     hyps = generate(sys, speech, prompts, max_new=max_new,

@@ -6,6 +6,11 @@ in 64-bit before rounding back, which keeps them accurate without doubling
 memory.  Log-space code uses `LOG_ZERO` (a finite sentinel) where a true
 -inf would otherwise appear.
 
+Rows may hold a packed batch of sequences stacked one after another.  The
+two ops that treat rows as a sequence, `attention` and `dropout`, take a
+table of segment lengths and run one loop over the segments; without a
+table, the rows are one segment.
+
 Finiteness is checked at the boundaries, not inside every op.  A
 `Tensor(...)` or `Parameter(...)` built from outside data raises
 `NonFiniteError` on NaN/Inf; op outputs and parameter reads are not
@@ -304,22 +309,20 @@ def relu(a: Tensor) -> Tensor:
 
 
 def dropout(a: Tensor, rate: float, rng, lengths: Optional[Sequence[int]] = None) -> Tensor:
-    """Inverted dropout; identity when rate == 0.  `rng` is a CounterRng; with
-    `lengths`, a sequence of them, one per segment of that many rows, each
-    drawing its own segment's mask."""
+    """Inverted dropout; identity when rate == 0.  With `lengths`, `rng` is a
+    sequence of CounterRngs, one per segment of that many rows, each drawing
+    its own segment's mask; without, one CounterRng for one segment."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return a
     a = as_tensor(a)
-    if lengths is None:
-        draws = rng.uniforms(a.size)
-    else:
-        _segments(a.shape[0], lengths)  # checks the table
-        if len(rng) != len(lengths):
-            raise ValueError(f"dropout needs one rng per segment, got {len(rng)} for "
-                             f"{len(lengths)}")
-        draws = np.concatenate([r.uniforms(n * a.shape[1]) for r, n in zip(rng, lengths)])
+    segs = _segments(a.shape[0], lengths)
+    rngs = [rng] if lengths is None else rng
+    if len(rngs) != len(segs):
+        raise ValueError(f"dropout needs one rng per segment, got {len(rngs)} for {len(segs)}")
+    draws = np.concatenate([r.uniforms((stop - start) * a.shape[1])
+                            for r, (start, stop) in zip(rngs, segs)])
     keep = (draws.reshape(a.shape) >= rate).astype(a.data.dtype)
     mask = keep / _DTYPE(1.0 - rate)
     return _emit(a.tape, a.data * mask, (a.nid,), lambda g: (g * mask,))
@@ -517,23 +520,20 @@ def attention(qkv: Tensor, heads: int, causal: bool,
             return _emit(None, _cached_step(saved, heads, scale, cache))
     q, k, v = _heads(saved, heads)
     if causal:
-        longest = t if lengths is None else max(lengths)
+        longest = max(b - a for a, b in segs)
         above = np.triu(np.ones((longest, longest), dtype=bool), 1)
-    blocks = [(q, k, v)] if lengths is None else [
-        (q[:, a:b], k[:, a:b], v[:, a:b]) for a, b in segs]
     outs, probs = [], []
-    for qs, ks, vs in blocks:
-        p = qs @ ks.transpose(0, 2, 1)
+    for a, b in segs:
+        p = q[:, a:b] @ k[:, a:b].transpose(0, 2, 1)
         p *= scale
         if causal:
-            n = p.shape[1]
-            p[:, above[:n, :n]] = LOG_ZERO
+            p[:, above[:b - a, :b - a]] = LOG_ZERO
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=2, keepdims=True)
-        outs.append((p @ vs).transpose(1, 0, 2))
+        outs.append((p @ v[:, a:b]).transpose(1, 0, 2))
         probs.append(p)
-    out = (outs[0] if len(outs) == 1 else np.concatenate(outs)).reshape(t, width)
+    out = np.concatenate(outs).reshape(t, width)
     if qkv.tape is None:
         return _emit(None, out)
 

@@ -17,6 +17,7 @@ import pytest
 from ctcbridge import cli
 from ctcbridge import models as md
 from ctcbridge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from ctcbridge.connector import ConnectorConfig
 from ctcbridge.synthdata import utterance_from_json, utterance_to_json
 from block_oracles import split_heads
 from tape_ops import params_digest
@@ -249,7 +250,7 @@ def test_every_mode_decodes_and_round_trips(tiny, systems, capsys, tmp_path, mod
     assert (back.mode, back.conn) == (sys_.mode, sys_.conn)
     assert _digest(back) == _digest(sys_)
     frames = cli.load_task(tiny["spec"]).splits()[2][0].frames
-    a, b = md.conditioning(sys_, enc, frames), md.conditioning(back, enc, frames)
+    a, b = md.conditioning(sys_, enc, [frames]), md.conditioning(back, enc, [frames])
     if mode == "aec":
         assert a is None and b is None
     else:
@@ -284,6 +285,29 @@ def test_sweep_tau_builds_aec_lists_once(tiny, systems, capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 1 + len(cli.DEFAULT_TAU_GRID)
     assert len(calls) == TASK["splits"]["test"]
+
+
+def test_sweep_tau_runs_the_encoder_once(tiny, systems, capsys, monkeypatch):
+    calls = []
+    forward = md.SpeechEncoder.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(md.SpeechEncoder, "forward", counted)
+    argv = ["sweep-tau", "--encoder", tiny["enc"], "--decoder", systems["lego"],
+            "--spec", tiny["spec"], "--max-new", "6"]
+    code, csv, _ = run(capsys, argv)
+    assert (code, len(calls)) == (0, 1)
+    assert len(csv.splitlines()) == 1 + len(cli.DEFAULT_TAU_GRID)
+    # the reference sweep: handed no readouts, each tau's evaluate_system
+    # runs the encoder itself
+    monkeypatch.setattr(cli, "encoder_readout", lambda *args: None)
+    calls.clear()
+    code, per_tau, _ = run(capsys, argv)
+    assert (code, len(calls)) == (0, len(cli.DEFAULT_TAU_GRID))
+    assert csv == per_tau
 
 
 @pytest.mark.parametrize("command", ["decode-eval", "swap", "sweep-tau"])
@@ -561,3 +585,47 @@ def test_gen_data_writes_splits_matching_its_manifest(tmp_path, capsys):
         blob = (tmp_path / "data" / f"{split}.jsonl").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == manifest["sha256"][split]
         assert len(blob.decode().splitlines()) == manifest["sizes"][split] == TASK["splits"][split]
+
+
+# ---------------------------------------------------------------------------
+# every JSON output embeds the config it ran with, flags applied
+
+TAU_HALF = dataclasses.asdict(ConnectorConfig(tau=0.5))
+EFFECTIVE_CONFIG = {
+    "gen-data": (lambda t, d: ["gen-data", "--spec", t["spec"], "--out", str(d / "data")],
+                 lambda out: out["task"], TASK),
+    "train-encoder": (lambda t, d: ["train-encoder", "--spec", t["spec"], "--config",
+                                    t["enc_cfg"], "--steps", "2", "--out", str(d / "e.ckpt")],
+                      lambda out: out["config"],
+                      {"train": dict(TRAIN, steps=2, encoder={"width": 8, "ffn": 16, "blocks": 1}),
+                       "task": TASK}),
+    "adapt": (lambda t, d: ["adapt", "--mode", "lego", "--encoder", t["enc"], "--spec", t["spec"],
+                            "--config", t["dec_cfg"], "--steps", "2", "--tau", "0.5",
+                            "--out", str(d / "s.ckpt")],
+              lambda out: (out["mode"], out["config"]),
+              ("lego", {"adapt": dict(TRAIN, steps=2, decoder=DECODER), "connector": TAU_HALF,
+                        "task": TASK})),
+    "decode-eval-ctc": (lambda t, d: decode(t, "--beam", "3", "--limit", "2", "--split", "dev"),
+                        lambda out: out["config"],
+                        {"decode": "ctc_beam", "beam": 3, "nbest": 1, "split": "dev",
+                         "n_utts": 2}),
+    "decode-eval-connected": (lambda t, d: decode(t, "--decoder", t["sys"], "--tau", "0.5",
+                                                  "--beam", "3", "--max-new", "5", "--limit", "2"),
+                              lambda out: out["config"],
+                              {"decode": "connected", "mode": "lego", "connector": TAU_HALF,
+                               "beam": 3, "max_new": 5, "split": "test", "n_utts": 2}),
+    "swap": (lambda t, d: ["swap", "--encoder", t["enc"], "--decoder", t["sys"], "--spec",
+                           t["spec"], "--tau", "0.5", "--beam", "3", "--max-new", "5",
+                           "--limit", "2"],
+             lambda out: out["config"],
+             {"mode": "lego", "connector": TAU_HALF, "beam": 3, "max_new": 5, "split": "test",
+              "n_utts": 2}),
+}
+
+
+@pytest.mark.parametrize("case", list(EFFECTIVE_CONFIG))
+def test_json_output_embeds_the_effective_config(tiny, capsys, tmp_path, case):
+    argv, read, want = EFFECTIVE_CONFIG[case]
+    code, out, _ = run(capsys, argv(tiny, tmp_path))
+    assert code == 0
+    assert read(json.loads(out)) == want

@@ -218,8 +218,8 @@ class TestAdapter:
         adapter = md.build_system("adapter", enc, dec)
         adapter.extra["adapter.table"].value[...] = dec.params["emb"].value
         np.testing.assert_array_equal(
-            md.conditioning(adapter, enc, None, enc_out=z.data).data,
-            md.conditioning(lego, enc, None, enc_out=z.data).data,
+            md.conditioning(adapter, enc, None, enc_out=[z.data]).data,
+            md.conditioning(lego, enc, None, enc_out=[z.data]).data,
         )
 
     def test_onehot_returns_adapter_row(self, rng):
@@ -281,7 +281,7 @@ class TestOrderOfOperations:
         for mode, expect in direct.items():
             s = md.build_system(mode, enc, dec, cfg)
             enc_out = hidden if s.connection.reads == "hidden" else z.data
-            got = md.conditioning(s, enc, None, enc_out=enc_out)
+            got = md.conditioning(s, enc, None, enc_out=[enc_out])
             np.testing.assert_array_equal(got.data, expect(s).data)
         assert md.conditioning(md.build_system("aec", enc, dec, cfg), enc, None) is None
         with pytest.raises(ValueError):  # projection missing

@@ -94,15 +94,16 @@ def step_rows(request, monkeypatch):
 def test_every_mode_matches_the_oracle(task, systems, mode, step_rows):
     vocab, _, dev, test = task
     utts = [*dev, *test]  # more than one prefill pass holds
-    assert len(utts) > md._PREFILL_BATCH
+    assert len(utts) > md.INFERENCE_BATCH
     enc, (sysm, cache) = systems[0], systems[1][mode]
     want = [oracle.decode_utterance(sysm, enc, vocab, u, MAX_NEW, cache[u.id] if cache else None)
             for u in utts]
     assert any(want)
     speech, prompts, lens = batch_inputs(sysm, enc, vocab, utts, cache)
     assert md.generate(sysm, speech, prompts, MAX_NEW, lens) == want
-    one = md.generate(sysm, md.conditioning(sysm, enc, utts[0].frames), prompts[0], MAX_NEW)
-    assert one == want[0]
+    one = md.generate(sysm, md.conditioning(sysm, enc, [utts[0].frames]), prompts[:1], MAX_NEW,
+                      None if lens is None else lens[:1])
+    assert one == want[:1]
     report = md.evaluate_system(sysm, enc, vocab, utts, MAX_NEW, aec_cache=cache)
     assert report == corpus_wer([u.target for u in utts], want)
 
@@ -113,7 +114,7 @@ def test_batch_mixing_eos_budget_and_max_len_stops(task, systems, step_rows):
     vocab, _, _, test = task
     enc, (sysm, _) = systems[0], systems[1]["lego"]
     max_len, max_new = sysm.decoder.cfg.max_len, 2
-    prefixes = [md.conditioning(sysm, enc, u.frames) for u in test]
+    prefixes = [md.conditioning(sysm, enc, [u.frames]) for u in test]
     free = [oracle.generate(sysm, sp, [vocab.bos_id], 16) for sp in prefixes]
     # its own greedy output as prompt: the next greedy token is <eos>
     a = next(i for i, out in enumerate(free) if len(out) < 16)
@@ -199,7 +200,7 @@ def test_cached_steps_match_full_passes(task, dtype, tol):
         worst = 0.0
         for _ in range(8):
             for sp, seq, row in zip(prefixes, seqs, rows):
-                full = dec.forward(sp, seq).data[-1]
+                full = dec.forward(sp, [seq], speech_lens=[sp.shape[0]]).data[-1]
                 worst = max(worst, float(np.abs(row - full).max() / np.abs(full).max()))
             nxt = rows.argmax(axis=1)
             for seq, token in zip(seqs, nxt):

@@ -1,12 +1,11 @@
 import itertools
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcbridge.metrics import bleu, corpus_wer, wer, werr
+from ctcbridge.metrics import corpus_wer, wer, werr
 
 
 @lru_cache(maxsize=None)
@@ -90,40 +89,3 @@ class TestWerr:
         with pytest.raises(ValueError):
             werr(0.0, 0.1)
 
-
-class TestBleu:
-    def test_perfect_match_is_100(self):
-        refs = [(1, 2, 3, 4, 5), (6, 7, 8, 9)]
-        assert bleu(refs, refs) == pytest.approx(100.0)
-
-    def test_disjoint_vocabulary_is_zero(self):
-        assert bleu([(1, 2, 3, 4)], [(5, 6, 7, 8)]) == 0.0
-
-    def test_zero_fourgram_precision_without_smoothing(self):
-        # p1=3/4, p2=2/3, p3=1/2, p4=0 -> strict geometric mean is 0
-        assert bleu([(0, 1, 2, 3)], [(0, 1, 2, 2)]) == 0.0
-
-    def test_smoothing_rescues_zero_counts(self):
-        assert bleu([(0, 1, 2, 3)], [(0, 1, 2, 2)], smooth=True) > 0.0
-
-    def test_brevity_penalty(self):
-        # halved hypothesis of a repeated-token ref: precisions 1, BP = e^-1
-        score = bleu([(1,) * 8], [(1,) * 4])
-        assert score == pytest.approx(100.0 * np.exp(1 - 2.0), rel=1e-6)
-
-    def test_empty_hyp_list_rejected(self):
-        with pytest.raises(ValueError):
-            bleu([], [])
-
-    def test_permutation_invariance(self):
-        refs = [(1, 2, 3, 4), (5, 6, 7, 8), (1, 3, 5, 7)]
-        hyps = [(1, 2, 3, 3), (5, 6, 7, 8), (1, 3, 5, 9)]
-        forward = bleu(refs, hyps)
-        backward = bleu(refs[::-1], hyps[::-1])
-        assert forward == pytest.approx(backward)
-
-    def test_corruption_does_not_improve(self):
-        refs = [(1, 2, 3, 4, 5)] * 3
-        good = [(1, 2, 3, 4, 5)] * 3
-        worse = [(1, 2, 3, 4, 5), (1, 2, 3, 4, 9), (1, 2, 3, 4, 5)]
-        assert bleu(refs, worse) <= bleu(refs, good)

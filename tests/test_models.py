@@ -68,23 +68,23 @@ class TestEncoder:
         enc = tiny_encoder(vocab)
         for t in (16, 17, 19, 40):
             frames = np.zeros((t, 8), dtype=np.float32)
-            _, z = enc.forward(frames)
+            _, z = enc.forward([frames])
             assert z.shape == (-(-t // 4), vocab.size + 1)
 
     def test_too_few_frames_rejected(self, vocab):
         with pytest.raises(ValueError):
-            tiny_encoder(vocab).forward(np.zeros((3, 8), dtype=np.float32))
+            tiny_encoder(vocab).forward([np.zeros((3, 8), dtype=np.float32)])
 
     def test_zero_input_gives_identical_rows(self, vocab):
-        _, z = tiny_encoder(vocab).forward(np.zeros((16, 8), dtype=np.float32))
+        _, z = tiny_encoder(vocab).forward([np.zeros((16, 8), dtype=np.float32)])
         np.testing.assert_allclose(z.data, z.data[0][None, :].repeat(4, 0),
                                    rtol=0, atol=1e-5)
 
     def test_forward_is_deterministic(self, micro, vocab):
         utt = micro[1][0]
         enc = tiny_encoder(vocab)
-        a = enc.forward(utt.frames)[1].data
-        b = enc.forward(utt.frames)[1].data
+        a = enc.forward([utt.frames])[1].data
+        b = enc.forward([utt.frames])[1].data
         np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_params(self, vocab):
@@ -129,25 +129,25 @@ class TestDecoderForward:
     def test_requires_bos(self, vocab):
         dec = tiny_decoder(vocab)
         with pytest.raises(ValueError):
-            dec.forward(None, [0, 1])
+            dec.forward(None, [[0, 1]])
 
     def test_plain_lm_logits_shape(self, vocab):
         dec = tiny_decoder(vocab)
-        out = dec.forward(None, [vocab.bos_id, 0, 1])
+        out = dec.forward(None, [[vocab.bos_id, 0, 1]])
         assert out.shape == (3, vocab.size)
 
     def test_length_cap(self, vocab):
         dec = tiny_decoder(vocab, max_len=8)
         with pytest.raises(ValueError):
-            dec.forward(None, [vocab.bos_id] + [0] * 8)
+            dec.forward(None, [[vocab.bos_id] + [0] * 8])
 
     def test_causal_mask_text_side(self, vocab):
         dec = tiny_decoder(vocab)
         base = [vocab.bos_id, 0, 1, 2, 3]
-        ref = dec.forward(None, base).data
+        ref = dec.forward(None, [base]).data
         changed = list(base)
         changed[3] = 5  # perturb text position 3
-        out = dec.forward(None, changed).data
+        out = dec.forward(None, [changed]).data
         np.testing.assert_array_equal(out[:3], ref[:3])
         assert not np.allclose(out[3:], ref[3:])
 
@@ -155,13 +155,13 @@ class TestDecoderForward:
         dec = tiny_decoder(vocab)
         rng = CounterRng(0)
         speech = rng.normals(4 * 24).reshape(4, 24)
-        ref = dec.forward(tt.Tensor(speech), [vocab.bos_id, 0, 1]).data
+        ref = dec.forward(tt.Tensor(speech), [[vocab.bos_id, 0, 1]], speech_lens=[4]).data
         # a non-constant change to speech row 0 must reach every text position
         direction = CounterRng(1).normals(24)
         direction -= direction.mean()
         moved = speech.copy()
         moved[0] += direction
-        out = dec.forward(tt.Tensor(moved), [vocab.bos_id, 0, 1]).data
+        out = dec.forward(tt.Tensor(moved), [[vocab.bos_id, 0, 1]], speech_lens=[4]).data
         assert not np.allclose(out[0], ref[0])
         assert not np.allclose(out[-1], ref[-1])
         # the decoder is pre-LN: the residual stream is read only through
@@ -169,22 +169,22 @@ class TestDecoderForward:
         # whole speech row leaves the logits unchanged up to float32 rounding
         shifted = speech.copy()
         shifted[0] += 1.0
-        out = dec.forward(tt.Tensor(shifted), [vocab.bos_id, 0, 1]).data
+        out = dec.forward(tt.Tensor(shifted), [[vocab.bos_id, 0, 1]], speech_lens=[4]).data
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5)
 
     def test_tied_output_uses_embedding_rows(self, vocab):
         dec = tiny_decoder(vocab)
         # growing one embedding row's norm must move that token's logit
         text = [vocab.bos_id, 3]
-        before = dec.forward(None, text).data[-1]
+        before = dec.forward(None, [text]).data[-1]
         dec.params["emb"].value[5] *= 10.0
-        after = dec.forward(None, text).data[-1]
+        after = dec.forward(None, [text]).data[-1]
         assert before[5] != after[5]
 
     def test_untied_output_has_separate_matrix(self, vocab):
         dec = tiny_decoder(vocab, tie_output=False)
         assert "out.w" in dec.params
-        out = dec.forward(None, [vocab.bos_id])
+        out = dec.forward(None, [[vocab.bos_id]])
         assert out.shape == (1, vocab.size)
 
 
@@ -336,8 +336,9 @@ class TestGenerate:
     def test_max_new_one_gives_single_token(self, micro, vocab):
         utts = micro[1][:2]
         sysm, enc = self.overfit_system(micro, vocab, utts, steps=40)
-        speech = md.conditioning(sysm, enc, utts[0].frames)
-        out = md.generate(sysm, speech, [vocab.bos_id], max_new=1)
+        speech = md.conditioning(sysm, enc, [utts[0].frames])
+        [out] = md.generate(sysm, speech, [[vocab.bos_id]], max_new=1,
+                            speech_lens=[speech.shape[0]])
         assert len(out) <= 1
 
 
@@ -418,7 +419,7 @@ class TestAdaptation:
             frames = np.asarray(CounterRng(4).normals(8 * 8).reshape(8, 8))
             text = [vocab.bos_id, 0, 1, 2]
             targets = np.array([0, 1, 2, vocab.eos_id])
-            z = md.encoder_readout("logits", enc, frames)
+            z = md.encoder_readout("logits", enc, [frames])[0]
 
             emb = dec.params["emb"]
 

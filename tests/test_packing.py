@@ -1,6 +1,7 @@
 """Packed batches against the one-utterance passes and step of
 `packing_oracles`: `tt.attention` with a segment table, the packed encoder
-and decoder passes, and the packed training step of both stages.
+and decoder passes, the CTC posteriorgrams of packed encoder passes, and
+the packed training step of both stages.
 
 In float64 the packed passes agree with the one-utterance ones within
 1e-10 (only BLAS summation order differs; measured at most 1.1e-15).  In
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 import packing_oracles as oracle
 from ctcbridge import models as md
 from ctcbridge import tensor as tt
-from ctcbridge.cli import build_aec_cache, load_task
+from ctcbridge.cli import build_aec_cache, eval_ctc_greedy, load_task, posteriorgrams
 from ctcbridge.connector import ConnectorConfig
+from ctcbridge.ctc import beam_search, greedy_decode
+from ctcbridge.metrics import corpus_wer
 from ctcbridge.rng import CounterRng
 from ctcbridge.synthdata import MaskConfig
 from tape_ops import mul, precision, reduce_sum
@@ -176,13 +179,48 @@ class TestPackedPasses:
             return untaped, len(tape._parents) - len(tape._leaves)
 
         for new, old in (
-                (lambda tape: enc.forward(frames, tape),
+                (lambda tape: enc.forward([frames], tape),
                  lambda tape: oracle.encoder_forward(enc, frames, tape)),
-                (lambda tape: dec.forward(speech, text, tape),
+                (lambda tape: dec.forward(speech, [text], tape, speech_lens=[speech.shape[0]]),
                  lambda tape: oracle.decoder_forward(dec, speech, text, tape)),
-                (lambda tape: dec.forward(None, text, tape),
+                (lambda tape: dec.forward(None, [text], tape),
                  lambda tape: oracle.decoder_forward(dec, None, text, tape))):
             assert ops(new) == ops(old)
+
+
+class TestPackedPosteriorgrams:
+    """Decoding with the encoder alone reads posteriorgrams from packed
+    passes of at most `INFERENCE_BATCH` utterances; the one-utterance passes
+    gave the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def utts(self, task):
+        utts = [*task[1], *task[2]]
+        assert len(utts) % md.INFERENCE_BATCH and len(utts) > 2 * md.INFERENCE_BATCH
+        return utts
+
+    def test_posteriorgrams_are_the_one_utterance_bytes(self, trained, utts, monkeypatch):
+        batches = []
+        forward = md.SpeechEncoder.forward
+
+        def spy(self, frames, *args, **kwargs):
+            batches.append(len(frames))
+            return forward(self, frames, *args, **kwargs)
+
+        monkeypatch.setattr(md.SpeechEncoder, "forward", spy)
+        got = posteriorgrams(trained, utts)
+        assert batches == [md.INFERENCE_BATCH] * 2 + [len(utts) - 2 * md.INFERENCE_BATCH]
+        want = [oracle.posteriorgram(trained, u) for u in utts]
+        assert [p.probs.tobytes() for p in got] == [p.probs.tobytes() for p in want]
+
+    def test_nbest_lists_and_greedy_hypotheses_are_unchanged(self, trained, utts):
+        grams = [oracle.posteriorgram(trained, u) for u in utts]
+        assert build_aec_cache(trained, utts, beam=4, n=3) == {
+            u.id: beam_search(p, beam=4, n=3) for u, p in zip(utts, grams)}
+        hyps = [greedy_decode(p) for p in grams]
+        assert any(hyps)
+        assert [greedy_decode(p) for p in posteriorgrams(trained, utts)] == hyps
+        assert eval_ctc_greedy(trained, utts) == corpus_wer([u.source for u in utts], hyps)
 
 
 # ---------------------------------------------------------------------------
