@@ -34,7 +34,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -180,6 +180,8 @@ def _read_jsonl_split(data_dir: Path, split: str, expected: Optional[str],
         raise ConfigError(f"{path}: {manifest_path} records no sha256 for this split")
     if hashlib.sha256(blob).hexdigest() != expected:
         raise ConfigError(f"{path}: contents differ from the sha256 in {manifest_path}")
+    if not utts:
+        raise ConfigError(f"{path}: the split holds no utterances")
     return utts
 
 
@@ -358,16 +360,16 @@ def _check_compatible(sys_: DecoderSystem, enc: SpeechEncoder,
 # evaluation plumbing shared by decode-eval / sweep / swap
 
 
-def posteriorgrams(enc: SpeechEncoder, dataset: Sequence[Utterance]) -> list[Posteriorgram]:
-    """Each utterance's CTC posteriorgram, from packed encoder passes of at
-    most `INFERENCE_BATCH` utterances."""
-    grams = []
+def posteriorgrams(enc: SpeechEncoder, dataset: Sequence[Utterance]) -> Iterator[Posteriorgram]:
+    """The CTC posteriorgrams of `dataset`, one zero-padded batch per packed
+    encoder pass of at most `INFERENCE_BATCH` utterances.  The softmax is
+    row-wise, so it runs once over a pass's packed logits."""
     for lo in range(0, len(dataset), INFERENCE_BATCH):
         chunk = [utt.frames for utt in dataset[lo:lo + INFERENCE_BATCH]]
-        for logits in encoder_readout("logits", enc, chunk):
-            probs = tt.softmax(tt._unchecked(logits)).data
-            grams.append(Posteriorgram(tt._finite(probs, "the posteriorgram")))
-    return grams
+        logits = encoder_readout("logits", enc, chunk)
+        probs = tt.softmax(tt._unchecked(np.concatenate(logits))).data
+        tt._finite(probs, "the posteriorgram")
+        yield Posteriorgram.pack(np.split(probs, np.cumsum([len(x) for x in logits])[:-1]))
 
 
 def eval_ctc_beam(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
@@ -377,15 +379,15 @@ def eval_ctc_beam(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
 
 
 def eval_ctc_greedy(enc: SpeechEncoder, dataset: Sequence[Utterance]):
-    refs = [utt.source for utt in dataset]
-    return corpus_wer(refs, [greedy_decode(p) for p in posteriorgrams(enc, dataset)])
+    hyps = [h for p in posteriorgrams(enc, dataset) for h in greedy_decode(p)]
+    return corpus_wer([utt.source for utt in dataset], hyps)
 
 
 def build_aec_cache(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
                     n: int) -> dict[str, NBestList]:
     """Each utterance's n-best list from CTC prefix beam search, by utterance id."""
-    return {utt.id: beam_search(p, beam=beam, n=n)
-            for utt, p in zip(dataset, posteriorgrams(enc, dataset))}
+    lists = [nb for p in posteriorgrams(enc, dataset) for nb in beam_search(p, beam=beam, n=n)]
+    return {utt.id: nb for utt, nb in zip(dataset, lists)}
 
 
 def read_nbest_cache(paths: Sequence[str]) -> dict[str, NBestList]:
@@ -580,6 +582,9 @@ def _connected_config(sys_: DecoderSystem, args, dataset) -> dict:
 
 
 def cmd_decode_eval(args) -> int:
+    if args.decoder and (args.nbest is not None or args.nbest_out):
+        raise ConfigError("--nbest and --nbest-out apply to the encoder-only beam search, "
+                          "not to --decoder")
     enc, enc_vocab, dataset = _eval_inputs(args)
     if args.nbest is not None and not 1 <= args.nbest <= args.beam:
         raise ConfigError(f"--nbest must be between 1 and --beam ({args.beam}), got {args.nbest}")

@@ -10,14 +10,14 @@ program stays in float64 -- it is exactly the place where 32-bit
 accumulation drifts -- and only the final scalar is rounded to storage
 precision.  An untaped call never computes beta.
 
-Decoding offers per-frame argmax (greedy) and prefix beam search.  The
-beam search keeps per-prefix (blank-ending, symbol-ending) log masses and
-scores each frame as arrays: every live prefix's extensions form one
-`[k, V]` float64 array, so the Python work per frame grows with the beam
-width, not with beam x V.  Each next-frame mass receives at most two
-log-add terms and ties are ordered by `(-score, prefix)`, so the n-best
-lists do not depend on accumulation order.  Scores carry no length
-normalisation.
+Decoding takes a batch of posteriorgrams (`Posteriorgram`, zero-padded
+`[B, T_max, V+1]` rows) and returns one result per utterance: per-frame
+argmax (greedy), or prefix beam search with one frame loop for the batch,
+whose Python work grows with the prefixes it creates, not with utterances
+x beam x V.  Its n-best lists are ranked by `(-score, prefix)`, exact ties
+at the beam's cut keep the smallest prefixes, and they depend neither on
+accumulation order nor on which utterances share a batch.  Scores carry
+no length normalisation.
 """
 
 from __future__ import annotations
@@ -136,90 +136,133 @@ def _forward(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def greedy_decode(p: Posteriorgram) -> TokenSeq:
-    """Per-frame argmax (ties take the lowest index), then collapse."""
-    path = tuple(int(i) for i in np.argmax(p.probs, axis=1))
-    return collapse(path, p.width - 1)
+def greedy_decode(p: Posteriorgram) -> list[TokenSeq]:
+    """Each utterance's per-frame argmax (ties take the lowest index),
+    collapsed; one token sequence per utterance of the batch."""
+    paths = np.argmax(p.probs, axis=2).tolist()
+    return [collapse(tuple(path[:t]), p.width - 1) for path, t in zip(paths, p.lengths)]
 
 
-def beam_search(p: Posteriorgram, beam: int, n: int) -> NBestList:
-    """Prefix beam search over the posteriorgram, scored one frame at a time.
+def beam_search(p: Posteriorgram, beam: int, n: int) -> list[NBestList]:
+    """Prefix beam search over a batch of posteriorgrams with one frame
+    loop; one n-best list per utterance, in batch order.
 
-    Each live prefix tracks log mass split by whether its last frame was
-    blank.  Per frame, the k live prefixes stay (a blank, or their last
-    symbol again) as length-k arrays, and grow by every token as one
-    `[k, V]` array; growing by the last symbol again draws only on the
-    blank-ending mass.  A growth that lands on a live prefix is log-added
-    into that prefix's symbol-ending mass and leaves the candidate set.
+    The utterances run longest first, so the `a` still running at frame t
+    are the first `a` rows.  Each row keeps up to `beam` live prefixes in
+    the slots of `[a, k]` arrays: blank-ending and symbol-ending log mass,
+    last symbol, trie node and the node of the prefix minus its last
+    symbol.  Nodes are hash-consed by (parent node, token), so a prefix is
+    one node however often it is dropped and grown again, and "q[:-1] is
+    live" is an array compare of parent nodes against live nodes.
 
-    So every next-frame mass receives at most two log-add terms, and since
-    `np.logaddexp` is symmetric with `logaddexp(-inf, x) == x`, the result
-    does not depend on accumulation order.  The `beam` best candidates are
-    kept, ties ordered by `(-score, prefix)`: `np.partition` finds the
-    beam-th best score and only the candidates at or above it are sorted.
-    Scores carry no length normalisation.
+    Per frame, `cand[r, s, c]` holds slot s grown by token c, and column V
+    its stay (a blank, or its last symbol again).  Growing by the last
+    symbol again draws only on the blank-ending mass.  A growth that lands
+    on a live prefix is log-added into that prefix's symbol-ending mass and
+    leaves the candidate set.  So every next-frame mass receives at most
+    two log-add terms, and since `np.logaddexp` is symmetric with
+    `logaddexp(-inf, x) == x`, the result does not depend on accumulation
+    order.
+
+    `np.argpartition` takes each row's `beam` best candidates.  Where exact
+    ties at the beam-th best score overflow the beam, the lexicographically
+    smallest prefixes win, so a row keeps the first `beam` candidates by
+    `(-score, prefix)`, as a full sort would.  Python runs only to mint
+    nodes, to break those ties and to spell out the final lists.
     """
     if not beam >= n >= 1:
         raise ValueError("need beam >= n >= 1")
-    probs = np.asarray(p.probs, dtype=np.float64)
-    logp = np.log(np.maximum(probs, _LOG_PROB_FLOOR))
-    v = logp.shape[1] - 1
-    tokens = np.tile(np.arange(v), beam)
-    no_mass = np.full(beam * v, -np.inf)
+    order = np.argsort([-t for t in p.lengths], kind="stable")
+    lengths = [p.lengths[b] for b in order]
+    logp = np.log(np.maximum(np.asarray(p.probs, dtype=np.float64)[order], _LOG_PROB_FLOOR))
+    v = p.width - 1
+    rows = len(order)
 
-    prefixes: list[TokenSeq] = [()]
-    scores = [0.0]
-    pb = np.zeros(1)  # blank-ending log mass per live prefix
-    pnb = np.full(1, -np.inf)  # symbol-ending log mass
-    last = np.full(1, -1)  # last symbol, -1 for the empty prefix
-    for lp in logp:
-        k = len(prefixes)
+    spelled: list[TokenSeq] = [()]  # trie node -> prefix; node 0 is the empty prefix
+    index: dict[int, int] = {}  # parent node * V + token -> node
+    # per slot; an empty slot has node -1 and parent -2, and its masses are ignored
+    node = np.zeros((rows, 1), dtype=np.intp)
+    parent = np.full((rows, 1), -2)  # node of q[:-1]; -2 for the root and empty slots
+    last = np.full((rows, 1), -1)  # last symbol; -1 for the root
+    pb = np.zeros((rows, 1))  # blank-ending log mass
+    pnb = np.full((rows, 1), -np.inf)  # symbol-ending log mass
+    lists: list[NBestList] = [None] * rows
+
+    def name(row: int, j: int) -> TokenSeq:
+        # candidate j of a row: slot j // (V+1) grown by token j % (V+1), or its stay
+        slot, c = divmod(j, v + 1)
+        q = spelled[node[row, slot]]
+        return q if c == v else q + (c,)
+
+    def finish(stop: int) -> None:
+        # spell out the n-best lists of the rows from `stop` on
+        for row in range(stop, node.shape[0]):
+            live = node[row] >= 0
+            scores = np.logaddexp(pb[row, live], pnb[row, live]).tolist()
+            ranked = sorted((-s, spelled[q]) for s, q in zip(scores, node[row, live].tolist()))
+            lists[order[row]] = NBestList(tuple((q, -neg) for neg, q in ranked[:n]),
+                                          beam_size=beam, n=n)
+
+    for t in range(lengths[0] if rows else 0):
+        a = sum(1 for length in lengths if length > t)
+        if a < node.shape[0]:
+            finish(a)
+            node, parent, last, pb, pnb = node[:a], parent[:a], last[:a], pb[:a], pnb[:a]
+        lp = logp[:a, t]
+        k = node.shape[1]
+        at, slots = np.arange(a)[:, None], np.arange(k)[None, :]
+        # cand[r, s, c]: slot s grown by token c, and in column V its stay
         total = np.logaddexp(pb, pnb)
-        stay_b = total + lp[v]
-        ends = last >= 0
-        stay_nb = np.where(ends, pnb + lp[last], -np.inf)
-        grow = total[:, None] + lp[None, :v]
-        rows = np.flatnonzero(ends)
-        grow[rows, last[rows]] = pb[rows] + lp[last[rows]]
-        grow = grow.ravel()
+        sym = lp[at, last]  # the root's -1 reads the blank; masked below
+        cand = total[:, :, None] + lp[:, None, :]
+        cand[at, slots, last] = pb + sym  # the last symbol again grows from pb only
+        stay_b = total + lp[:, v:]
+        stay_nb = np.where(last >= 0, pnb + sym, -np.inf)
 
-        # live q whose parent q[:-1] is live: cell [parent, q[-1]] is q again
-        index = {q: i for i, q in enumerate(prefixes)}
-        merged = [(i, index[q[:-1]]) for i, q in enumerate(prefixes) if q and q[:-1] in index]
-        valid = np.ones(k + k * v, dtype=bool)
-        if merged:
-            child, parent = np.array(merged).T
-            cells = parent * v + last[child]
-            stay_nb[child] = np.logaddexp(stay_nb[child], grow[cells])
-            valid[k + cells] = False
+        # a live q whose parent q[:-1] is live in slot s: cell [s, q[-1]] is q again
+        valid = np.repeat((node >= 0)[:, :, None], v + 1, axis=2)
+        r, j, s = np.nonzero(parent[:, :, None] == node[:, None, :])
+        if r.size:
+            c = last[r, j]
+            stay_nb[r, j] = np.logaddexp(stay_nb[r, j], cand[r, s, c])
+            valid[r, s, c] = False
+        cand[:, :, v] = np.logaddexp(stay_b, stay_nb)
 
-        mass_b = np.concatenate((stay_b, no_mass[: k * v]))
-        mass_nb = np.concatenate((stay_nb, grow))
-        score = np.concatenate((np.logaddexp(stay_b, stay_nb), grow))
-        ids = np.flatnonzero(valid)
-        if ids.size > beam:  # keep ties with the beam-th best for the prefix tie-break
-            cut = ids.size - beam
-            floor = np.partition(score[ids], cut)[cut]
-            ids = ids[score[ids] >= floor]
+        # each row's `beam` best; NaN ranks the invalid candidates last
+        score = cand.reshape(a, -1)
+        neg = np.where(valid.reshape(a, -1), -score, np.nan)
+        if score.shape[1] > beam:
+            pick = np.argpartition(neg, beam - 1, axis=1)[:, :beam]
+            floor = neg[at, pick].max(axis=1, keepdims=True)  # NaN: fewer than beam valid
+            for row in np.flatnonzero((neg <= floor).sum(axis=1) > beam).tolist():
+                # exact ties at the cut: the smallest prefixes fill what is left
+                above = np.flatnonzero(neg[row] < floor[row]).tolist()
+                tied = np.flatnonzero(neg[row] == floor[row]).tolist()
+                tied.sort(key=lambda j: name(row, j))
+                pick[row] = above + tied[:beam - len(above)]
+        else:
+            pick = np.broadcast_to(np.arange(score.shape[1]), score.shape)
 
-        ranked = []
-        for j, s in zip(ids.tolist(), score[ids].tolist()):
-            if j < k:
-                q = prefixes[j]
-            else:
-                r, c = divmod(j - k, v)
-                q = prefixes[r] + (c,)
-            ranked.append((-s, q, j))
-        ranked.sort()
-        del ranked[beam:]
-
-        keep = np.array([j for _, _, j in ranked])
-        prefixes = [q for _, q, _ in ranked]
-        scores = [-neg for neg, _, _ in ranked]
-        pb, pnb = mass_b[keep], mass_nb[keep]
-        last = np.concatenate((last, tokens[: k * v]))[keep]
-
-    return NBestList(tuple(zip(prefixes[:n], scores[:n])), beam_size=beam, n=n)
+        home, token = np.divmod(pick, v + 1)
+        stay = token == v
+        filled = ~np.isnan(neg[at, pick])
+        base = node[at, home]
+        pb = np.where(stay, stay_b[at, home], -np.inf)
+        pnb = np.where(stay, stay_nb[at, home], score[at, pick])
+        last = np.where(stay, last[at, home], token)
+        parent = np.where(filled, np.where(stay, parent[at, home], base), -2)
+        node = np.where(filled, base, -1)
+        r, j = np.nonzero(filled & ~stay)
+        minted = []
+        for key in (base[r, j] * v + token[r, j]).tolist():
+            q = index.get(key)
+            if q is None:
+                q = index[key] = len(spelled)
+                spelled.append(spelled[key // v] + (key % v,))
+            minted.append(q)
+        node[r, j] = minted
+    finish(0)
+    return lists
 
 
 def nbest_to_json(utt_id: str, nbest: NBestList) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -60,21 +61,31 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class Posteriorgram:
-    """Per-frame probability rows over the V+1 output slots."""
+    """A batch of per-frame probability rows over the V+1 output slots:
+    utterance b's frames are `probs[b, :lengths[b]]` and zeros pad the rest."""
 
-    probs: np.ndarray  # [T, V+1]
+    probs: np.ndarray  # [B, T_max, V+1]
+    lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if self.probs.ndim != 2:
-            raise ValueError("posteriorgram must be [frames, V+1]")
+        if self.probs.ndim != 3:
+            raise ValueError("posteriorgram must be [utterances, frames, V+1]")
+        if len(self.lengths) != self.probs.shape[0] or any(
+                not 0 <= n <= self.probs.shape[1] for n in self.lengths):
+            raise ValueError("need one length in [0, frames] per utterance")
 
-    @property
-    def frames(self) -> int:
-        return self.probs.shape[0]
+    @classmethod
+    def pack(cls, grams: Sequence[np.ndarray]) -> "Posteriorgram":
+        """One zero-padded batch from each utterance's [T, V+1] rows."""
+        lengths = tuple(g.shape[0] for g in grams)
+        probs = np.zeros((len(grams), max(lengths), grams[0].shape[1]), dtype=grams[0].dtype)
+        for b, g in enumerate(grams):
+            probs[b, :lengths[b]] = g
+        return cls(probs, lengths)
 
     @property
     def width(self) -> int:
-        return self.probs.shape[1]
+        return self.probs.shape[2]
 
 
 def collapse(path: Alignment, blank_id: int) -> TokenSeq:

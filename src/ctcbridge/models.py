@@ -549,7 +549,9 @@ def check_system(sys: DecoderSystem, enc_cfg: EncoderConfig) -> None:
 
 # utterances per untaped inference pass (a generation prefill, a CTC
 # decode's posteriorgrams), which bounds the pass's float64 temporaries:
-# about 1.3 MB for 16 bench utterances, against 3.7 MB for 48 in one pass
+# about 1.3 MB for 16 bench utterances, against 3.7 MB for 48 in one pass.
+# A CTC beam search takes one pass's posteriorgrams as its batch, so this
+# also bounds the search's per-frame candidate arrays and its prefix trie.
 INFERENCE_BATCH = 16
 
 

@@ -6,10 +6,11 @@
 (log-softmax, gather, shift, logaddexp, slice), whose gradient comes from
 the generic backward rules.  The fused loss must match its value bit for
 bit and its gradient to rounding.
-`beam_search_reference` is the dict-based prefix beam search that
-`ctcbridge.ctc.beam_search` replaced: one Python `np.logaddexp` per
-(prefix, token) pair and a full sort of every candidate each frame.  The
-array version must reproduce its n-best lists bit for bit.
+`beam_search_reference` is the dict-based prefix beam search of one
+utterance that `ctcbridge.ctc.beam_search` replaced: one Python
+`np.logaddexp` per (prefix, token) pair and a full sort of every candidate
+each frame.  The batched array search must reproduce its n-best lists bit
+for bit, for every utterance of a batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ctcbridge import tensor as tt
 from ctcbridge.ctc import _LOG_PROB_FLOOR, INFEASIBLE_LOSS, CtcLoss, NBestList, min_frames
-from ctcbridge.lexicon import Alignment, Posteriorgram, TokenSeq, collapse
+from ctcbridge.lexicon import Alignment, TokenSeq, collapse
 from tape_ops import gather_flat, log_softmax, logaddexp, logsumexp, mul, neg, precision, shift
 
 
@@ -99,8 +100,8 @@ def ctc_loss_reference(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> CtcLoss
     return CtcLoss(loss, True)
 
 
-def beam_search_reference(p: Posteriorgram, beam: int, n: int) -> NBestList:
-    """Prefix beam search over the posteriorgram.
+def beam_search_reference(probs: np.ndarray, beam: int, n: int) -> NBestList:
+    """Prefix beam search over one utterance's [T, V+1] posteriorgram rows.
 
     Each live prefix tracks log mass split by whether its last frame was
     blank; extending with the last symbol again only grows the prefix from
@@ -108,8 +109,7 @@ def beam_search_reference(p: Posteriorgram, beam: int, n: int) -> NBestList:
     """
     if not beam >= n >= 1:
         raise ValueError("need beam >= n >= 1")
-    probs = np.asarray(p.probs, dtype=np.float64)
-    logp = np.log(np.maximum(probs, _LOG_PROB_FLOOR))
+    logp = np.log(np.maximum(np.asarray(probs, dtype=np.float64), _LOG_PROB_FLOOR))
     t_frames, width = logp.shape
     v = width - 1
     neg_inf = -math.inf

@@ -9,7 +9,8 @@ and divided by the number of utterances that gave a loss.  Its front ends
 `train_encoder_ctc` and `adapt_decoder` are the old ones, calling these
 passes, and read the frozen encoder one utterance at a time.
 `posteriorgram` is `cli._posteriorgram`, which decoding with the encoder
-alone called once per utterance before its passes were packed.
+alone called once per utterance before its passes were packed; it gives
+the utterance's [T, V+1] probability rows.
 
 The blocks are `models._mix_block` without a segment table, which the
 per-head oracle in `block_oracles` covers.
@@ -24,7 +25,6 @@ import numpy as np
 
 from ctcbridge import tensor as tt
 from ctcbridge.ctc import ctc_loss
-from ctcbridge.lexicon import Posteriorgram
 from ctcbridge.models import (Adam, TrainingDiverged, TrainLog, _mix_block, _w, check_system,
                               teacher_forcing_example)
 from ctcbridge.rng import CounterRng
@@ -99,9 +99,9 @@ def encoder_readout(reads: str, enc, frames: np.ndarray) -> Optional[np.ndarray]
     return hidden.data if reads == "hidden" else logits.data
 
 
-def posteriorgram(enc, utt) -> Posteriorgram:
+def posteriorgram(enc, utt) -> np.ndarray:
     probs = tt.softmax(encoder_forward(enc, utt.frames)[1]).data
-    return Posteriorgram(tt._finite(probs, "the posteriorgram"))
+    return tt._finite(probs, "the posteriorgram")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -272,19 +272,19 @@ def test_swap_and_sweep_tau_on_lego(tiny, systems, capsys):
 
 
 def test_sweep_tau_builds_aec_lists_once(tiny, systems, capsys, monkeypatch):
-    calls = []
+    searched = []
     real = cli.beam_search
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(p, *args, **kwargs):
+        searched.append(len(p.lengths))
+        return real(p, *args, **kwargs)
 
     monkeypatch.setattr(cli, "beam_search", counted)
     code, out, _ = run(capsys, ["sweep-tau", "--encoder", tiny["enc"], "--decoder",
                                 systems["aec"], "--spec", tiny["spec"], "--max-new", "4"])
     assert code == 0
     assert len(out.splitlines()) == 1 + len(cli.DEFAULT_TAU_GRID)
-    assert len(calls) == TASK["splits"]["test"]
+    assert sum(searched) == TASK["splits"]["test"]
 
 
 def test_sweep_tau_runs_the_encoder_once(tiny, systems, capsys, monkeypatch):
@@ -477,6 +477,32 @@ def test_split_without_a_manifest_hash_exits_2(tiny, capsys, tmp_path):
                    f"records no sha256 for this split\n")
     code, _, _ = run(capsys, decode(tiny, "--data", str(tmp_path), "--split", "dev"))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["decode-eval", "sweep-tau", "swap"])
+def test_empty_split_exits_2(tiny, capsys, tmp_path, command):
+    assert cli.main(["gen-data", "--spec", tiny["spec"], "--out", str(tmp_path)]) == 0
+    path = tmp_path / "test.jsonl"
+    path.write_text("")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["sha256"]["test"] = hashlib.sha256(b"").hexdigest()  # a consistent manifest
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    argv = [command, "--encoder", tiny["enc"], "--data", str(tmp_path)]
+    if command != "decode-eval":
+        argv += ["--decoder", tiny["sys"]]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: the split holds no utterances\n"
+
+
+@pytest.mark.parametrize("flags", [["--nbest", "2"], ["--nbest-out", "nbest.jsonl"],
+                                   ["--nbest", "2", "--nbest-out", "nbest.jsonl"]])
+def test_nbest_flags_with_a_decoder_exit_2(tiny, capsys, tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, decode(tiny, "--decoder", tiny["sys"], "--limit", "2", *flags))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --nbest and --nbest-out") and err.count("\n") == 1
+    assert not (tmp_path / "nbest.jsonl").exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

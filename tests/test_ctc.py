@@ -14,10 +14,15 @@ from ctcbridge.ctc import (
     nbest_from_json,
     nbest_to_json,
 )
-from ctcbridge.lexicon import Posteriorgram
+from ctcbridge.lexicon import Posteriorgram, collapse
 from ctcbridge.rng import CounterRng
 from ctc_oracles import alignment_oracle, beam_search_reference, ctc_loss_reference
 from tape_ops import finite_diff_check, precision
+
+
+def one(probs) -> Posteriorgram:
+    """A batch of one utterance's [T, V+1] rows."""
+    return Posteriorgram.pack([np.asarray(probs)])
 
 
 def gram(logits) -> tt.Tensor:
@@ -182,22 +187,29 @@ class TestGreedyDecode:
         p = np.zeros((3, 3))
         for t, c in enumerate((0, 2, 1)):
             p[t, c] = 1.0
-        assert greedy_decode(Posteriorgram(p)) == (0, 1)
+        assert greedy_decode(one(p)) == [(0, 1)]
 
     def test_all_blank(self):
         p = np.zeros((4, 3))
         p[:, 2] = 1.0
-        assert greedy_decode(Posteriorgram(p)) == ()
+        assert greedy_decode(one(p)) == [()]
 
     def test_collapse_semantics(self):
         p = np.zeros((4, 3))
         for t, c in enumerate((0, 0, 2, 0)):
             p[t, c] = 1.0
-        assert greedy_decode(Posteriorgram(p)) == (0, 0)
+        assert greedy_decode(one(p)) == [(0, 0)]
 
     def test_tie_breaks_to_lowest_index(self):
         p = np.full((1, 3), 1 / 3)
-        assert greedy_decode(Posteriorgram(p)) == (0,)
+        assert greedy_decode(one(p)) == [(0,)]
+
+    def test_padding_is_not_decoded(self):
+        # the zero rows after an utterance's frames would argmax to token 0
+        rng = CounterRng(12)
+        grams = [posterior_rows("peaky", t, 3, rng.child(t)) for t in (4, 0, 9, 1)]
+        assert greedy_decode(Posteriorgram.pack(grams)) == [
+            collapse(tuple(np.argmax(g, axis=1).tolist()), 3) for g in grams]
 
 
 def exhaustive_best(probs: np.ndarray, v: int):
@@ -223,9 +235,8 @@ class TestBeamSearch:
         p = np.zeros((3, 3))
         for t, c in enumerate((0, 2, 1)):
             p[t, c] = 1.0
-        pg = Posteriorgram(p)
-        nb = beam_search(pg, beam=4, n=2)
-        assert nb.top() == greedy_decode(pg)
+        (nb,) = beam_search(one(p), beam=4, n=2)
+        assert [nb.top()] == greedy_decode(one(p))
         assert nb.hypotheses[0][1] == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_exhaustive_oracle(self):
@@ -236,7 +247,7 @@ class TestBeamSearch:
             v = int(crng.integers(2, 4, 1)[0])
             z = crng.normals(t_frames * (v + 1)).reshape(t_frames, v + 1) * 1.5
             probs = tt.softmax(tt.Tensor(z)).data
-            nb = beam_search(Posteriorgram(probs), beam=64, n=1)
+            (nb,) = beam_search(one(probs), beam=64, n=1)
             want, want_score = exhaustive_best(probs, v)
             assert nb.top() == want
             assert nb.hypotheses[0][1] == pytest.approx(want_score, rel=1e-5, abs=1e-5)
@@ -245,15 +256,14 @@ class TestBeamSearch:
         rng = CounterRng(3)
         z = rng.normals(4 * 4).reshape(4, 4)
         probs = tt.softmax(tt.Tensor(z)).data
-        nb = beam_search(Posteriorgram(probs), beam=8, n=5)
+        (nb,) = beam_search(one(probs), beam=8, n=5)
         scores = [s for _, s in nb.hypotheses]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert all(np.exp(s) <= 1.0 + 1e-9 for s in scores)
 
     def test_beam_smaller_than_n_rejected(self):
-        p = Posteriorgram(np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
-            beam_search(p, beam=1, n=2)
+            beam_search(one(np.full((2, 2), 0.5)), beam=1, n=2)
 
     def test_nbest_json_round_trip(self):
         nb = NBestList((((0, 1), -0.5), ((1,), -1.25)), beam_size=4, n=2)
@@ -293,19 +303,58 @@ def posterior_rows(kind: str, t_frames: int, v: int, rng: CounterRng) -> np.ndar
     return e / e.sum(axis=1, keepdims=True)
 
 
+BEAM_N = ((1, 1), (2, 2), (3, 1), (10, 10), (64, 1))
+
+
+def assert_same_lists(got: list[NBestList], want: list[NBestList], what):
+    assert [nb.hypotheses for nb in got] == [nb.hypotheses for nb in want], what
+    assert all(type(s) is float for nb in got for _, s in nb.hypotheses)
+    # the n-best cache files must come out byte for byte the same
+    assert [nbest_to_json("u", nb) for nb in got] == [nbest_to_json("u", nb) for nb in want]
+
+
+def mixed_batch(v: int) -> list[np.ndarray]:
+    """Every row kind at every length 0-20, in a shuffled order."""
+    rng = CounterRng(2505).child(f"batch.v{v}")
+    grams = [posterior_rows(kind, t, v, rng.child(f"{kind}.t{t}"))
+             for kind in ROW_KINDS for t in range(21)]
+    shuffle = np.argsort(rng.child("order").uniforms(len(grams)), kind="stable")
+    return [grams[i] for i in shuffle]
+
+
 class TestBeamSearchMatchesReference:
-    """The array search against the dict-based one it replaced: bit-identical."""
+    """The batched array search against the dict-based one-utterance search
+    it replaced: bit-identical for every utterance of a batch."""
 
     @pytest.mark.parametrize("v", (1, 2, 3, 5, 32))
     @pytest.mark.parametrize("t_frames", (0, 1, 2, 7, 20))
     def test_same_hypotheses_scores_and_order(self, v, t_frames):
         rng = CounterRng(2505).child(f"v{v}.t{t_frames}")
         for kind in ROW_KINDS:
-            pg = Posteriorgram(posterior_rows(kind, t_frames, v, rng.child(kind)))
-            for beam, n in ((1, 1), (2, 2), (3, 1), (10, 10), (64, 1)):
-                got = beam_search(pg, beam=beam, n=n)
-                want = beam_search_reference(pg, beam=beam, n=n)
-                assert got.hypotheses == want.hypotheses, (kind, beam, n)
-                assert all(type(s) is float for _, s in got.hypotheses)
-                # the n-best cache files must come out byte for byte the same
-                assert nbest_to_json("u", got) == nbest_to_json("u", want)
+            rows = posterior_rows(kind, t_frames, v, rng.child(kind))
+            for beam, n in BEAM_N:
+                assert_same_lists(beam_search(one(rows), beam=beam, n=n),
+                                  [beam_search_reference(rows, beam=beam, n=n)], (kind, beam, n))
+
+    @pytest.mark.parametrize("v", (1, 2, 3, 5, 32))
+    def test_one_call_searches_a_mixed_batch(self, v):
+        grams = mixed_batch(v)
+        p = Posteriorgram.pack(grams)
+        for beam, n in BEAM_N:
+            want = [beam_search_reference(g, beam=beam, n=n) for g in grams]
+            assert_same_lists(beam_search(p, beam=beam, n=n), want, (beam, n))
+
+    @pytest.mark.parametrize("v", (1, 2, 3, 5))
+    def test_utterances_tying_at_the_cut_in_the_same_frame(self, v):
+        # uniform rows: every candidate of every utterance ties, so each
+        # frame's cut falls inside a tie in all rows at once
+        grams = [np.full((t, v + 1), 1.0 / (v + 1)) for t in (6, 2, 6, 0, 9, 1, 4)]
+        p = Posteriorgram.pack(grams)
+        for beam, n in ((1, 1), (2, 2), (3, 1), (5, 5), (10, 3)):
+            want = [beam_search_reference(g, beam=beam, n=n) for g in grams]
+            assert_same_lists(beam_search(p, beam=beam, n=n), want, (beam, n))
+
+    def test_batch_of_one_equals_its_row_in_a_batch(self):
+        grams = mixed_batch(5)
+        got = beam_search(Posteriorgram.pack(grams), beam=4, n=3)
+        assert got == [beam_search(one(g), beam=4, n=3)[0] for g in grams]

@@ -18,14 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import packing_oracles as oracle
+from ctcbridge import cli
 from ctcbridge import models as md
 from ctcbridge import tensor as tt
 from ctcbridge.cli import build_aec_cache, eval_ctc_greedy, load_task, posteriorgrams
 from ctcbridge.connector import ConnectorConfig
 from ctcbridge.ctc import beam_search, greedy_decode
+from ctcbridge.lexicon import collapse
 from ctcbridge.metrics import corpus_wer
 from ctcbridge.rng import CounterRng
 from ctcbridge.synthdata import MaskConfig
+from ctc_oracles import beam_search_reference
 from tape_ops import mul, precision, reduce_sum
 
 TASK = {
@@ -208,19 +211,34 @@ class TestPackedPosteriorgrams:
             return forward(self, frames, *args, **kwargs)
 
         monkeypatch.setattr(md.SpeechEncoder, "forward", spy)
-        got = posteriorgrams(trained, utts)
+        got = list(posteriorgrams(trained, utts))
         assert batches == [md.INFERENCE_BATCH] * 2 + [len(utts) - 2 * md.INFERENCE_BATCH]
+        assert [len(p.lengths) for p in got] == batches
         want = [oracle.posteriorgram(trained, u) for u in utts]
-        assert [p.probs.tobytes() for p in got] == [p.probs.tobytes() for p in want]
+        assert [p.probs[b, :t].tobytes() for p in got for b, t in enumerate(p.lengths)] == [
+            g.tobytes() for g in want]
+        assert not any(p.probs[b, t:].any() for p in got for b, t in enumerate(p.lengths))
 
     def test_nbest_lists_and_greedy_hypotheses_are_unchanged(self, trained, utts):
         grams = [oracle.posteriorgram(trained, u) for u in utts]
         assert build_aec_cache(trained, utts, beam=4, n=3) == {
-            u.id: beam_search(p, beam=4, n=3) for u, p in zip(utts, grams)}
-        hyps = [greedy_decode(p) for p in grams]
+            u.id: beam_search_reference(g, beam=4, n=3) for u, g in zip(utts, grams)}
+        blank = trained.cfg.out_slots - 1
+        hyps = [collapse(tuple(np.argmax(g, axis=1).tolist()), blank) for g in grams]
         assert any(hyps)
-        assert [greedy_decode(p) for p in posteriorgrams(trained, utts)] == hyps
+        assert [h for p in posteriorgrams(trained, utts) for h in greedy_decode(p)] == hyps
         assert eval_ctc_greedy(trained, utts) == corpus_wer([u.source for u in utts], hyps)
+
+    def test_the_search_gets_at_most_one_pass_of_utterances(self, trained, utts, monkeypatch):
+        searched = []
+
+        def spy(p, *args, **kwargs):
+            searched.append(len(p.lengths))
+            return beam_search(p, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "beam_search", spy)
+        build_aec_cache(trained, utts, beam=2, n=1)
+        assert max(searched) <= md.INFERENCE_BATCH and sum(searched) == len(utts)
 
 
 # ---------------------------------------------------------------------------
