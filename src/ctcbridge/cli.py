@@ -557,8 +557,10 @@ def cmd_adapt(args) -> int:
 
 
 def _eval_inputs(args) -> tuple[SpeechEncoder, Vocabulary, list[Utterance]]:
-    """Checked --beam/--limit, the --encoder checkpoint and the evaluated utterances."""
-    for flag, value in (("--beam", args.beam), ("--limit", args.limit)):
+    """Checked --beam/--limit/--max-new, the --encoder checkpoint and the
+    evaluated utterances."""
+    for flag, value in (("--beam", args.beam), ("--limit", args.limit),
+                        ("--max-new", args.max_new)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     enc, enc_vocab, _ = load_trained_encoder(args.encoder)

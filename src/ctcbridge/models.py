@@ -22,7 +22,9 @@ utterances in one call.  Packed passes over their [speech; prompt]
 sequences fill a `KVCache` with every block's keys and values and give
 each utterance's first token; then every further token is one decoder
 step that feeds only the utterance's newest row, which attends over its
-cached rows.  `evaluate_system` decodes a whole dataset in one call.
+cached rows.  The cache also carries the decoder's weights, converted to
+float64 once per call.  `evaluate_system` decodes a whole dataset in one
+call.
 
 One step loop, `_train`, with two front ends: `train_encoder_ctc`
 CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
@@ -126,8 +128,12 @@ def _const(rng: CounterRng, name: str, shape, value: float) -> tt.Parameter:
     return tt.Parameter(np.full(shape, value, dtype=np.float64), name=name)
 
 
-def _w(params: dict[str, tt.Parameter], name: str, tape) -> tt.Tensor:
+def _w(params: dict, name: str, tape) -> tt.Tensor:
+    """Parameter `name` of `params` as a Tensor: watched on `tape`, or read
+    untaped; an entry that already is a Tensor passes through."""
     p = params[name]
+    if isinstance(p, tt.Tensor):
+        return p
     return tape.watch(p) if tape is not None else tt._unchecked(p.value)
 
 
@@ -296,7 +302,8 @@ class DecoderLM:
         cache holds for it: its positions start after them, it attends to
         them too, and its keys and values are added to the cache.  The first
         call on an empty cache is a packed pass as above; a later one feeds
-        one token per sequence and no speech.
+        one token per sequence and no speech.  Such a pass reads the
+        weights the cache carries instead of `self.params`.
         """
         seqs = [np.asarray(t, dtype=np.intp) for t in text_ids]
         t_lens = np.array([ids.size for ids in seqs], dtype=np.intp)
@@ -312,10 +319,13 @@ class DecoderLM:
         total = int((starts + s_lens + t_lens).max())
         if total > self.cfg.max_len:
             raise ValueError(f"sequence length {total} exceeds max_len {self.cfg.max_len}")
+        if cache is not None and tape is not None:
+            raise ValueError("a K/V cache continues untaped passes only")
         if cache is not None and total > cache.rows:
             raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
 
-        emb = self.embedding(tape)
+        params = self.params if cache is None else cache.weights
+        emb = _w(params, "emb", tape)
         positions, is_text = _packed_rows(s_lens, t_lens, starts)
         # each packed row reads its token's row of the table, or its speech
         # row, placed after the table: one gather builds [speech_i; text_i]
@@ -325,20 +335,20 @@ class DecoderLM:
             table = tt.concat_rows([emb, speech])
             rows[~is_text] = emb.shape[0] + np.arange(speech.shape[0])
         x = tt.add(tt.gather_rows(table, rows),
-                   tt.gather_rows(_w(self.params, "pos", tape), positions))
+                   tt.gather_rows(_w(params, "pos", tape), positions))
         lengths = (s_lens + t_lens).tolist()
         for i in range(self.cfg.blocks):
-            x = _mix_block(x, self.params, f"blk{i}", tape, causal=True, drop_rate=drop_rate,
+            x = _mix_block(x, params, f"blk{i}", tape, causal=True, drop_rate=drop_rate,
                            drop_rng=drop_rng, heads=self.cfg.heads, lengths=lengths,
                            kv=None if cache is None else (*cache.blocks[i], cache.filled))
         if cache is not None:
             cache.filled += lengths
-        h = tt.layer_norm(x, _w(self.params, "lnfg", tape), _w(self.params, "lnfb", tape))
+        h = tt.layer_norm(x, _w(params, "lnfg", tape), _w(params, "lnfb", tape))
         h_text = tt.gather_rows(h, np.flatnonzero(is_text))
-        if self.cfg.tie_output:
-            out_w = tt.transpose(tt.slice_rows(emb, 0, self.cfg.vocab))
+        if "out.w" in params:  # untied, or the cache's copy of the tied matrix
+            out_w = _w(params, "out.w", tape)
         else:
-            out_w = _w(self.params, "out.w", tape)
+            out_w = tt.transpose(tt.slice_rows(emb, 0, self.cfg.vocab))
         return tt.matmul(h_text, out_w)
 
 
@@ -347,21 +357,29 @@ class KVCache:
     fed, for untaped generation (the per-layer cache of Pope et al., 2022,
     "Efficiently Scaling Transformer Inference"): per block, [B, H, rows,
     d/H] key and value arrays in the storage dtype, which holds `qkv`
-    exactly, and each sequence's filled length."""
+    exactly, and each sequence's filled length.
 
-    def __init__(self, cfg: DecoderConfig, batch: int, rows: int):
+    `weights` is `_fixed_weights(decoder)`, which every pass with this
+    cache reads instead of the decoder's parameters, so the passes of one
+    `generate` call convert the weights once, not once per token.  It is a
+    snapshot: a cache must not outlive a change to the parameters.  Parts
+    of a cache share it."""
+
+    def __init__(self, cfg: DecoderConfig, batch: int, rows: int,
+                 weights: dict[str, tt.Tensor]):
         shape = (batch, cfg.heads, rows, cfg.dim // cfg.heads)
         self.blocks = [(np.zeros(shape, tt._DTYPE), np.zeros(shape, tt._DTYPE))
                        for _ in range(cfg.blocks)]
         self.filled = np.zeros(batch, dtype=np.intp)
         self.rows = rows
+        self.weights = weights
 
     def part(self, start: int, stop: int) -> KVCache:
         """Sequences [start, stop) as a cache of their own, over views of
         this one's arrays: what a forward call adds there is added here."""
         part = object.__new__(KVCache)
         part.blocks = [(k[start:stop], v[start:stop]) for k, v in self.blocks]
-        part.filled, part.rows = self.filled[start:stop], self.rows
+        part.filled, part.rows, part.weights = self.filled[start:stop], self.rows, self.weights
         return part
 
     def load(self, seq: int, src: KVCache, src_seq: int) -> None:
@@ -376,6 +394,23 @@ class KVCache:
         """Keep only the sequences at `index`, in that order."""
         self.blocks = [(k[index], v[index]) for k, v in self.blocks]
         self.filled = self.filled[index]
+
+
+def _fixed_weights(dec: DecoderLM) -> dict[str, tt.Tensor]:
+    """Every parameter of `dec` as an untaped Tensor, for passes that do not
+    change them (one `generate` call): float64 copies of what `matmul` and
+    `layer_norm` read, which they then read without a cast, with the tied
+    output matrix emb[:V] transposed as "out.w"; the tables that
+    `gather_rows` reads and the biases that `add` reads stay over the
+    parameters' own float32 storage."""
+    weights = {}
+    for name, p in dec.params.items():
+        kept = name in ("emb", "pos") or name.endswith((".b1", ".b2"))
+        weights[name] = tt._unchecked(p.value if kept else p.value.astype(np.float64))
+    if dec.cfg.tie_output:
+        weights["out.w"] = tt._unchecked(
+            np.ascontiguousarray(dec.params["emb"].value[:dec.cfg.vocab].T, np.float64))
+    return weights
 
 
 def _speech_lens(speech: Optional[tt.Tensor], speech_lens: Optional[Sequence[int]],
@@ -630,11 +665,14 @@ def check_fits(sys: DecoderSystem, vocab: Vocabulary, dataset: Sequence[Utteranc
 
 
 # utterances one decoder step feeds at most.  A step costs nearly the same
-# for 1 row as for 48 (its cost is per-op overhead), so a wider step
-# decodes a batch faster, but its time then follows how long the longest
-# utterance runs rather than the tokens the batch emits: at 48 rows a batch
-# costs `max_new` steps whether one utterance runs that long or all do.
-# One row per step keeps a decode's time in proportion to its tokens.
+# for 1 row as for 48: its cost is per-op overhead.  One row of the bench
+# decoder takes about 0.34 ms median and 0.29 ms best on one core of a
+# 2-core x86 host (0.48 and 0.41 ms while every step cast its weights to
+# float64 again).  So a wider step decodes a batch faster, but its time
+# then follows how long the longest utterance runs rather than the tokens
+# the batch emits: at 48 rows a batch costs `max_new` steps whether one
+# utterance runs that long or all do.  One row per step keeps a decode's
+# time in proportion to its tokens.
 _STEP_ROWS = 1
 
 
@@ -651,7 +689,8 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[S
     first token.  Then each step feeds the newest token of up to
     `_STEP_ROWS` utterances, in order, as one row each of one cached pass;
     an utterance leaves at <eos> or its budget and the next waiting one
-    takes its place with a copy of its cached rows.
+    takes its place with a copy of its cached rows.  Every pass of the call
+    reads the weights its caches carry, converted once per call.
     numpy's floating-point warnings are off: the check on each step's
     logits reports a non-finite value instead.
     """
@@ -667,7 +706,7 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[S
     live = np.flatnonzero(budgets > 0)
     if live.size:
         prefixes = [s_lens[b] + len(prompts[b]) for b in live]
-        prefilled = KVCache(dec.cfg, live.size, max(prefixes))
+        prefilled = KVCache(dec.cfg, live.size, max(prefixes), _fixed_weights(dec))
         s_starts = np.cumsum([0] + s_lens)
         rows = []
         for lo in range(0, live.size, INFERENCE_BATCH):
@@ -688,7 +727,7 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[S
         if slots.size:
             # the last token is never fed back
             cache = KVCache(dec.cfg, slots.size, max(prefixes[i] + budgets[live[i]] - 1
-                                                     for i in waiting))
+                                                     for i in waiting), prefilled.weights)
             for j, i in enumerate(slots):
                 cache.load(j, prefilled, i)
             queued = slots.size

@@ -3,7 +3,9 @@
 Storage is 32-bit, row-major, contiguous.  Reductions (matmul, attention,
 softmax and cross-entropy normalisers, layer-norm statistics) accumulate
 in 64-bit before rounding back, which keeps them accurate without doubling
-memory.  Log-space code uses `LOG_ZERO` (a finite sentinel) where a true
+memory.  A constant (untaped) Tensor may hold float64 data, such as a
+weight that many passes read: the 64-bit ops read it without a cast, and
+their outputs are float32 all the same.  Log-space code uses `LOG_ZERO` (a finite sentinel) where a true
 -inf would otherwise appear.
 
 Rows may hold a packed batch of sequences stacked one after another.  The
@@ -240,34 +242,28 @@ def add(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
         return _emit(a.tape, a.data + _DTYPE(b), (a.nid,), lambda g: (g,))
     b = as_tensor(b)
-    tape = _tape_of(a, b)
-    pa = a.nid if a.tape is not None else None
-    pb = b.nid if b.tape is not None else None
     if a.shape == b.shape:
-        def bwd(g):
-            return (g if pa is not None else None, g if pb is not None else None)
         out = a.data + b.data
     elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        def bwd(g):
-            gb = g.sum(axis=0, dtype=np.float64).astype(g.dtype) if pb is not None else None
-            return (g if pa is not None else None, gb)
         out = a.data + b.data[None, :]
     else:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    parents = tuple(p for p in (pa, pb) if p is not None)
-    if not parents:
+    tape = _tape_of(a, b)
+    if tape is None:
         return _emit(None, out)
+    pa = a.nid if a.tape is not None else None
+    pb = b.nid if b.tape is not None else None
+    row_bias = a.shape != b.shape
 
-    def full_bwd(g):
-        ga, gb = bwd(g)
+    def bwd(g):
         res = []
         if pa is not None:
-            res.append(ga)
+            res.append(g)
         if pb is not None:
-            res.append(gb)
+            res.append(g.sum(axis=0, dtype=np.float64).astype(g.dtype) if row_bias else g)
         return tuple(res)
 
-    return _emit(tape, out, parents, full_bwd)
+    return _emit(tape, out, tuple(p for p in (pa, pb) if p is not None), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -401,8 +397,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 def _normalise(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """float64 (xhat, 1/std) of each row of `x`."""
     xd = _f64(x)
-    xc = xd - xd.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    n = xd.shape[1]  # sum / n is ndarray.mean without its Python wrapper
+    xc = xd - xd.sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / n + eps)
     return xc * inv, inv
 
 
@@ -507,17 +504,24 @@ def attention(qkv: Tensor, heads: int, causal: bool,
                          f"got {qkv.shape}")
     t, width = qkv.shape[0], qkv.shape[1] // 3
     scale = 1.0 / np.sqrt(width // heads)
-    segs = _segments(t, lengths)
     saved = qkv.data
     if cache is not None:
         if qkv.tape is not None or not causal:
             raise ValueError("a K/V cache continues untaped causal attention only")
-        stepping = cache[2].any()
-        if stepping and t != len(segs):
-            raise ValueError("a K/V cache that holds rows takes one new row per sequence")
-        _write_cache(saved, heads, cache, [b - a for a, b in segs])
-        if stepping:
+        keys, values, filled = cache
+        if filled.any():
+            if list(lengths if lengths is not None else [t]) != [1] * t:
+                raise ValueError("a K/V cache that holds rows takes one new row per sequence")
+            if t != keys.shape[0]:
+                raise ValueError(f"the cache holds {keys.shape[0]} sequences, got {t} segments")
+            # each sequence's one new row goes straight to its row filled[b]
+            parts, seq = saved.reshape(t, 3, heads, -1), np.arange(t)
+            keys[seq, :, filled] = parts[:, 1]
+            values[seq, :, filled] = parts[:, 2]
             return _emit(None, _cached_step(saved, heads, scale, cache))
+    segs = _segments(t, lengths)
+    if cache is not None:
+        _write_cache(saved, heads, cache, [b - a for a, b in segs])
     q, k, v = _heads(saved, heads)
     if causal:
         longest = max(b - a for a, b in segs)
@@ -574,7 +578,7 @@ def _cached_step(qkv: np.ndarray, heads: int, scale: float, cache) -> np.ndarray
     q = _f64(qkv[:, :width]).reshape(b, heads, 1, -1)
     p = q @ _f64(k[:, :, :n]).transpose(0, 1, 3, 2)
     p *= scale
-    p[np.broadcast_to((np.arange(n) > filled[:, None])[:, None, None, :], p.shape)] = LOG_ZERO
+    p = np.where((np.arange(n) > filled[:, None])[:, None, None, :], LOG_ZERO, p)
     p -= p.max(axis=3, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=3, keepdims=True)

@@ -109,6 +109,18 @@ def test_zero_limit_or_beam_exits_2(tiny, capsys, command, flag):
     assert err == f"error: {flag} must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("command, value", [
+    (["decode-eval", "--decoder"], "0"),
+    (["sweep-tau", "--decoder"], "0"),
+    (["swap", "--decoder"], "-2"),
+])
+def test_max_new_below_one_exits_2(tiny, capsys, command, value):
+    code, out, err = run(capsys, [*command, tiny["sys"], "--encoder", tiny["enc"],
+                                  "--spec", tiny["spec"], "--max-new", value])
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-new must be >= 1, got {value}\n"
+
+
 def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))

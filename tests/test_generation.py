@@ -186,6 +186,76 @@ def test_random_decoders_match_the_oracle(seed, heads, blocks, shape, with_speec
     assert got == want
 
 
+def random_batch(seed, dec, shape):
+    """(stacked speech prefixes, prompts, speech_lens) of random utterances
+    with (speech rows, prompt length) `shape`."""
+    draws = CounterRng(seed, stream=1).integers(0, VOCAB.size, 6 * len(shape)).reshape(-1, 6)
+    prompts = [[VOCAB.bos_id, *draws[i, :p - 1].tolist()] for i, (_, p) in enumerate(shape)]
+    prefixes = [normals(seed + i, s, dec.cfg.dim) * 0.5 for i, (s, _) in enumerate(shape)]
+    return tt.Tensor(np.concatenate(prefixes)), prompts, [s for s, _ in shape]
+
+
+@pytest.mark.parametrize("tie_output", [True, False])
+def test_a_call_reads_the_weights_as_they_are_then(tie_output):
+    """The float64 weight copies belong to one `generate` call: after an
+    Adam step the next call decodes with the new weights, and the call
+    leaves the parameters themselves as they were."""
+    dec = decoder(VOCAB, seed=5, dim=16, ffn=16, heads=2, max_len=24, tie_output=tie_output)
+    sysm = md.DecoderSystem(decoder=dec, mode="lego", conn=ConnectorConfig())
+    speech, prompts, lens = random_batch(5, dec, [(3, 1), (5, 2), (2, 3)])
+
+    def want():
+        rows = np.cumsum([0] + lens)
+        return [oracle.generate(sysm, tt.Tensor(speech.data[a:b]), p, 10)
+                for a, b, p in zip(rows, rows[1:], prompts)]
+
+    before = want()
+    assert md.generate(sysm, speech, prompts, 10, lens) == before
+    params = dict(dec.params)
+    for i, p in enumerate(params.values()):
+        p.grad[...] = normals(100 + i, *p.value.shape)
+    md.Adam(list(params.values()), lr=0.5, total_steps=10).step()
+    values = {name: p.value.tobytes() for name, p in params.items()}
+    after = want()
+    assert after != before
+    assert md.generate(sysm, speech, prompts, 10, lens) == after
+    assert dec.params == params and all(dec.params[n] is p for n, p in params.items())
+    assert all(p.value.dtype == np.float32 and p.value.tobytes() == values[n]
+               for n, p in dec.params.items())
+
+
+def test_no_step_converts_a_weight(task, systems, monkeypatch):
+    """Every matmul of a cached step reads its weight as a float64 array
+    of the call's cache, built once per call, not from the parameters."""
+    vocab, _, dev, test = task
+    enc, (sysm, _) = systems[0], systems[1]["lego"]
+    speech, prompts, lens = batch_inputs(sysm, enc, vocab, [*dev, *test], None)
+    passes, operands = [], []  # (the cache's weights, whether a step) per pass
+    forward, matmul = md.DecoderLM.forward, tt.matmul
+
+    def spy_forward(self, *args, cache=None, **kw):
+        passes.append((cache.weights, cache.filled.all()))
+        operands.append([])
+        return forward(self, *args, cache=cache, **kw)
+
+    def spy_matmul(a, b):
+        operands[-1].append(b.data)
+        return matmul(a, b)
+
+    monkeypatch.setattr(md.DecoderLM, "forward", spy_forward)
+    monkeypatch.setattr(tt, "matmul", spy_matmul)
+    md.generate(sysm, speech, prompts, MAX_NEW, lens)
+    weights = passes[0][0]
+    assert all(w is weights for w, _ in passes)
+    owned = {id(w.data) for w in weights.values() if w.data.dtype == np.float64}
+    params = {id(p.value) for p in sysm.decoder.params.values()}
+    assert not owned & params
+    steps = [ops for (_, step), ops in zip(passes, operands) if step]
+    assert len(steps) > MAX_NEW
+    per_step = 4 * sysm.decoder.cfg.blocks + 1
+    assert all(len(ops) == per_step and all(id(w) in owned for w in ops) for ops in steps)
+
+
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
 def test_cached_steps_match_full_passes(task, dtype, tol):
     vocab = task[0]
@@ -193,7 +263,7 @@ def test_cached_steps_match_full_passes(task, dtype, tol):
         dec = decoder(vocab, seed=3)
         s_lens, seqs = [3, 5, 1], [[vocab.bos_id], [vocab.bos_id, 2, 4, 1], [vocab.bos_id, 0]]
         prefixes = [tt.Tensor(normals(30 + i, s, 24)) for i, s in enumerate(s_lens)]
-        cache = md.KVCache(dec.cfg, len(seqs), 24)
+        cache = md.KVCache(dec.cfg, len(seqs), 24, md._fixed_weights(dec))
         logits = dec.forward(tt.Tensor(np.concatenate([p.data for p in prefixes])), seqs,
                              speech_lens=s_lens, cache=cache)
         rows = logits.data[np.cumsum([len(s) for s in seqs]) - 1]
@@ -213,9 +283,11 @@ def test_cached_steps_match_full_passes(task, dtype, tol):
 def test_cache_rejects_a_tape_and_overlong_steps(task):
     vocab = task[0]
     dec = decoder(vocab, max_len=6)
+    weights = md._fixed_weights(dec)
     with pytest.raises(ValueError, match="untaped"):
-        dec.forward(None, [[vocab.bos_id, 1]], tape=tt.GradTape(), cache=md.KVCache(dec.cfg, 1, 6))
-    cache = md.KVCache(dec.cfg, 2, 6)
+        dec.forward(None, [[vocab.bos_id, 1]], tape=tt.GradTape(),
+                    cache=md.KVCache(dec.cfg, 1, 6, weights))
+    cache = md.KVCache(dec.cfg, 2, 6, weights)
     dec.forward(None, [[vocab.bos_id] * 6, [vocab.bos_id]], cache=cache)
     with pytest.raises(ValueError, match="sequence length 7 exceeds max_len 6"):
         dec.forward(None, [[1], [1]], cache=cache)
@@ -224,4 +296,4 @@ def test_cache_rejects_a_tape_and_overlong_steps(task):
         dec.forward(None, [[1, 1]], cache=cache)
     dec.forward(None, [[1]], cache=cache)
     with pytest.raises(ValueError, match="exceeds the cache's 2 rows"):
-        dec.forward(None, [[vocab.bos_id, 1, 1]], cache=md.KVCache(dec.cfg, 1, 2))
+        dec.forward(None, [[vocab.bos_id, 1, 1]], cache=md.KVCache(dec.cfg, 1, 2, weights))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import step_oracles as oracle
 from ctcbridge import tensor as tt
+from ctcbridge.rng import CounterRng
 from tape_ops import finite_diff_check, log_softmax, logaddexp, logsumexp, mul, reduce_sum, shift
 
 
@@ -302,3 +304,79 @@ class TestCheckedTape:
     def test_relu_propagates_nan(self):
         x = tt._unchecked(np.array([np.nan, -1.0, 2.0], dtype=np.float32))
         np.testing.assert_array_equal(tt.relu(x).data, [np.nan, 0.0, 2.0])
+
+
+WIDTH_HEADS = [(1, 1), (48, 4), (64, 2)]
+
+
+class TestTrimmedOpsMatchTheirOracles:
+    """The layer-norm statistics and the one-row cached attention step give
+    the bytes of the code they replaced (`step_oracles`), at widths 1, 48
+    and 64, over 1-5 rows or sequences, with ragged cache fills."""
+
+    @staticmethod
+    def draws(seed, *shape, scale=1.0):
+        return (CounterRng(seed).normals(int(np.prod(shape))).reshape(shape) * scale
+                ).astype(np.float32)
+
+    def layer_norm_pass(self, x, gain, bias):
+        """Forward bytes and the gradients of x, gain and bias, bytes too."""
+        params = [tt.Parameter(a, n) for a, n in ((x, "x"), (gain, "gain"), (bias, "bias"))]
+        tape = tt.GradTape()
+        out = tt.layer_norm(*(tape.watch(p) for p in params))
+        probe = tt.Tensor(self.draws(99, *x.shape))
+        tape.backward(reduce_sum(mul(out, probe)))
+        return [out.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+    @pytest.mark.parametrize("width", [w for w, _ in WIDTH_HEADS])
+    @pytest.mark.parametrize("rows", range(1, 6))
+    def test_layer_norm_forward_and_backward(self, width, rows, monkeypatch):
+        x = self.draws(width + rows, rows, width, scale=3.0) + np.float32(0.5)
+        gain = self.draws(7, width) + np.float32(1.0)
+        bias = self.draws(8, width)
+        for data in (x, x.astype(np.float64)):
+            got, want = tt._normalise(data, 1e-5), oracle.normalise(data, 1e-5)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        new = self.layer_norm_pass(x, gain, bias)
+        monkeypatch.setattr(tt, "_normalise", oracle.normalise)
+        assert new == self.layer_norm_pass(x, gain, bias)
+
+    @pytest.mark.parametrize("width, heads", WIDTH_HEADS)
+    @pytest.mark.parametrize("batch", range(1, 6))
+    def test_cached_step(self, width, heads, batch):
+        rows = 9
+        shape = (batch, heads, rows, width // heads)
+        k, v = self.draws(1, *shape), self.draws(2, *shape)
+        filled = CounterRng(batch).integers(0, rows - 1, batch).astype(np.intp)
+        filled[0] = max(filled[0], 1)  # the cache holds rows
+        qkv = self.draws(3 + batch, batch, 3 * width)
+        ok, ov = k.copy(), v.copy()
+        oracle.write_cache(qkv, heads, (ok, ov, filled), [1] * batch)
+        want = oracle.cached_step(qkv, heads, 1.0 / np.sqrt(width // heads), (ok, ov, filled))
+        out = tt.attention(tt.Tensor(qkv), heads, True, [1] * batch, (k, v, filled))
+        assert k.tobytes() == ok.tobytes() and v.tobytes() == ov.tobytes()
+        assert out.data.tobytes() == tt._storage(want).tobytes()
+        got = tt._cached_step(qkv, heads, 1.0 / np.sqrt(width // heads), (k, v, filled))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width, heads", WIDTH_HEADS)
+    def test_prefill_writes_the_oracle_rows(self, width, heads):
+        lengths = [3, 1, 5, 2]
+        shape = (len(lengths), heads, 6, width // heads)
+        k, v = np.zeros(shape, np.float32), np.zeros(shape, np.float32)
+        ok, ov, filled = k.copy(), v.copy(), np.zeros(len(lengths), np.intp)
+        qkv = self.draws(5, sum(lengths), 3 * width)
+        oracle.write_cache(qkv, heads, (ok, ov, filled), lengths)
+        tt.attention(tt.Tensor(qkv), heads, True, lengths, (k, v, filled))
+        assert k.tobytes() == ok.tobytes() and v.tobytes() == ov.tobytes()
+
+    def test_a_step_takes_one_row_per_cached_sequence(self):
+        shape = (2, 1, 4, 2)
+        cache = (np.zeros(shape, np.float32), np.zeros(shape, np.float32), np.array([1, 2]))
+        for lengths in ([2, 1], None):
+            with pytest.raises(ValueError, match="one new row per sequence"):
+                tt.attention(tt.Tensor(np.ones((3, 6))), 1, True, lengths, cache)
+        for lengths in ([1, 1, 1], None):
+            rows = 1 if lengths is None else 3
+            with pytest.raises(ValueError, match=f"holds 2 sequences, got {rows} segments"):
+                tt.attention(tt.Tensor(np.ones((rows, 6))), 1, True, lengths, cache)
