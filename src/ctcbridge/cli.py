@@ -209,6 +209,8 @@ def resolve_dataset(args, split: str) -> list[Utterance]:
 
 def load_train_config(path: Optional[str], overrides: dict) -> tuple[TrainConfig, dict]:
     raw = _load_json(path) if path else {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a train config must be a JSON object")
     raw.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in dataclasses.fields(TrainConfig)} - {"augment"}
     aug = raw.get("augment", {})

@@ -20,11 +20,12 @@ utterance what a pass of it alone would give.
 Greedy generation is batched and cached: `generate` decodes a batch of
 utterances in one call.  Packed passes over their [speech; prompt]
 sequences fill a `KVCache` with every block's keys and values and give
-each utterance's first token; then every further token is one decoder
-step that feeds only the utterance's newest row, which attends over its
-cached rows.  The cache also carries the decoder's weights, converted to
-float64 once per call.  `evaluate_system` decodes a whole dataset in one
-call.
+each utterance's first token; then every further token is one
+`DecoderLM.step`, which feeds only the utterance's newest row and attends
+over its cached rows.  A step runs on raw arrays, outside the tape ops,
+with the arithmetic of a `forward` pass.  The cache also carries the
+decoder's weights, converted to float64 once per call.  `evaluate_system`
+decodes a whole dataset in one call.
 
 One step loop, `_train`, with two front ends: `train_encoder_ctc`
 CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
@@ -114,6 +115,23 @@ class TrainConfig:
     log_every: int = 50
     dev_subset: int = 100
 
+    def __post_init__(self):
+        for name, least in (("steps", 0), ("warmup", 0), ("eval_every", 0), ("seed", None),
+                            ("batch_size", 1), ("log_every", 1), ("dev_subset", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in ("lr", "dropout"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
 
 # ---------------------------------------------------------------------------
 # parameter plumbing
@@ -142,8 +160,8 @@ def _mix_block(x: tt.Tensor, params, prefix: str, tape, causal: bool,
                lengths: Optional[Sequence[int]] = None, kv=None) -> tt.Tensor:
     """One pre-LN block over the rows of `x`; with `lengths`, a packed batch of
     segments that attend within themselves and draw dropout from their own
-    rng in `drop_rng`.  `kv` is the block's slot of a K/V cache (see
-    `tt.attention`)."""
+    rng in `drop_rng`.  `kv` is the block's (key, value) arrays of an empty
+    K/V cache to fill (see `tt.attention`)."""
     h = tt.layer_norm(x, _w(params, f"{prefix}.ln1g", tape), _w(params, f"{prefix}.ln1b", tape))
     qkv = tt.matmul(h, _w(params, f"{prefix}.wqkv", tape))
     o = tt.matmul(tt.attention(qkv, heads, causal, lengths, kv), _w(params, f"{prefix}.wo", tape))
@@ -298,35 +316,35 @@ class DecoderLM:
         is read only through layer_norm: adding a constant to a whole speech
         row does not change the logits.
 
-        With a `cache` (untaped only), sequence b continues the rows the
-        cache holds for it: its positions start after them, it attends to
-        them too, and its keys and values are added to the cache.  The first
-        call on an empty cache is a packed pass as above; a later one feeds
-        one token per sequence and no speech.  Such a pass reads the
-        weights the cache carries instead of `self.params`.
+        With a `cache` (untaped only), the pass is the prefill of a decode:
+        it stores every sequence's keys and values in the empty cache, and
+        `step` continues from there.  It reads the weights the cache
+        carries instead of `self.params`.
         """
         seqs = [np.asarray(t, dtype=np.intp) for t in text_ids]
         t_lens = np.array([ids.size for ids in seqs], dtype=np.intp)
         if not seqs or t_lens.min() == 0:
             raise ValueError("text must be non-empty")
         s_lens = _speech_lens(speech, speech_lens, len(seqs))
-        starts = np.zeros_like(t_lens) if cache is None else cache.filled
         ids = np.concatenate(seqs)
-        if np.any((starts == 0) & (ids[np.cumsum(t_lens) - t_lens] != self.vocab.bos_id)):
+        if np.any(ids[np.cumsum(t_lens) - t_lens] != self.vocab.bos_id):
             raise ValueError("text must begin with <bos>")
         if ids.max() >= self.cfg.vocab or ids.min() < 0:
             raise ValueError("text id outside [0, V)")
-        total = int((starts + s_lens + t_lens).max())
+        total = int((s_lens + t_lens).max())
         if total > self.cfg.max_len:
             raise ValueError(f"sequence length {total} exceeds max_len {self.cfg.max_len}")
-        if cache is not None and tape is not None:
-            raise ValueError("a K/V cache continues untaped passes only")
-        if cache is not None and total > cache.rows:
-            raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
+        if cache is not None:
+            if tape is not None:
+                raise ValueError("a K/V cache is filled by untaped passes only")
+            if cache.filled.any():
+                raise ValueError("forward fills an empty K/V cache only; step continues it")
+            if total > cache.rows:
+                raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
 
         params = self.params if cache is None else cache.weights
         emb = _w(params, "emb", tape)
-        positions, is_text = _packed_rows(s_lens, t_lens, starts)
+        positions, is_text = _packed_rows(s_lens, t_lens)
         # each packed row reads its token's row of the table, or its speech
         # row, placed after the table: one gather builds [speech_i; text_i]
         table, rows = emb, np.empty(is_text.size, dtype=np.intp)
@@ -340,7 +358,7 @@ class DecoderLM:
         for i in range(self.cfg.blocks):
             x = _mix_block(x, params, f"blk{i}", tape, causal=True, drop_rate=drop_rate,
                            drop_rng=drop_rng, heads=self.cfg.heads, lengths=lengths,
-                           kv=None if cache is None else (*cache.blocks[i], cache.filled))
+                           kv=None if cache is None else cache.blocks[i])
         if cache is not None:
             cache.filled += lengths
         h = tt.layer_norm(x, _w(params, "lnfg", tape), _w(params, "lnfb", tape))
@@ -351,24 +369,72 @@ class DecoderLM:
             out_w = tt.transpose(tt.slice_rows(emb, 0, self.cfg.vocab))
         return tt.matmul(h_text, out_w)
 
+    def step(self, ids, cache: KVCache) -> np.ndarray:
+        """Feed token ids[b] to sequence b of `cache`, which a `forward`
+        pass filled, and return the next-token logits [B, V] of every
+        sequence.  One row per sequence, untaped, on raw arrays and the
+        weights the cache carries: the arithmetic of the tape ops in a
+        `forward` pass, with their float64 insides and their rounding to
+        the storage dtype after each layer norm, matmul and attention, so
+        the logits are the bytes such a pass would give."""
+        ids, filled = np.asarray(ids, dtype=np.intp), cache.filled
+        if ids.shape != filled.shape:
+            raise ValueError(f"the cache holds {filled.size} sequences, got {ids.size} ids")
+        if filled.min() < 1:
+            raise ValueError("a step continues sequences that a forward pass filled")
+        if ids.max() >= self.cfg.vocab or ids.min() < 0:
+            raise ValueError("text id outside [0, V)")
+        total = int(filled.max()) + 1
+        if total > self.cfg.max_len:
+            raise ValueError(f"sequence length {total} exceeds max_len {self.cfg.max_len}")
+        if total > cache.rows:
+            raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
+        w, dtype = cache.weights, tt._DTYPE
+
+        def norm(x, name):  # tt.layer_norm
+            xhat, _ = tt._normalise(x, 1e-5)
+            return (xhat * w[name + "g"].data + w[name + "b"].data).astype(dtype)
+
+        def mm(x, name):  # tt.matmul
+            return (tt._f64(x) @ w[name].data).astype(dtype)
+
+        x = w["emb"].data[ids] + w["pos"].data[filled]
+        for i, (k, v) in enumerate(cache.blocks):
+            blk = f"blk{i}."
+            qkv = mm(norm(x, blk + "ln1"), blk + "wqkv")
+            x = x + mm(tt._cached_step(qkv, self.cfg.heads, (k, v, filled)).astype(dtype),
+                       blk + "wo")
+            m = mm(norm(x, blk + "ln2"), blk + "w1") + w[blk + "b1"].data
+            x = x + (mm(np.maximum(m, dtype(0)), blk + "w2") + w[blk + "b2"].data)
+        cache.filled += 1
+        return mm(norm(x, "lnf"), "out.w")
+
 
 class KVCache:
     """The keys and values of every row a batch of B decoder sequences has
     fed, for untaped generation (the per-layer cache of Pope et al., 2022,
     "Efficiently Scaling Transformer Inference"): per block, [B, H, rows,
-    d/H] key and value arrays in the storage dtype, which holds `qkv`
-    exactly, and each sequence's filled length.
+    d/H] key and value arrays, and each sequence's filled length.  A
+    `DecoderLM.forward` pass fills an empty cache (the prefill); each
+    `DecoderLM.step` adds one row per sequence.
 
-    `weights` is `_fixed_weights(decoder)`, which every pass with this
-    cache reads instead of the decoder's parameters, so the passes of one
-    `generate` call convert the weights once, not once per token.  It is a
-    snapshot: a cache must not outlive a change to the parameters.  Parts
-    of a cache share it."""
+    `dtype` is the arrays' storage dtype, the tensors' storage dtype by
+    default; either that or float64 holds `qkv` exactly.  A float64 cache
+    converts each row once, as it is written or loaded, instead of on every
+    step that reads it, at twice the memory: `generate` steps on one, and
+    prefills into the storage dtype.
+
+    `weights` is `_fixed_weights(decoder)`, which every pass and step with
+    this cache reads instead of the decoder's parameters, so one `generate`
+    call converts the weights once, not once per token.  It is a snapshot:
+    a cache must not outlive a change to the parameters.  Parts of a cache
+    share it."""
 
     def __init__(self, cfg: DecoderConfig, batch: int, rows: int,
-                 weights: dict[str, tt.Tensor]):
+                 weights: dict[str, tt.Tensor], dtype=None):
         shape = (batch, cfg.heads, rows, cfg.dim // cfg.heads)
-        self.blocks = [(np.zeros(shape, tt._DTYPE), np.zeros(shape, tt._DTYPE))
+        dtype = tt._DTYPE if dtype is None else dtype
+        self.blocks = [(np.zeros(shape, dtype), np.zeros(shape, dtype))
                        for _ in range(cfg.blocks)]
         self.filled = np.zeros(batch, dtype=np.intp)
         self.rows = rows
@@ -383,7 +449,8 @@ class KVCache:
         return part
 
     def load(self, seq: int, src: KVCache, src_seq: int) -> None:
-        """Replace sequence `seq` with a copy of sequence `src_seq` of `src`."""
+        """Replace sequence `seq` with a copy of sequence `src_seq` of `src`,
+        converted to this cache's dtype."""
         n = src.filled[src_seq]
         for (k, v), (src_k, src_v) in zip(self.blocks, src.blocks):
             k[seq, :, :n] = src_k[src_seq, :, :n]
@@ -425,13 +492,13 @@ def _speech_lens(speech: Optional[tt.Tensor], speech_lens: Optional[Sequence[int
     return lens
 
 
-def _packed_rows(s_lens: np.ndarray, t_lens: np.ndarray, starts: np.ndarray):
+def _packed_rows(s_lens: np.ndarray, t_lens: np.ndarray):
     """A packed decoder batch's rows are [speech_i; text_i] in turn: each
-    row's position (sequence i's from starts[i]) and whether it holds text."""
+    row's position within its sequence and whether it holds text."""
     lens = s_lens + t_lens
     seq = np.repeat(np.arange(lens.size), lens)
-    offset = np.arange(lens.sum()) - (np.cumsum(lens) - lens)[seq]  # row within its sequence
-    return starts[seq] + offset, offset >= s_lens[seq]
+    offset = np.arange(lens.sum()) - (np.cumsum(lens) - lens)[seq]
+    return offset, offset >= s_lens[seq]
 
 
 def sp_project(hidden: tt.Tensor, proj: tt.Tensor) -> tt.Tensor:
@@ -664,15 +731,13 @@ def check_fits(sys: DecoderSystem, vocab: Vocabulary, dataset: Sequence[Utteranc
 # generation
 
 
-# utterances one decoder step feeds at most.  A step costs nearly the same
-# for 1 row as for 48: its cost is per-op overhead.  One row of the bench
-# decoder takes about 0.34 ms median and 0.29 ms best on one core of a
-# 2-core x86 host (0.48 and 0.41 ms while every step cast its weights to
-# float64 again).  So a wider step decodes a batch faster, but its time
-# then follows how long the longest utterance runs rather than the tokens
-# the batch emits: at 48 rows a batch costs `max_new` steps whether one
-# utterance runs that long or all do.  One row per step keeps a decode's
-# time in proportion to its tokens.
+# utterances one decoder step feeds at most.  On the bench lego system a
+# step of one row takes about 0.20 ms median and 0.17 ms best on one core
+# of a 2-core x86 host, and a step of 42 rows about 1.4 ms.  So a wider
+# step decodes a batch faster, but its time then follows how long the
+# longest utterance runs rather than the tokens the batch emits: at 48 rows
+# a batch costs `max_new` steps whether one utterance runs that long or all
+# do.  One row per step keeps a decode's time in proportion to its tokens.
 _STEP_ROWS = 1
 
 
@@ -686,11 +751,12 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[S
 
     Packed passes over the [speech; prompt] sequences of up to
     `INFERENCE_BATCH` utterances fill a K/V cache and give each utterance's
-    first token.  Then each step feeds the newest token of up to
-    `_STEP_ROWS` utterances, in order, as one row each of one cached pass;
-    an utterance leaves at <eos> or its budget and the next waiting one
-    takes its place with a copy of its cached rows.  Every pass of the call
-    reads the weights its caches carry, converted once per call.
+    first token.  Then each `DecoderLM.step` feeds the newest token of up
+    to `_STEP_ROWS` utterances, in order, one row each, into a float64
+    step cache; an utterance leaves at <eos> or its budget and the next
+    waiting one takes its place with a copy of its cached rows.  Every pass
+    and step of the call reads the weights its caches carry, converted
+    once per call.
     numpy's floating-point warnings are off: the check on each step's
     logits reports a non-finite value instead.
     """
@@ -727,12 +793,13 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[S
         if slots.size:
             # the last token is never fed back
             cache = KVCache(dec.cfg, slots.size, max(prefixes[i] + budgets[live[i]] - 1
-                                                     for i in waiting), prefilled.weights)
+                                                     for i in waiting), prefilled.weights,
+                            np.float64)
             for j, i in enumerate(slots):
                 cache.load(j, prefilled, i)
             queued = slots.size
         while slots.size:
-            rows = dec.forward(None, last[slots, None], cache=cache).data
+            rows = dec.step(last[slots], cache)
             nxt = np.argmax(tt._finite(rows, "the next-token logits"), axis=1)
             last[slots] = nxt
             b = live[slots]

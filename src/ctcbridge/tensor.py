@@ -28,8 +28,8 @@ names the op kind and tape node of the first non-finite one: a training
 loop replays a failed step on such a tape to localise it.
 
 Ops are pure -- inputs are never mutated -- so untaped tensors are safe to
-share across threads; the one thing an op writes is the K/V cache of an
-`attention` call that continues a caller's decode.  A `GradTape` and the
+share across threads; the one thing an op writes is the empty K/V cache
+that an `attention` call fills for a caller's decode.  A `GradTape` and the
 `Parameter`s watched on it are confined to a single training thread: run
 the forward pass with taped inputs, call `tape.backward(loss)` once, and
 gradients accumulate into `Parameter.grad`.
@@ -489,14 +489,11 @@ def attention(qkv: Tensor, heads: int, causal: bool,
     backward pass reads the saved attention probabilities, in which masked
     scores are exact zeros, and recomputes q, k and v from the op's input.
 
-    `cache` continues B causal sequences, untaped: a `(k, v, filled)`
-    triple of [B, H, L, d/H] key and value arrays and the number of rows
-    each sequence has already fed.  Segment b's keys and values go to
-    sequence b's cache rows from filled[b] on, and its rows also attend to
-    the cached rows before them.  While nothing is filled, the scores are
-    the packed ones above; after that each segment must be one row, and
-    all B rows are scored as one padded [B, H, 1, L] block whose columns
-    past a sequence's own rows are LOG_ZERO.  The caller advances `filled`.
+    `cache` is a `(k, v)` pair of [B, H, L, d/H] key and value arrays of
+    B causal sequences that nothing has filled yet, for an untaped pass
+    (the prefill of a decode): segment b's keys and values go to sequence
+    b's first rows.  The decode steps that continue the cache do not go
+    through this op (see `_cached_step`).
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or heads < 1 or qkv.shape[1] % (3 * heads):
@@ -505,20 +502,8 @@ def attention(qkv: Tensor, heads: int, causal: bool,
     t, width = qkv.shape[0], qkv.shape[1] // 3
     scale = 1.0 / np.sqrt(width // heads)
     saved = qkv.data
-    if cache is not None:
-        if qkv.tape is not None or not causal:
-            raise ValueError("a K/V cache continues untaped causal attention only")
-        keys, values, filled = cache
-        if filled.any():
-            if list(lengths if lengths is not None else [t]) != [1] * t:
-                raise ValueError("a K/V cache that holds rows takes one new row per sequence")
-            if t != keys.shape[0]:
-                raise ValueError(f"the cache holds {keys.shape[0]} sequences, got {t} segments")
-            # each sequence's one new row goes straight to its row filled[b]
-            parts, seq = saved.reshape(t, 3, heads, -1), np.arange(t)
-            keys[seq, :, filled] = parts[:, 1]
-            values[seq, :, filled] = parts[:, 2]
-            return _emit(None, _cached_step(saved, heads, scale, cache))
+    if cache is not None and (qkv.tape is not None or not causal):
+        raise ValueError("a K/V cache is filled by untaped causal attention only")
     segs = _segments(t, lengths)
     if cache is not None:
         _write_cache(saved, heads, cache, [b - a for a, b in segs])
@@ -557,27 +542,33 @@ def attention(qkv: Tensor, heads: int, causal: bool,
 
 
 def _write_cache(qkv: np.ndarray, heads: int, cache, lengths: list[int]) -> None:
-    """Store the keys and values of `qkv`'s segments after each sequence's
-    filled rows of `cache`."""
-    k, v, filled = cache
+    """Store the keys and values of `qkv`'s segments in the first rows of
+    each sequence of the empty `(k, v)` cache."""
+    k, v = cache
     if len(lengths) != k.shape[0]:
         raise ValueError(f"the cache holds {k.shape[0]} sequences, got {len(lengths)} segments")
     seq = np.repeat(np.arange(len(lengths)), lengths)
-    row = filled[seq] + np.arange(qkv.shape[0]) - (np.cumsum(lengths) - lengths)[seq]
+    row = np.arange(qkv.shape[0]) - (np.cumsum(lengths) - lengths)[seq]
     parts = qkv.reshape(qkv.shape[0], 3, heads, -1)
     k[seq, :, row] = parts[:, 1]
     v[seq, :, row] = parts[:, 2]
 
 
-def _cached_step(qkv: np.ndarray, heads: int, scale: float, cache) -> np.ndarray:
-    """Attention of one new row per sequence over its cached rows, itself
-    included, in float64: [B, 3d] -> [B, d]."""
+def _cached_step(qkv: np.ndarray, heads: int, cache) -> np.ndarray:
+    """One decode step of B sequences outside the tape, `attention` for one
+    new row per sequence: row b of `qkv` stores its key and value at row
+    filled[b] of sequence b of the `(k, v, filled)` cache, then attends over
+    that sequence's cached rows, itself included, in float64: [B, 3d] ->
+    [B, d].  The caller advances `filled`."""
     k, v, filled = cache
     b, width = qkv.shape[0], qkv.shape[1] // 3
+    parts, seq = qkv.reshape(b, 3, heads, -1), np.arange(b)
+    k[seq, :, filled] = parts[:, 1]
+    v[seq, :, filled] = parts[:, 2]
     n = int(filled.max()) + 1  # no sequence reads a column past this
     q = _f64(qkv[:, :width]).reshape(b, heads, 1, -1)
     p = q @ _f64(k[:, :, :n]).transpose(0, 1, 3, 2)
-    p *= scale
+    p *= 1.0 / np.sqrt(width // heads)
     p = np.where((np.arange(n) > filled[:, None])[:, None, None, :], LOG_ZERO, p)
     p -= p.max(axis=3, keepdims=True)
     np.exp(p, out=p)

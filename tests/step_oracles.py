@@ -1,18 +1,29 @@
-"""The layer-norm statistics and the cached attention step as they were
-before the one-row decode step was trimmed.
+"""The layer-norm statistics and the cached decode step as they were
+before the one-row decode step was trimmed and then taken out of the tape
+ops.
 
 `normalise` is `tensor._normalise` with its row means taken by
 `ndarray.mean`.  `write_cache` is `tensor._write_cache`, which stored the
-keys and values of every segment through the repeat/cumsum row arithmetic;
-a cached decode step called it with one-row segments.  `cached_step` is
-`tensor._cached_step` with its mask applied by a boolean assignment through
-`np.broadcast_to`.  The trimmed code is checked against these bit for bit.
+keys and values of every segment through the repeat/cumsum row arithmetic
+after each sequence's filled rows; a cached decode step called it with
+one-row segments.  `cached_step` is `tensor._cached_step` with its mask
+applied by a boolean assignment through `np.broadcast_to` and without the
+row write.
+
+`cached_forward` is `models.DecoderLM.forward` continuing a filled K/V
+cache, as it ran for every generated token: one token per sequence, no
+speech, untaped, through `tt` ops over the weights the cache carries.  Its
+blocks are `models._mix_block` without dropout (`mix_block`), whose
+attention is the one-row branch `tt.attention` took for a cache that held
+rows (`attention_step`).  `models.DecoderLM.step` and the trimmed code are
+checked against these bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ctcbridge import tensor as tt
 from ctcbridge.tensor import LOG_ZERO, _f64
 
 
@@ -51,3 +62,77 @@ def cached_step(qkv: np.ndarray, heads: int, scale: float, cache) -> np.ndarray:
     np.exp(p, out=p)
     p /= p.sum(axis=3, keepdims=True)
     return (p @ _f64(v[:, :, :n])).reshape(b, width)
+
+
+def attention_step(qkv: tt.Tensor, heads: int, lengths, cache) -> tt.Tensor:
+    """`tt.attention` with a cache that holds rows: each sequence's one new
+    row goes straight to its row filled[b], then `cached_step`."""
+    t, width = qkv.shape[0], qkv.shape[1] // 3
+    scale = 1.0 / np.sqrt(width // heads)
+    saved = qkv.data
+    keys, values, filled = cache
+    if list(lengths if lengths is not None else [t]) != [1] * t:
+        raise ValueError("a K/V cache that holds rows takes one new row per sequence")
+    if t != keys.shape[0]:
+        raise ValueError(f"the cache holds {keys.shape[0]} sequences, got {t} segments")
+    parts, seq = saved.reshape(t, 3, heads, -1), np.arange(t)
+    keys[seq, :, filled] = parts[:, 1]
+    values[seq, :, filled] = parts[:, 2]
+    return tt._emit(None, cached_step(saved, heads, scale, cache))
+
+
+def mix_block(x: tt.Tensor, params, prefix: str, heads: int, lengths, kv) -> tt.Tensor:
+    """`models._mix_block`, untaped and without dropout, over a filled cache."""
+    h = tt.layer_norm(x, params[f"{prefix}.ln1g"], params[f"{prefix}.ln1b"])
+    qkv = tt.matmul(h, params[f"{prefix}.wqkv"])
+    o = tt.matmul(attention_step(qkv, heads, lengths, kv), params[f"{prefix}.wo"])
+    x = tt.add(x, o)
+    h2 = tt.layer_norm(x, params[f"{prefix}.ln2g"], params[f"{prefix}.ln2b"])
+    m = tt.add(tt.matmul(h2, params[f"{prefix}.w1"]), params[f"{prefix}.b1"])
+    m = tt.add(tt.matmul(tt.relu(m), params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    return tt.add(x, m)
+
+
+def packed_rows(s_lens: np.ndarray, t_lens: np.ndarray, starts: np.ndarray):
+    """A packed decoder batch's rows are [speech_i; text_i] in turn: each
+    row's position (sequence i's from starts[i]) and whether it holds text."""
+    lens = s_lens + t_lens
+    seq = np.repeat(np.arange(lens.size), lens)
+    offset = np.arange(lens.sum()) - (np.cumsum(lens) - lens)[seq]  # row within its sequence
+    return starts[seq] + offset, offset >= s_lens[seq]
+
+
+def cached_forward(dec, text_ids, cache) -> tt.Tensor:
+    """Next-token logits of every sequence of `cache` after feeding it the
+    one token of its entry of `text_ids`."""
+    seqs = [np.asarray(t, dtype=np.intp) for t in text_ids]
+    t_lens = np.array([ids.size for ids in seqs], dtype=np.intp)
+    if not seqs or t_lens.min() == 0:
+        raise ValueError("text must be non-empty")
+    s_lens = np.zeros(len(seqs), dtype=np.intp)
+    starts = cache.filled
+    ids = np.concatenate(seqs)
+    if np.any((starts == 0) & (ids[np.cumsum(t_lens) - t_lens] != dec.vocab.bos_id)):
+        raise ValueError("text must begin with <bos>")
+    if ids.max() >= dec.cfg.vocab or ids.min() < 0:
+        raise ValueError("text id outside [0, V)")
+    total = int((starts + s_lens + t_lens).max())
+    if total > dec.cfg.max_len:
+        raise ValueError(f"sequence length {total} exceeds max_len {dec.cfg.max_len}")
+    if total > cache.rows:
+        raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
+
+    params = cache.weights
+    emb = params["emb"]
+    positions, is_text = packed_rows(s_lens, t_lens, starts)
+    rows = np.empty(is_text.size, dtype=np.intp)
+    rows[is_text] = ids
+    x = tt.add(tt.gather_rows(emb, rows), tt.gather_rows(params["pos"], positions))
+    lengths = (s_lens + t_lens).tolist()
+    for i in range(dec.cfg.blocks):
+        x = mix_block(x, params, f"blk{i}", dec.cfg.heads, lengths,
+                      (*cache.blocks[i], cache.filled))
+    cache.filled += lengths
+    h = tt.layer_norm(x, params["lnfg"], params["lnfb"])
+    h_text = tt.gather_rows(h, np.flatnonzero(is_text))
+    return tt.matmul(h_text, params["out.w"])

@@ -192,6 +192,41 @@ def test_bad_config_values_exit_2(tiny, capsys, tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+BAD_TRAIN = {
+    "batch_size-0": {"batch_size": 0},
+    "batch_size-float": {"batch_size": 2.5},
+    "dropout-1.5": {"dropout": 1.5},
+    "steps-text": {"steps": "5"},
+    "steps-bool": {"steps": True},
+    "steps-flag-negative": {},
+    "log_every-0": {"log_every": 0},
+    "eval_every-negative": {"eval_every": -1},
+    "dev_subset-0": {"dev_subset": 0},
+    "lr-negative": {"lr": -1},
+    "lr-infinite": {"lr": float("inf")},
+    "warmup-negative": {"warmup": -2},
+    "json-list": None,
+}
+
+
+@pytest.mark.parametrize("command", ["train-encoder", "adapt"])
+@pytest.mark.parametrize("case", sorted(BAD_TRAIN))
+def test_bad_train_config_exits_2(tiny, capsys, tmp_path, command, case):
+    block = ({"encoder": {"width": 8, "ffn": 16, "blocks": 1}} if command == "train-encoder"
+             else {"decoder": DECODER})
+    body = [TRAIN] if BAD_TRAIN[case] is None else dict(TRAIN, **block, **BAD_TRAIN[case])
+    argv = [command, "--spec", tiny["spec"], "--config", _write(tmp_path, "train.json", body),
+            "--out", str(tmp_path / "out.ckpt")]
+    if command == "adapt":
+        argv += ["--mode", "lego", "--encoder", tiny["enc"]]
+    if case == "steps-flag-negative":
+        argv += ["--steps", "-3"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.ckpt").exists()
+
+
 @pytest.mark.parametrize("command", ["decode-eval", "swap", "sweep-tau"])
 def test_utterances_too_long_for_the_decoder_exit_2(tiny, capsys, tmp_path, command):
     # 70+ tokens of 8+ frames: about 150 encoder rows and 70 text rows, over

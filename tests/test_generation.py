@@ -1,7 +1,9 @@
 """Batched greedy generation with a K/V cache against the one-utterance,
-full-pass oracle in `generation_oracles`.
+full-pass oracle in `generation_oracles`, and its decode step against the
+cached pass it replaced (`step_oracles`).
 
-Hypotheses must be token-identical to the oracle's.  A cached step's
+Hypotheses must be token-identical to the oracle's.  A step's logits and
+cache rows must be the bytes of the retired cached pass.  A cached step's
 logits agree with the last row of a full decoder pass over the same
 sequence within 1e-5 of the largest logit magnitude in float32 and 1e-10 in
 float64, bounds set from the dtypes: only float64 summation order differs.
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generation_oracles as oracle
+import step_oracles
 from ctcbridge import models as md
 from ctcbridge import tensor as tt
 from ctcbridge.cli import build_aec_cache, load_task
@@ -141,14 +144,13 @@ def test_steps_stay_full_while_utterances_wait(task, systems, monkeypatch, step_
     utts = [*dev, *test]
     speech, prompts, lens = batch_inputs(sysm, enc, vocab, utts, None)
     widths = []
-    forward = md.DecoderLM.forward
+    step = md.DecoderLM.step
 
-    def spy(self, speech, text_ids, *args, cache=None, **kw):
-        if cache is not None and cache.filled.all():
-            widths.append(len(text_ids))
-        return forward(self, speech, text_ids, *args, cache=cache, **kw)
+    def spy(self, ids, cache):
+        widths.append(len(ids))
+        return step(self, ids, cache)
 
-    monkeypatch.setattr(md.DecoderLM, "forward", spy)
+    monkeypatch.setattr(md.DecoderLM, "step", spy)
     hyps = md.generate(sysm, speech, prompts, MAX_NEW, lens)
     fed = sum(len(h) - (len(h) == MAX_NEW) for h in hyps)  # the last token is never fed
     assert sum(widths) == fed > 2 * md._STEP_ROWS
@@ -225,35 +227,43 @@ def test_a_call_reads_the_weights_as_they_are_then(tie_output):
 
 
 def test_no_step_converts_a_weight(task, systems, monkeypatch):
-    """Every matmul of a cached step reads its weight as a float64 array
-    of the call's cache, built once per call, not from the parameters."""
+    """Every step reads its matmul weights as float64 arrays of the call's
+    one weight dict, built once per call, none of them a parameter's
+    storage."""
     vocab, _, dev, test = task
     enc, (sysm, _) = systems[0], systems[1]["lego"]
     speech, prompts, lens = batch_inputs(sysm, enc, vocab, [*dev, *test], None)
-    passes, operands = [], []  # (the cache's weights, whether a step) per pass
-    forward, matmul = md.DecoderLM.forward, tt.matmul
+    built, steps = [], []  # the weight dicts of the call; (dict, weights read) per step
+    fixed_weights, step = md._fixed_weights, md.DecoderLM.step
 
-    def spy_forward(self, *args, cache=None, **kw):
-        passes.append((cache.weights, cache.filled.all()))
-        operands.append([])
-        return forward(self, *args, cache=cache, **kw)
+    class Reads(dict):
+        def __getitem__(self, name):
+            steps[-1][1][name] = super().__getitem__(name).data
+            return super().__getitem__(name)
 
-    def spy_matmul(a, b):
-        operands[-1].append(b.data)
-        return matmul(a, b)
+    def spy_fixed_weights(dec):
+        built.append(Reads(fixed_weights(dec)))
+        steps.append((None, {}))  # the prefill's reads
+        return built[-1]
 
-    monkeypatch.setattr(md.DecoderLM, "forward", spy_forward)
-    monkeypatch.setattr(tt, "matmul", spy_matmul)
+    def spy_step(self, ids, cache):
+        steps.append((cache.weights, {}))
+        return step(self, ids, cache)
+
+    monkeypatch.setattr(md, "_fixed_weights", spy_fixed_weights)
+    monkeypatch.setattr(md.DecoderLM, "step", spy_step)
     md.generate(sysm, speech, prompts, MAX_NEW, lens)
-    weights = passes[0][0]
-    assert all(w is weights for w, _ in passes)
-    owned = {id(w.data) for w in weights.values() if w.data.dtype == np.float64}
+    assert len(built) == 1
     params = {id(p.value) for p in sysm.decoder.params.values()}
-    assert not owned & params
-    steps = [ops for (_, step), ops in zip(passes, operands) if step]
-    assert len(steps) > MAX_NEW
-    per_step = 4 * sysm.decoder.cfg.blocks + 1
-    assert all(len(ops) == per_step and all(id(w) in owned for w in ops) for ops in steps)
+    steps = steps[1:]
+    assert len(steps) > MAX_NEW and all(w is built[0] for w, _ in steps)
+    blocks = sysm.decoder.cfg.blocks
+    matmuls = {"out.w"} | {f"blk{i}.{nm}" for i in range(blocks)
+                           for nm in ("wqkv", "wo", "w1", "w2")}
+    for _, read in steps:
+        assert matmuls <= set(read)
+        assert all(read[nm].dtype == np.float64 and id(read[nm]) not in params
+                   for nm in matmuls)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
@@ -275,7 +285,7 @@ def test_cached_steps_match_full_passes(task, dtype, tol):
             nxt = rows.argmax(axis=1)
             for seq, token in zip(seqs, nxt):
                 seq.append(int(token))
-            rows = dec.forward(None, nxt[:, None], cache=cache).data
+            rows = dec.step(nxt, cache)
         assert cache.filled.tolist() == [s + len(seq) for s, seq in zip(s_lens, seqs)]
     assert worst <= tol
 
@@ -290,10 +300,57 @@ def test_cache_rejects_a_tape_and_overlong_steps(task):
     cache = md.KVCache(dec.cfg, 2, 6, weights)
     dec.forward(None, [[vocab.bos_id] * 6, [vocab.bos_id]], cache=cache)
     with pytest.raises(ValueError, match="sequence length 7 exceeds max_len 6"):
-        dec.forward(None, [[1], [1]], cache=cache)
+        dec.step([1, 1], cache)
+    with pytest.raises(ValueError, match="fills an empty K/V cache only"):
+        dec.forward(None, [[vocab.bos_id], [vocab.bos_id]], cache=cache)
     cache.keep(np.array([1]))
-    with pytest.raises(ValueError, match="one new row per sequence"):
-        dec.forward(None, [[1, 1]], cache=cache)
-    dec.forward(None, [[1]], cache=cache)
+    with pytest.raises(ValueError, match="holds 1 sequences, got 2 ids"):
+        dec.step([1, 1], cache)
+    with pytest.raises(ValueError, match=r"outside \[0, V\)"):
+        dec.step([vocab.size], cache)
+    dec.step([1], cache)
+    small = md.KVCache(dec.cfg, 1, 2, weights)
+    dec.forward(None, [[vocab.bos_id, 1]], cache=small)
     with pytest.raises(ValueError, match="exceeds the cache's 2 rows"):
-        dec.forward(None, [[vocab.bos_id, 1, 1]], cache=md.KVCache(dec.cfg, 1, 2, weights))
+        dec.step([1], small)
+    with pytest.raises(ValueError, match="that a forward pass filled"):
+        dec.step([1], md.KVCache(dec.cfg, 1, 6, weights))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@given(seed=st.integers(0, 2 ** 16), heads=st.integers(1, 4), blocks=st.integers(1, 3),
+       tie_output=st.booleans(), steps=st.integers(1, 4),
+       shape=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), min_size=1, max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_step_matches_the_retired_cached_pass(dtype, seed, heads, blocks, tie_output, steps,
+                                              shape):
+    """`DecoderLM.step` against the cached `forward` pass it replaced, on
+    random decoders with every parameter moved off its initial value and
+    on ragged fills: the logits' bytes, and every block's cache bytes after
+    each step, on a cache in the storage dtype and on a float64 one."""
+    with precision(dtype):
+        dec = decoder(VOCAB, seed=seed, dim=8 * heads, ffn=16, blocks=blocks, heads=heads,
+                      max_len=16, tie_output=tie_output)
+        for i, p in enumerate(dec.params.values()):  # gains off 1, biases off 0
+            p.value[...] += normals(seed + 100 + i, *p.value.shape) * 0.2
+        speech, prompts, lens = random_batch(seed, dec, shape)
+        weights = md._fixed_weights(dec)
+        rows = max(s + p for s, p in shape) + steps
+        prefilled = md.KVCache(dec.cfg, len(shape), rows, weights)
+        first = dec.forward(speech, prompts, speech_lens=lens, cache=prefilled)
+        ids = first.data[np.cumsum([len(p) for p in prompts]) - 1].argmax(axis=1)
+        want_cache = md.KVCache(dec.cfg, len(shape), rows, weights)
+        caches = [md.KVCache(dec.cfg, len(shape), rows, weights, dt) for dt in (None, np.float64)]
+        for c in (want_cache, *caches):
+            for b in range(len(shape)):
+                c.load(b, prefilled, b)
+        for _ in range(steps):
+            want = step_oracles.cached_forward(dec, ids[:, None], want_cache).data
+            for c in caches:
+                got = dec.step(ids, c)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert c.filled.tolist() == want_cache.filled.tolist()
+                for (k, v), (wk, wv) in zip(c.blocks, want_cache.blocks):
+                    assert k.tobytes() == wk.astype(k.dtype).tobytes()
+                    assert v.tobytes() == wv.astype(v.dtype).tobytes()
+            ids = want.argmax(axis=1)

@@ -312,7 +312,8 @@ WIDTH_HEADS = [(1, 1), (48, 4), (64, 2)]
 class TestTrimmedOpsMatchTheirOracles:
     """The layer-norm statistics and the one-row cached attention step give
     the bytes of the code they replaced (`step_oracles`), at widths 1, 48
-    and 64, over 1-5 rows or sequences, with ragged cache fills."""
+    and 64, over 1-5 rows or sequences, with ragged cache fills; the step
+    on a cache in the storage dtype and on a float64 one."""
 
     @staticmethod
     def draws(seed, *shape, scale=1.0):
@@ -348,16 +349,16 @@ class TestTrimmedOpsMatchTheirOracles:
         shape = (batch, heads, rows, width // heads)
         k, v = self.draws(1, *shape), self.draws(2, *shape)
         filled = CounterRng(batch).integers(0, rows - 1, batch).astype(np.intp)
-        filled[0] = max(filled[0], 1)  # the cache holds rows
         qkv = self.draws(3 + batch, batch, 3 * width)
         ok, ov = k.copy(), v.copy()
         oracle.write_cache(qkv, heads, (ok, ov, filled), [1] * batch)
         want = oracle.cached_step(qkv, heads, 1.0 / np.sqrt(width // heads), (ok, ov, filled))
-        out = tt.attention(tt.Tensor(qkv), heads, True, [1] * batch, (k, v, filled))
-        assert k.tobytes() == ok.tobytes() and v.tobytes() == ov.tobytes()
-        assert out.data.tobytes() == tt._storage(want).tobytes()
-        got = tt._cached_step(qkv, heads, 1.0 / np.sqrt(width // heads), (k, v, filled))
-        assert got.tobytes() == want.tobytes()
+        for dtype in (np.float32, np.float64):
+            ck, cv = k.astype(dtype), v.astype(dtype)
+            got = tt._cached_step(qkv, heads, (ck, cv, filled))
+            assert ck.tobytes() == ok.astype(dtype).tobytes()
+            assert cv.tobytes() == ov.astype(dtype).tobytes()
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("width, heads", WIDTH_HEADS)
     def test_prefill_writes_the_oracle_rows(self, width, heads):
@@ -367,16 +368,18 @@ class TestTrimmedOpsMatchTheirOracles:
         ok, ov, filled = k.copy(), v.copy(), np.zeros(len(lengths), np.intp)
         qkv = self.draws(5, sum(lengths), 3 * width)
         oracle.write_cache(qkv, heads, (ok, ov, filled), lengths)
-        tt.attention(tt.Tensor(qkv), heads, True, lengths, (k, v, filled))
+        tt.attention(tt.Tensor(qkv), heads, True, lengths, (k, v))
         assert k.tobytes() == ok.tobytes() and v.tobytes() == ov.tobytes()
 
-    def test_a_step_takes_one_row_per_cached_sequence(self):
+    def test_a_cache_takes_one_segment_per_sequence(self):
         shape = (2, 1, 4, 2)
-        cache = (np.zeros(shape, np.float32), np.zeros(shape, np.float32), np.array([1, 2]))
-        for lengths in ([2, 1], None):
-            with pytest.raises(ValueError, match="one new row per sequence"):
-                tt.attention(tt.Tensor(np.ones((3, 6))), 1, True, lengths, cache)
+        cache = (np.zeros(shape, np.float32), np.zeros(shape, np.float32))
         for lengths in ([1, 1, 1], None):
-            rows = 1 if lengths is None else 3
-            with pytest.raises(ValueError, match=f"holds 2 sequences, got {rows} segments"):
-                tt.attention(tt.Tensor(np.ones((rows, 6))), 1, True, lengths, cache)
+            segs = 1 if lengths is None else 3
+            with pytest.raises(ValueError, match=f"holds 2 sequences, got {segs} segments"):
+                tt.attention(tt.Tensor(np.ones((3, 6))), 1, True, lengths, cache)
+        tape = tt.GradTape()
+        for x, causal in ((tape.watch(tt.Parameter(np.ones((2, 6)))), True),
+                          (tt.Tensor(np.ones((2, 6))), False)):
+            with pytest.raises(ValueError, match="untaped causal attention only"):
+                tt.attention(x, 1, causal, [1, 1], cache)
