@@ -391,12 +391,11 @@ class DecoderLM:
             raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
         w, dtype = cache.weights, tt._DTYPE
 
-        def norm(x, name):  # tt.layer_norm
-            xhat, _ = tt._normalise(x, 1e-5)
-            return (xhat * w[name + "g"].data + w[name + "b"].data).astype(dtype)
+        def norm(x, name):
+            return tt._layer_norm_rows(x, w[name + "g"].data, w[name + "b"].data)
 
-        def mm(x, name):  # tt.matmul
-            return (tt._f64(x) @ w[name].data).astype(dtype)
+        def mm(x, name):
+            return tt._matmul_rows(x, w[name].data)
 
         x = w["emb"].data[ids] + w["pos"].data[filled]
         for i, (k, v) in enumerate(cache.blocks):

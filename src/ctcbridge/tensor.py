@@ -266,12 +266,18 @@ def add(a: Tensor, b) -> Tensor:
     return _emit(tape, out, tuple(p for p in (pa, pb) if p is not None), bwd)
 
 
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in float64, rounded to the storage dtype: the forward
+    arithmetic of `matmul`, which `DecoderLM.step` shares."""
+    return (_f64(a) @ _f64(b)).astype(_DTYPE, copy=False)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul needs [n,k]@[k,m], got {a.shape} @ {b.shape}")
     tape = _tape_of(a, b)
-    out = _f64(a.data) @ _f64(b.data)
+    out = _matmul_rows(a.data, b.data)
     if tape is None:
         return _emit(None, out)
     pa = a.nid if a.tape is not None else None
@@ -403,6 +409,15 @@ def _normalise(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return xc * inv, inv
 
 
+def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                    eps: float = 1e-5) -> np.ndarray:
+    """Each row of `x` normalised, then gain and bias in float64, rounded to
+    the storage dtype: the forward arithmetic of `layer_norm`, which
+    `DecoderLM.step` shares."""
+    xhat, _ = _normalise(x, eps)
+    return (xhat * _f64(gain) + _f64(bias)).astype(_DTYPE, copy=False)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalisation, then gain and bias.  The backward pass
     recomputes the float64 normalised rows from the stored input, which is
@@ -411,8 +426,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if x.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
         raise ValueError("layer_norm expects [n, c] input with [c] gain/bias")
     tape = _tape_of(x, gain, bias)
-    xhat, _ = _normalise(x.data, eps)
-    out = xhat * _f64(gain.data) + _f64(bias.data)
+    out = _layer_norm_rows(x.data, gain.data, bias.data, eps)
     if tape is None:
         return _emit(None, out)
     px = x.nid if x.tape is not None else None

@@ -309,6 +309,8 @@ def test_cache_rejects_a_tape_and_overlong_steps(task):
     with pytest.raises(ValueError, match=r"outside \[0, V\)"):
         dec.step([vocab.size], cache)
     dec.step([1], cache)
+    with pytest.raises(ValueError, match="exceeds the cache's 2 rows"):
+        dec.forward(None, [[vocab.bos_id, 1, 1]], cache=md.KVCache(dec.cfg, 1, 2, weights))
     small = md.KVCache(dec.cfg, 1, 2, weights)
     dec.forward(None, [[vocab.bos_id, 1]], cache=small)
     with pytest.raises(ValueError, match="exceeds the cache's 2 rows"):
