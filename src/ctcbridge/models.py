@@ -65,7 +65,7 @@ from .connector import ConnectorConfig, reconstruct_full, reconstruct_topP
 from .ctc import NBestList, ctc_loss
 from .lexicon import TokenSeq, Vocabulary
 from .metrics import WerReport, corpus_wer
-from .rng import CounterRng
+from .rng import CounterRng, Streams
 from .synthdata import MaskConfig, Utterance, augment
 
 
@@ -137,12 +137,30 @@ class TrainConfig:
 # parameter plumbing
 
 
-def _init(rng: CounterRng, name: str, shape: tuple[int, ...], scale: float) -> tt.Parameter:
-    vals = rng.child(name).normals(int(np.prod(shape))).reshape(shape) * scale
-    return tt.Parameter(vals, name=name)
+# words per many-stream pass of parameter init: a pass's temporaries grow
+# with its words, and this is about the largest single weight of the bench
+# models, so init peaks near where drawing each weight alone did
+_INIT_PASS_WORDS = 1 << 14
 
 
-def _const(rng: CounterRng, name: str, shape, value: float) -> tt.Parameter:
+def _normals(rng: CounterRng, shapes: dict[str, tuple[tuple[int, ...], float]]
+             ) -> dict[str, np.ndarray]:
+    """Normals times scale for each entry `name: (shape, scale)`, drawn from
+    its own stream `rng.child(name)`.  Consecutive entries share a
+    many-stream pass until it holds `_INIT_PASS_WORDS` words."""
+    names = list(shapes)
+    sizes = np.array([math.prod(shape) for shape, _ in shapes.values()], dtype=np.int64)
+    starts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _INIT_PASS_WORDS)) + 1
+    drawn = {}
+    for a, b in zip([0, *starts], [*starts, len(names)]):
+        flat = Streams.of(rng.child(name) for name in names[a:b]).normals(sizes[a:b])
+        for name, part in zip(names[a:b], np.split(flat, np.cumsum(sizes[a:b])[:-1])):
+            shape, scale = shapes[name]
+            drawn[name] = part.reshape(shape) * scale
+    return drawn
+
+
+def _const(name: str, shape, value: float) -> tt.Parameter:
     return tt.Parameter(np.full(shape, value, dtype=np.float64), name=name)
 
 
@@ -176,29 +194,40 @@ def _mix_block(x: tt.Tensor, params, prefix: str, tape, causal: bool,
     return tt.add(x, m)
 
 
-def _block_params(params, rng, prefix, width, ffn, heads: int = 1):
+def _block_shapes(prefix: str, width: int, ffn: int, heads: int = 1) -> dict:
+    """A block's normal-drawn weights as `_normals` entries: each attention
+    head from its own stream `{prefix}.h{j}.{nm}`, then w1 and w2."""
     if width % heads:
         raise ValueError("width must be divisible by the head count")
     head_dim = width // heads
+    shapes = {}
+    for nm, shape in (("wq", (width, head_dim)), ("wk", (width, head_dim)),
+                      ("wv", (width, head_dim)), ("wo", (head_dim, width))):
+        for j in range(heads):
+            shapes[f"{prefix}.h{j}.{nm}"] = (shape, 1.0 / math.sqrt(shape[0]))
+    shapes[f"{prefix}.w1"] = ((width, ffn), 1.0 / math.sqrt(width))
+    shapes[f"{prefix}.w2"] = ((ffn, width), 1.0 / math.sqrt(ffn))
+    return shapes
 
-    def stacked(nm: str, shape: tuple[int, int], axis: int) -> np.ndarray:
-        # each head is drawn from its own rng child, `{prefix}.h{j}.{nm}`
-        blocks = [_init(rng, f"{prefix}.h{j}.{nm}", shape, 1.0 / math.sqrt(shape[0])).value
-                  for j in range(heads)]
-        return np.concatenate(blocks, axis=axis)
 
-    params[f"{prefix}.ln1g"] = _const(rng, f"{prefix}.ln1g", (width,), 1.0)
-    params[f"{prefix}.ln1b"] = _const(rng, f"{prefix}.ln1b", (width,), 0.0)
+def _block_params(params, drawn: dict, prefix: str, width: int, ffn: int, heads: int = 1):
+    """A block's parameters, its weights taken from `drawn` (`_block_shapes`)."""
+
+    def stacked(nm: str, axis: int) -> np.ndarray:
+        return np.concatenate([drawn[f"{prefix}.h{j}.{nm}"] for j in range(heads)], axis=axis)
+
+    params[f"{prefix}.ln1g"] = _const(f"{prefix}.ln1g", (width,), 1.0)
+    params[f"{prefix}.ln1b"] = _const(f"{prefix}.ln1b", (width,), 0.0)
     # columns: query heads 0..H-1, key heads, value heads; rows of wo: heads
-    qkv = [stacked(nm, (width, head_dim), 1) for nm in ("wq", "wk", "wv")]
+    qkv = [stacked(nm, 1) for nm in ("wq", "wk", "wv")]
     params[f"{prefix}.wqkv"] = tt.Parameter(np.concatenate(qkv, axis=1), name=f"{prefix}.wqkv")
-    params[f"{prefix}.wo"] = tt.Parameter(stacked("wo", (head_dim, width), 0), name=f"{prefix}.wo")
-    params[f"{prefix}.ln2g"] = _const(rng, f"{prefix}.ln2g", (width,), 1.0)
-    params[f"{prefix}.ln2b"] = _const(rng, f"{prefix}.ln2b", (width,), 0.0)
-    params[f"{prefix}.w1"] = _init(rng, f"{prefix}.w1", (width, ffn), 1.0 / math.sqrt(width))
-    params[f"{prefix}.b1"] = _const(rng, f"{prefix}.b1", (ffn,), 0.0)
-    params[f"{prefix}.w2"] = _init(rng, f"{prefix}.w2", (ffn, width), 1.0 / math.sqrt(ffn))
-    params[f"{prefix}.b2"] = _const(rng, f"{prefix}.b2", (width,), 0.0)
+    params[f"{prefix}.wo"] = tt.Parameter(stacked("wo", 0), name=f"{prefix}.wo")
+    params[f"{prefix}.ln2g"] = _const(f"{prefix}.ln2g", (width,), 1.0)
+    params[f"{prefix}.ln2b"] = _const(f"{prefix}.ln2b", (width,), 0.0)
+    params[f"{prefix}.w1"] = tt.Parameter(drawn[f"{prefix}.w1"], name=f"{prefix}.w1")
+    params[f"{prefix}.b1"] = _const(f"{prefix}.b1", (ffn,), 0.0)
+    params[f"{prefix}.w2"] = tt.Parameter(drawn[f"{prefix}.w2"], name=f"{prefix}.w2")
+    params[f"{prefix}.b2"] = _const(f"{prefix}.b2", (width,), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +242,22 @@ class SpeechEncoder:
     def __init__(self, cfg: EncoderConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
-        rng = CounterRng(seed, stream=0xE4C0)
-        p: dict[str, tt.Parameter] = {}
-        p["conv1.w"] = _init(rng, "conv1.w", (3 * cfg.feat_dim, cfg.width), 1.0 / math.sqrt(3 * cfg.feat_dim))
-        p["conv1.b"] = _const(rng, "conv1.b", (cfg.width,), 0.0)
-        p["conv2.w"] = _init(rng, "conv2.w", (3 * cfg.width, cfg.width), 1.0 / math.sqrt(3 * cfg.width))
-        p["conv2.b"] = _const(rng, "conv2.b", (cfg.width,), 0.0)
+        shapes = {"conv1.w": ((3 * cfg.feat_dim, cfg.width), 1.0 / math.sqrt(3 * cfg.feat_dim)),
+                  "conv2.w": ((3 * cfg.width, cfg.width), 1.0 / math.sqrt(3 * cfg.width)),
+                  "out.w": ((cfg.width, cfg.out_slots), 1.0 / math.sqrt(cfg.width))}
         for i in range(cfg.blocks):
-            _block_params(p, rng, f"blk{i}", cfg.width, cfg.ffn, heads=1)
-        p["lnog"] = _const(rng, "lnog", (cfg.width,), 1.0)
-        p["lnob"] = _const(rng, "lnob", (cfg.width,), 0.0)
-        p["out.w"] = _init(rng, "out.w", (cfg.width, cfg.out_slots), 1.0 / math.sqrt(cfg.width))
+            shapes.update(_block_shapes(f"blk{i}", cfg.width, cfg.ffn))
+        drawn = _normals(CounterRng(seed, stream=0xE4C0), shapes)
+        p: dict[str, tt.Parameter] = {}
+        p["conv1.w"] = tt.Parameter(drawn["conv1.w"], name="conv1.w")
+        p["conv1.b"] = _const("conv1.b", (cfg.width,), 0.0)
+        p["conv2.w"] = tt.Parameter(drawn["conv2.w"], name="conv2.w")
+        p["conv2.b"] = _const("conv2.b", (cfg.width,), 0.0)
+        for i in range(cfg.blocks):
+            _block_params(p, drawn, f"blk{i}", cfg.width, cfg.ffn)
+        p["lnog"] = _const("lnog", (cfg.width,), 1.0)
+        p["lnob"] = _const("lnob", (cfg.width,), 0.0)
+        p["out.w"] = tt.Parameter(drawn["out.w"], name="out.w")
         self.params = p
 
     @classmethod
@@ -286,16 +320,22 @@ class DecoderLM:
         self.cfg = cfg
         self.vocab = vocab
         self.seed = seed
-        rng = CounterRng(seed, stream=0xD3C0)
-        p: dict[str, tt.Parameter] = {}
-        p["emb"] = _init(rng, "emb", (cfg.vocab + 1, cfg.dim), cfg.emb_scale)  # +1: blank row
-        p["pos"] = _init(rng, "pos", (cfg.max_len, cfg.dim), 0.02)
+        shapes = {"emb": ((cfg.vocab + 1, cfg.dim), cfg.emb_scale),  # +1: blank row
+                  "pos": ((cfg.max_len, cfg.dim), 0.02)}
         for i in range(cfg.blocks):
-            _block_params(p, rng, f"blk{i}", cfg.dim, cfg.ffn, heads=cfg.heads)
-        p["lnfg"] = _const(rng, "lnfg", (cfg.dim,), 1.0)
-        p["lnfb"] = _const(rng, "lnfb", (cfg.dim,), 0.0)
+            shapes.update(_block_shapes(f"blk{i}", cfg.dim, cfg.ffn, cfg.heads))
         if not cfg.tie_output:
-            p["out.w"] = _init(rng, "out.w", (cfg.dim, cfg.vocab), 1.0 / math.sqrt(cfg.dim))
+            shapes["out.w"] = ((cfg.dim, cfg.vocab), 1.0 / math.sqrt(cfg.dim))
+        drawn = _normals(CounterRng(seed, stream=0xD3C0), shapes)
+        p: dict[str, tt.Parameter] = {}
+        p["emb"] = tt.Parameter(drawn["emb"], name="emb")
+        p["pos"] = tt.Parameter(drawn["pos"], name="pos")
+        for i in range(cfg.blocks):
+            _block_params(p, drawn, f"blk{i}", cfg.dim, cfg.ffn, cfg.heads)
+        p["lnfg"] = _const("lnfg", (cfg.dim,), 1.0)
+        p["lnfb"] = _const("lnfb", (cfg.dim,), 0.0)
+        if not cfg.tie_output:
+            p["out.w"] = tt.Parameter(drawn["out.w"], name="out.w")
         self.params = p
 
     def embedding(self, tape=None) -> tt.Tensor:
@@ -625,9 +665,8 @@ def build_system(mode: str, enc: SpeechEncoder, dec: DecoderLM,
     if entry.blk_downscale is not None:
         conn = replace(conn, blk_downscale=entry.blk_downscale)
     entry.check_k(conn, enc.cfg.out_slots)
-    rng = CounterRng(seed, stream=0xE27A)
-    extra = {name: _init(rng, name, shape, scale)
-             for name, (shape, scale) in entry.extra(enc.cfg, dec.cfg, conn).items()}
+    drawn = _normals(CounterRng(seed, stream=0xE27A), entry.extra(enc.cfg, dec.cfg, conn))
+    extra = {name: tt.Parameter(value, name=name) for name, value in drawn.items()}
     return DecoderSystem(decoder=dec, mode=mode, conn=conn, extra=extra, aec_n=aec_n,
                          prompt_id=prompt_id)
 
@@ -938,8 +977,8 @@ def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
         utts = [train_set[int(i)] for i in idx]
         frames = [u.frames for u in utts]
         if cfg.augment is not None:
-            frames = [augment(f, cfg.augment, root.child(f"aug{step}.{j}"))
-                      for j, f in enumerate(frames)]
+            frames = augment(frames, cfg.augment,
+                             [root.child(f"aug{step}.{j}") for j in range(len(frames))])
         drop_rngs = [root.child(f"drop{step}.{j}") for j in range(len(utts))]
         opt.zero_grad()
         tape = tt.GradTape(check_ops)

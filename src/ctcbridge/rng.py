@@ -7,15 +7,27 @@ SplitMix64 output function applied to ``key + GOLDEN * counter`` -- a pure
 function of (key, counter), so streams can be split without coordination
 and regenerated from any point, and n one-word draws equal one n-word draw.
 
-All integer arithmetic is modulo 2**64.  Keys -- seeding, `child` and the
-FNV-1a tag hash -- are Python ints masked to 64 bits after each multiply,
-one value at a time with no numpy call.  The words of `raw` are uint64
+The same property draws many streams at once (Salmon et al., SC'11,
+"Parallel random numbers: as easy as 1, 2, 3"): `Streams` takes one key and
+one count per stream and mixes all their counters in one `_mix64_words`
+pass.  Each stream's part of a `Streams` draw equals that stream's own
+`raw`, `uniforms`, `normals` or `integers` draw byte for byte; Box-Muller
+stays per stream, pairing each stream's own ceil(n/2) halves.  A pass's
+temporaries grow with its words, so callers bound them: splits are drawn
+16 utterances per pass, parameter init about 16k words per pass.
+
+All integer arithmetic is modulo 2**64.  A generator's keys -- seeding,
+`child` and the FNV-1a tag hash -- are Python ints masked to 64 bits after
+each multiply, one value at a time with no numpy call; `Streams.child`
+mixes many keys at once with `_mix64_words`.  The words of `raw` are uint64
 numpy arrays, where the wrap is native (`_mix64_words`).  The uint64
 stream is exact on every platform; the float transforms (uniform mantissa
 fill, Box-Muller) use IEEE double arithmetic.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -39,9 +51,12 @@ def _mix64(x: int) -> int:
 
 def _mix64_words(x: np.ndarray) -> np.ndarray:
     """`_mix64` of every word of a uint64 array, which wraps by itself."""
-    x = (x ^ (x >> _U64(30))) * _U64(_MIX1)
-    x = (x ^ (x >> _U64(27))) * _U64(_MIX2)
-    return x ^ (x >> _U64(31))
+    x = x ^ (x >> _U64(30))
+    x *= _U64(_MIX1)
+    x ^= x >> _U64(27)
+    x *= _U64(_MIX2)
+    x ^= x >> _U64(31)
+    return x
 
 
 def fnv1a64(text: str) -> int:
@@ -50,6 +65,18 @@ def fnv1a64(text: str) -> int:
     for b in text.encode("utf-8"):
         h = (h ^ b) * _FNV_PRIME & _MASK
     return h
+
+
+def _tag_mix(tag: int | str) -> int:
+    """The word a `child` tag mixes into its parent's key."""
+    t = fnv1a64(tag) if isinstance(tag, str) else int(tag & _MASK)
+    return _mix64((t + _GOLDEN) & _MASK)
+
+
+def integers_from(u: np.ndarray, lo, hi) -> np.ndarray:
+    """Integers in [lo, hi) from uniforms `u`, float-scaled (negligible bias
+    at these ranges); `lo` < `hi` are ints or arrays that broadcast with `u`."""
+    return lo + np.minimum((u * (hi - lo)).astype(np.int64), hi - lo - 1)
 
 
 class CounterRng:
@@ -66,9 +93,8 @@ class CounterRng:
 
     def child(self, tag: int | str) -> "CounterRng":
         """Independent stream derived from this key and `tag`."""
-        t = fnv1a64(tag) if isinstance(tag, str) else int(tag & _MASK)
         out = CounterRng.__new__(CounterRng)
-        out._key = _mix64(self._key ^ _mix64((t + _GOLDEN) & _MASK))
+        out._key = _mix64(self._key ^ _tag_mix(tag))
         out._counter = 0
         return out
 
@@ -100,6 +126,87 @@ class CounterRng:
         """Integers in [lo, hi), float-scaled (negligible bias at these ranges)."""
         if hi <= lo:
             raise ValueError(f"empty range [{lo}, {hi})")
-        return lo + np.minimum(
-            (self.uniforms(n) * (hi - lo)).astype(np.int64), hi - lo - 1
-        )
+        return integers_from(self.uniforms(n), lo, hi)
+
+
+class Streams:
+    """Fresh streams, one uint64 key each, drawn together.
+
+    Stream i is a `CounterRng` with key `keys[i]` that has drawn nothing.  A
+    draw takes one count per stream (or one count for all) and returns the
+    streams' draws concatenated in stream order, in one numpy pass; stream
+    i's part equals its own first draw of that count.  A `Streams` keeps no
+    counter, so every draw starts each stream at its first word.
+    """
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+
+    @classmethod
+    def of(cls, rngs: Iterable[CounterRng]) -> "Streams":
+        """The streams of generators that have drawn nothing yet."""
+        keys = []
+        for r in rngs:
+            if r._counter:
+                raise ValueError("only a stream that has drawn nothing can join a Streams")
+            keys.append(r._key)
+        return cls(keys)
+
+    def child(self, *tags: int | str) -> "Streams":
+        """Every stream's `child(tag)`, for each tag in turn: with T tags and
+        S streams, stream t*S + s is stream s's child(tags[t])."""
+        mixes = np.array([_tag_mix(t) for t in tags], dtype=np.uint64)
+        return Streams(_mix64_words(mixes[:, None] ^ self.keys[None, :]))
+
+    def _counts(self, counts) -> np.ndarray:
+        return np.zeros(len(self.keys), dtype=np.int64) + np.asarray(counts, dtype=np.int64)
+
+    def raw(self, counts, skip=0) -> np.ndarray:
+        """Each stream's first `counts[i]` uint64 words, after its first
+        `skip[i]` words (one skip for all, or one per stream)."""
+        counts = self._counts(counts)
+        # word j of the whole draw is word j - first[i] + skip[i] of its
+        # stream i, so its input is j * GOLDEN plus a per-stream offset
+        first = (np.cumsum(counts) - counts).astype(np.uint64)
+        offset = self.keys + (self._counts(skip).astype(np.uint64) + _U64(1) - first) * _U64(_GOLDEN)
+        x = np.arange(int(counts.sum()), dtype=np.uint64)
+        x *= _U64(_GOLDEN)
+        x += np.repeat(offset, counts)
+        return _mix64_words(x)
+
+    def uniforms(self, counts) -> np.ndarray:
+        """Each stream's first `counts[i]` float64s in [0, 1)."""
+        return (self.raw(counts) >> _U64(11)).astype(np.float64) * _TWO53_INV
+
+    def normals(self, counts) -> np.ndarray:
+        """Each stream's first `counts[i]` standard normals (ragged Box-Muller)."""
+        n = self._counts(counts)
+        m = (n + 1) // 2
+        # stream i's 2*m[i] words hold its m[i] first halves, then its m[i]
+        # second halves: one pass draws all first halves, then all second
+        twice = Streams(np.concatenate([self.keys, self.keys]))
+        words = twice.raw(np.concatenate([m, m]), np.concatenate([0 * m, m]))
+        u1, u2 = (words >> _U64(11)).astype(np.float64).reshape(2, -1)
+        # `CounterRng.normals` in place, as a pass's temporaries set its peak
+        # memory: u1 in (0, 1] so log never sees zero
+        u1 += 1.0
+        u1 *= _TWO53_INV
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        r = np.sqrt(u1, out=u1)
+        u2 *= _TWO53_INV
+        u2 *= 2.0 * np.pi
+        out = np.empty(2 * len(r), dtype=np.float64)
+        out[0::2] = np.cos(u2)
+        out[0::2] *= r
+        out[1::2] = np.sin(u2)
+        out[1::2] *= r
+        # an odd count drops the last value of its stream's pairs
+        odd = n % 2 == 1
+        return np.delete(out, (2 * np.cumsum(m) - 1)[odd]) if odd.any() else out
+
+    def integers(self, lo: int, hi: int, counts) -> np.ndarray:
+        """Each stream's first `counts[i]` integers in [lo, hi)."""
+        if hi <= lo:
+            raise ValueError(f"empty range [{lo}, {hi})")
+        return integers_from(self.uniforms(counts), lo, hi)

@@ -10,12 +10,23 @@ above a purely acoustic decoder.
 
 Everything is a pure function of (spec, seed) through the counter-based
 generator, so "regenerate" and "reload" are the same operation.
+
+Utterance i of a split draws from its own stream, the split stream's
+`child(i)`, so it does not depend on how the split is sampled.
+`make_splits` samples a split in chunks of at most `SPLIT_CHUNK`
+utterances, one many-stream pass (`rng.Streams`) per chunk: lengths,
+walks, durations, flips and frame noise of all the chunk's utterances
+together, and the walks advance one token position at a time across
+them.  `augment` draws the masks of a whole batch in one pass.  Each
+utterance and each mask equals, byte for byte, what drawing from its own
+stream alone gives; the per-utterance forms are kept as test oracles.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -23,10 +34,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lexicon import TokenSeq, Vocabulary
-from .rng import CounterRng
+from .rng import CounterRng, Streams, integers_from
 
 SPECIALS = ("<sep>", "<bos>", "<eos>", "<tsk>")
 SPLITS = ("train", "dev", "test")
+# utterances per vectorised sampling pass: a pass's temporaries grow with
+# its frames, so whole splits in one pass would raise peak memory
+SPLIT_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -39,10 +53,12 @@ class MaskConfig:
     freq_width: int = 3
 
     def __post_init__(self):
-        if not 0.0 <= self.time_ratio <= 1.0:
-            raise ValueError("time_ratio must lie in [0, 1]")
-        if self.time_masks < 0 or self.freq_masks < 0 or self.freq_width < 0:
-            raise ValueError("mask counts/widths must be non-negative")
+        for name in ("time_masks", "freq_masks", "freq_width"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+        if not _is_number(self.time_ratio) or not 0.0 <= self.time_ratio <= 1.0:
+            raise ValueError(f"time_ratio must be a number in [0, 1], got {self.time_ratio!r}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +77,23 @@ class TaskSpec:
 
     def __post_init__(self):
         v = self.vocab.size
-        if self.transition.shape != (v, v):
-            raise ValueError("transition matrix must be [V, V]")
+        if self.transition.shape != (v, v) or self.init_probs.shape != (v,):
+            raise ValueError("transition matrix must be [V, V] and init probabilities [V]")
         if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("transition rows must sum to 1")
+        if not np.isclose(self.init_probs.sum(), 1.0, atol=1e-9):
+            raise ValueError("init probabilities must sum to 1")
+        if (self.transition < 0).any() or not (self.init_probs >= 0).all():
+            raise ValueError("probabilities must be >= 0")
+        if type(self.feat_dim) is not int or self.feat_dim < 1:
+            raise ValueError(f"feat_dim must be an int >= 1, got {self.feat_dim!r}")
+        for name in ("length_range", "duration_range"):
+            lo_hi = getattr(self, name)
+            if (len(lo_hi) != 2 or any(type(b) is not int for b in lo_hi)
+                    or not 1 <= lo_hi[0] <= lo_hi[1]):
+                raise ValueError(f"{name} must be two ints with 1 <= lo <= hi, got {lo_hi!r}")
+        if not _is_number(self.noise_sigma) or not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.duration_range[0] < 4:
             raise ValueError("minimum duration must be >= 4 (subsampling factor)")
         if not 0.0 <= self.confusion_prob < 0.5:
@@ -72,6 +101,8 @@ class TaskSpec:
         for a, b in self.confusion.items():
             if self.confusion.get(b) != a:
                 raise ValueError("confusion pairs must be symmetric")
+            if not 0 <= a < v:
+                raise ValueError(f"confusion pairs must be tokens in [0, {v}), got {a}")
 
     # Derived tables are computed once per spec and kept read-only; a
     # frozen dataclass lets `cached_property` store them on the instance.
@@ -91,6 +122,17 @@ class TaskSpec:
         rows = np.cumsum(np.asarray(self.transition, dtype=np.float64), axis=1)
         rows[:, -1] = 1.0
         return _read_only(init), _read_only(rows)
+
+    @cached_property
+    def partners(self) -> np.ndarray:
+        """[V] each token's confusion partner, itself if it has none."""
+        table = np.arange(self.vocab.size)
+        table[list(self.confusion)] = list(self.confusion.values())
+        return _read_only(table)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -181,37 +223,6 @@ def build_chain(vocab: Vocabulary, seed: int, successors: int = 4,
     return trans, init, pairs
 
 
-def sample_utterance(spec: TaskSpec, utt_id: str, rng: CounterRng,
-                     translation: Optional[dict[int, int]] = None) -> Utterance:
-    lmin, lmax = spec.length_range
-    dmin, dmax = spec.duration_range
-    length = int(rng.child("len").integers(lmin, lmax + 1, 1)[0])
-
-    # one uniform per token, each looked up in the CDF row of its predecessor
-    walk = rng.child("walk").uniforms(length)
-    init_cdf, row_cdfs = spec.walk_cdfs
-    toks = [int(init_cdf.searchsorted(walk[0], side="right"))]
-    for u in walk[1:]:
-        toks.append(int(row_cdfs[toks[-1]].searchsorted(u, side="right")))
-    source = tuple(toks)
-
-    durs = rng.child("dur").integers(dmin, dmax + 1, length)
-    flips = rng.child("conf").uniforms(length) < spec.confusion_prob
-    rendered = [
-        spec.confusion.get(tok, tok) if flip and tok in spec.confusion else tok
-        for tok, flip in zip(source, flips)
-    ]
-
-    protos = spec.prototypes
-    total = int(durs.sum())
-    frames = np.repeat(protos[rendered], durs, axis=0)
-    if spec.noise_sigma > 0:
-        noise = rng.child("noise").normals(total * spec.feat_dim)
-        frames = frames + spec.noise_sigma * noise.reshape(total, spec.feat_dim).astype(np.float32)
-    target = translate_target(source, translation) if translation else source
-    return Utterance(utt_id, frames.astype(np.float32), source, target)
-
-
 def make_splits(spec: TaskSpec, n_train: int, n_dev: int, n_test: int, seed: int,
                 translation: Optional[dict[int, int]] = None,
                 names: Sequence[str] = SPLITS) -> tuple[list[Utterance], ...]:
@@ -224,37 +235,88 @@ def make_splits(spec: TaskSpec, n_train: int, n_dev: int, n_test: int, seed: int
     root = CounterRng(seed, stream=0xDA7A)
     out = []
     for split in names:
-        split_rng = root.child(split)
-        out.append([
-            sample_utterance(
-                spec, f"s{seed}-{split}-{i:05d}", split_rng.child(i), translation
-            )
-            for i in range(sizes[split])
-        ])
+        split_streams = Streams.of([root.child(split)])
+        utts: list[Utterance] = []
+        for start in range(0, sizes[split], SPLIT_CHUNK):
+            idx = range(start, min(start + SPLIT_CHUNK, sizes[split]))
+            utts += _sample_chunk(spec, [f"s{seed}-{split}-{i:05d}" for i in idx],
+                                  split_streams.child(*idx), translation)
+        out.append(utts)
     return tuple(out)
 
 
-def augment(frames: np.ndarray, cfg: Optional[MaskConfig], rng: CounterRng) -> np.ndarray:
-    """Zero out masked spans/bands; returns a copy, training-time only."""
+def _sample_chunk(spec: TaskSpec, ids: Sequence[str], streams: Streams,
+                  translation: Optional[dict[int, int]]) -> list[Utterance]:
+    """One utterance per stream, each drawn from its stream's children
+    "len", "walk", "dur", "conf" and "noise", all utterances in one pass."""
+    lmin, lmax = spec.length_range
+    dmin, dmax = spec.duration_range
+    lengths = streams.child("len").integers(lmin, lmax + 1, 1)
+    starts = np.cumsum(lengths) - lengths
+    # one uniform per token from each of "walk", "dur" and "conf"
+    per_token = streams.child("walk", "dur", "conf").uniforms(np.concatenate([lengths] * 3))
+    walk, durs, flips = per_token.reshape(3, -1)
+    durs = integers_from(durs, dmin, dmax + 1)
+    flips = flips < spec.confusion_prob
+
+    # each walk uniform is looked up in the CDF row of its predecessor; the
+    # walks of all utterances advance one position at a time, and counting
+    # a row's entries <= u is searchsorted(side="right")
+    init_cdf, row_cdfs = spec.walk_cdfs
+    toks = np.empty(len(walk), dtype=np.int64)
+    toks[starts] = init_cdf.searchsorted(walk[starts], side="right")
+    for pos in range(1, int(lengths.max())):
+        at = starts[lengths > pos] + pos
+        toks[at] = (row_cdfs[toks[at - 1]] <= walk[at, None]).sum(axis=1)
+    rendered = np.where(flips, spec.partners[toks], toks)
+
+    frame_ends = np.cumsum(durs)[starts + lengths - 1]
+    frames = np.repeat(spec.prototypes[rendered], durs, axis=0)
+    if spec.noise_sigma > 0:
+        counts = np.diff(frame_ends, prepend=0) * spec.feat_dim
+        noise = streams.child("noise").normals(counts)
+        frames = frames + spec.noise_sigma * noise.reshape(-1, spec.feat_dim).astype(np.float32)
+    toks, bounds = toks.tolist(), [0, *frame_ends.tolist()]
+    out = []
+    for j, (utt_id, s, n) in enumerate(zip(ids, starts.tolist(), lengths.tolist())):
+        source = tuple(toks[s:s + n])
+        target = translate_target(source, translation) if translation else source
+        out.append(Utterance(utt_id, frames[bounds[j]:bounds[j + 1]], source, target))
+    return out
+
+
+def augment(frames: Sequence[np.ndarray], cfg: Optional[MaskConfig],
+            rngs: Sequence[CounterRng]) -> list[np.ndarray]:
+    """A batch's frames with masked spans and bands zeroed, training-time
+    only: copies, masked from the fresh stream `rngs[j]` for utterance j,
+    all masks of the batch in one draw (without cfg, the frames as given).
+
+    Mask m of an utterance draws two words from the utterance's child
+    `t{m}` (time) or `f{m}` (feature): a span or width, then its start.
+    """
     if cfg is None:
-        return frames
-    t, f = frames.shape
-    out = frames.copy()
-    max_span = int(cfg.time_ratio * t)
-    for m in range(cfg.time_masks):
-        mrng = rng.child(f"t{m}")
-        span = int(mrng.integers(0, max_span + 1, 1)[0])
-        if span == 0:
-            continue
-        start = int(mrng.integers(0, t - span + 1, 1)[0])
-        out[start:start + span, :] = 0.0
-    for m in range(cfg.freq_masks):
-        mrng = rng.child(f"f{m}")
-        width = int(mrng.integers(0, min(cfg.freq_width, f) + 1, 1)[0])
-        if width == 0:
-            continue
-        start = int(mrng.integers(0, f - width + 1, 1)[0])
-        out[:, start:start + width] = 0.0
+        return list(frames)
+    tm = cfg.time_masks
+    tags = [f"t{m}" for m in range(tm)] + [f"f{m}" for m in range(cfg.freq_masks)]
+    u = Streams.of(rngs).child(*tags).uniforms(2).reshape(len(tags), len(frames), 2)
+    t = np.array([x.shape[0] for x in frames])
+    f = np.array([x.shape[1] for x in frames])
+    span = integers_from(u[:tm, :, 0], 0, (cfg.time_ratio * t).astype(np.int64) + 1)
+    row0 = integers_from(u[:tm, :, 1], 0, t - span + 1)
+    width = integers_from(u[tm:, :, 0], 0, np.minimum(cfg.freq_width, f) + 1)
+    col0 = integers_from(u[tm:, :, 1], 0, f - width + 1)
+
+    def hit(first, size, extent):  # [utterance, index]: inside some mask
+        idx = np.arange(extent)[None, None, :]
+        return ((idx >= first[..., None]) & (idx < (first + size)[..., None])).any(axis=0)
+
+    rows, cols = hit(row0, span, t.max()), hit(col0, width, f.max())
+    out = []
+    for j, x in enumerate(frames):
+        x = x.copy()
+        x[rows[j, :t[j]]] = 0.0
+        x[:, cols[j, :f[j]]] = 0.0
+        out.append(x)
     return out
 
 

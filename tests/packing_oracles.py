@@ -28,7 +28,7 @@ from ctcbridge.ctc import ctc_loss
 from ctcbridge.models import (Adam, TrainingDiverged, TrainLog, _mix_block, _w, check_system,
                               teacher_forcing_example)
 from ctcbridge.rng import CounterRng
-from ctcbridge.synthdata import augment
+from utterance_oracles import augment
 
 
 def _conv(enc, x: tt.Tensor, prefix: str, tape) -> tt.Tensor:

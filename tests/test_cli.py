@@ -206,6 +206,11 @@ BAD_TRAIN = {
     "lr-infinite": {"lr": float("inf")},
     "warmup-negative": {"warmup": -2},
     "json-list": None,
+    "time_masks-float": {"augment": {"time_masks": 1.5}},
+    "freq_masks-bool": {"augment": {"freq_masks": True}},
+    "freq_width-text": {"augment": {"freq_width": "3"}},
+    "time_ratio-1.5": {"augment": {"time_ratio": 1.5}},
+    "time_ratio-text": {"augment": {"time_ratio": "0.1"}},
 }
 
 
@@ -225,6 +230,32 @@ def test_bad_train_config_exits_2(tiny, capsys, tmp_path, command, case):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.ckpt").exists()
+
+
+BAD_TASK = {
+    "length-from-0": {"length_range": [0, 3]},
+    "length-reversed": {"length_range": [6, 3]},
+    "length-float": {"length_range": [2.0, 4]},
+    "duration-reversed": {"duration_range": [6, 5]},
+    "feat_dim-float": {"feat_dim": 2.0},
+    "feat_dim-0": {"feat_dim": 0},
+    "noise-negative": {"noise_sigma": -0.5},
+    "noise-infinite": {"noise_sigma": float("inf")},
+}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-encoder", "adapt"])
+@pytest.mark.parametrize("case", sorted(BAD_TASK))
+def test_bad_task_spec_exits_2(tiny, capsys, tmp_path, command, case):
+    out = tmp_path / "out"
+    argv = [command, "--spec", _write(tmp_path, "task.json", dict(TASK, **BAD_TASK[case])),
+            "--out", str(out)]
+    if command == "adapt":
+        argv += ["--mode", "lego", "--encoder", tiny["enc"]]
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: task spec: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["decode-eval", "swap", "sweep-tau"])
@@ -658,6 +689,25 @@ def test_gen_data_writes_splits_matching_its_manifest(tmp_path, capsys):
         blob = (tmp_path / "data" / f"{split}.jsonl").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == manifest["sha256"][split]
         assert len(blob.decode().splitlines()) == manifest["sizes"][split] == TASK["splits"][split]
+
+
+# pinned before augmentation masks were drawn many streams at a time; a change
+# to the mask rng streams or to how a draw is scaled moves this digest
+AUGMENTED_ENCODER_SHA256 = "1f824c75562589bb5efbf4b97adc67caca661b0c37af6418f7f01666beea2beb"
+
+
+def test_augmented_encoder_checkpoint_is_pinned(tmp_path, capsys):
+    digests = {}
+    for name, aug in (("masked", {"time_masks": 2, "time_ratio": 0.3, "freq_masks": 2,
+                                  "freq_width": 2}), ("unmasked", None)):
+        cfg = dict(TRAIN, steps=3, augment=aug, encoder={"width": 8, "ffn": 16, "blocks": 1})
+        out = tmp_path / f"{name}.ckpt"
+        code, _, _ = run(capsys, ["train-encoder", "--spec", _write(tmp_path, "t.json", TASK),
+                                  "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert code == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests["masked"] == AUGMENTED_ENCODER_SHA256
+    assert digests["unmasked"] != digests["masked"]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,13 @@ def tiny_encoder(vocab, feat_dim=8, seed=0):
     )
 
 
+def fresh_block(heads):
+    params = {}
+    drawn = md._normals(CounterRng(5), md._block_shapes("blk0", 24, 48, heads))
+    md._block_params(params, drawn, "blk0", 24, 48, heads)
+    return params
+
+
 def tiny_decoder(vocab, seed=0, **kw):
     kw.setdefault("dim", 24)
     kw.setdefault("ffn", 48)
@@ -215,8 +222,7 @@ class TestFusedAttention:
             assert err <= tol, f"{what}: {err:.3g}"
 
         with precision(dtype):
-            fused = {}
-            md._block_params(fused, CounterRng(5), "blk0", 24, 48, heads)
+            fused = fresh_block(heads)
             per = per_head_params(fused, heads)
             y, gx = self.run_block(md._mix_block, fused, heads, causal, drop)
             y_ref, gx_ref = self.run_block(mix_block_per_head, per, heads, causal, drop)
@@ -231,8 +237,7 @@ class TestFusedAttention:
 
     def test_one_attention_node_per_block_whatever_the_heads(self):
         def kinds(heads):
-            params = {}
-            md._block_params(params, CounterRng(5), "blk0", 24, 48, heads)
+            params = fresh_block(heads)
             tape = tt.GradTape()
             md._mix_block(tt.Tensor(np.ones((6, 24))), params, "blk0", tape, True, 0.0,
                           None, heads)
@@ -260,6 +265,46 @@ class TestFusedAttention:
                 draw = rng.child(f"blk0.h{j}.{nm}").normals(shape[0] * shape[1])
                 expect = (draw.reshape(shape) * (1.0 / math.sqrt(shape[0]))).astype(np.float32)
                 assert parts[f"h{j}.{nm}"].tobytes() == expect.tobytes(), f"h{j}.{nm}"
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_initial_weight_is_its_own_streams_draw(self, vocab, dtype):
+        # each weight outside the attention heads is the normals of the rng
+        # child of its name times its scale; gains are 1 and biases 0
+        w, d, ffn, v = 24, 16, 48, vocab.size
+        with precision(dtype):
+            enc = tiny_encoder(vocab, seed=3)
+            dec = tiny_decoder(vocab, seed=4, dim=d, heads=4, blocks=2, tie_output=False)
+            extras = {}
+            for mode, conn in (("sp", ConnectorConfig()), ("adapter", ConnectorConfig()),
+                               ("topP", ConnectorConfig(k=3))):
+                extras.update(md.build_system(mode, enc, dec, conn, seed=6).extra)
+        drawn = [
+            (enc.params, 3, 0xE4C0, {
+                "conv1.w": ((24, w), 1 / math.sqrt(24)), "conv2.w": ((3 * w, w), 1 / math.sqrt(3 * w)),
+                "blk0.w1": ((w, ffn), 1 / math.sqrt(w)), "blk0.w2": ((ffn, w), 1 / math.sqrt(ffn)),
+                "out.w": ((w, v + 1), 1 / math.sqrt(w))}),
+            (dec.params, 4, 0xD3C0, {
+                "emb": ((v + 1, d), 0.3), "pos": ((96, d), 0.02), "out.w": ((d, v), 1 / math.sqrt(d)),
+                **{f"blk{i}.{nm}": (shape, 1 / math.sqrt(shape[0])) for i in range(2)
+                   for nm, shape in (("w1", (d, 48)), ("w2", (48, d)))}}),
+            (extras, 6, 0xE27A, {
+                "sp.proj": ((w, d), 1 / math.sqrt(w)), "adapter.table": ((v + 1, d), 0.02),
+                "topp.proj": ((3 * d, d), 1 / math.sqrt(3 * d))}),
+        ]
+        for params, seed, stream, weights in drawn:
+            rng = CounterRng(seed, stream=stream)
+            for name, p in params.items():
+                assert p.value.dtype == dtype
+                if name in weights:
+                    shape, scale = weights[name]
+                    draw = rng.child(name).normals(math.prod(shape)).reshape(shape) * scale
+                    assert p.value.tobytes() == draw.astype(dtype).tobytes(), name
+                elif name.endswith(("g", "b", ".b1", ".b2")):
+                    assert (p.value == float(name.endswith("g"))).all(), name
+                else:
+                    assert name.endswith((".wqkv", ".wo")), name
+            assert set(weights) <= set(params)
 
 
 class TestSpProject:

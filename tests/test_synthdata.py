@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcbridge.rng import CounterRng, fnv1a64
+from ctcbridge.rng import CounterRng, Streams, fnv1a64
 from ctcbridge.synthdata import (
+    SPLIT_CHUNK,
     MaskConfig,
+    _sample_chunk,
     augment,
     build_chain,
     build_translation,
@@ -15,13 +17,13 @@ from ctcbridge.synthdata import (
     content_ids,
     make_splits,
     prompt_token_id,
-    sample_utterance,
     translate_target,
     utterance_from_json,
     utterance_to_json,
 )
 from ctcbridge.cli import load_task
 import rng_oracles as oracle
+import utterance_oracles as per_utt
 
 
 def invert_translation(target, mapping):
@@ -103,6 +105,47 @@ class TestRngMatchesOracle:
             assert CounterRng(7).child(tag)._key == int(oracle.CounterRng(7).child(tag)._key)
 
 
+tags = st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=8))
+
+
+class TestStreams:
+    """Many streams drawn in one pass against each stream's own draws."""
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           streams=st.lists(st.tuples(tags, st.integers(0, 9)), max_size=6),
+           lo=st.integers(-5, 5), width=st.integers(1, 300),
+           child_tags=st.lists(tags, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_each_stream_equals_its_own_draws(self, seed, streams, lo, width, child_tags):
+        root = CounterRng(seed, stream=0x51)
+        many = Streams.of(root.child(tag) for tag, _ in streams)
+        counts = [n for _, n in streams]
+
+        def each(draw):
+            """Every stream's own draw from a fresh `root.child(tag)`, concatenated."""
+            parts = [draw(root.child(tag), n) for tag, n in streams]
+            return np.concatenate(parts) if parts else np.zeros(0)
+
+        for name in ("raw", "uniforms", "normals"):
+            want = each(lambda r, n: getattr(r, name)(n))
+            assert getattr(many, name)(counts).tobytes() == want.tobytes(), name
+        want = each(lambda r, n: r.integers(lo, lo + width, n))
+        assert many.integers(lo, lo + width, counts).tobytes() == want.astype(np.int64).tobytes()
+        # one count for every stream, and each stream's children, tag by tag
+        want = [each(lambda r, n: r.child(t).normals(3)) for t in child_tags]
+        assert many.child(*child_tags).normals(3).tobytes() == np.concatenate(want).tobytes()
+
+    def test_a_stream_that_has_drawn_is_refused(self):
+        rng = CounterRng(1).child("a")
+        rng.raw(1)
+        with pytest.raises(ValueError, match="drawn nothing"):
+            Streams.of([rng])
+
+    def test_empty_range_is_refused(self):
+        with pytest.raises(ValueError, match="empty range"):
+            Streams.of([CounterRng(1), CounterRng(2)]).integers(3, 3, 0)
+
+
 class TestVocabularyLayout:
     def test_specials_at_top(self):
         v = build_vocabulary(16)
@@ -130,10 +173,15 @@ class TestVocabularyLayout:
                 assert pairs.get(c) not in likely
 
 
+def sample(spec, i, seed=5):
+    """The utterance of stream `CounterRng(seed).child(i)`."""
+    return _sample_chunk(spec, ["u"], Streams.of([CounterRng(seed).child(i)]), None)[0]
+
+
 class TestSampling:
     def test_bitwise_reproducible(self, spec):
-        a = sample_utterance(spec, "u", CounterRng(5).child(0))
-        b = sample_utterance(spec, "u", CounterRng(5).child(0))
+        a = sample(spec, 0)
+        b = sample(spec, 0)
         assert a.source == b.source
         np.testing.assert_array_equal(a.frames, b.frames)
 
@@ -142,7 +190,7 @@ class TestSampling:
         from dataclasses import replace
 
         clean = replace(spec, noise_sigma=0.0, confusion_prob=0.0)
-        u = sample_utterance(clean, "u", CounterRng(5).child(1))
+        u = sample(clean, 1)
         protos = clean.prototypes
         t = 0
         for tok in u.source:
@@ -155,7 +203,7 @@ class TestSampling:
 
     def test_sources_use_content_tokens_only(self, spec):
         for i in range(10):
-            u = sample_utterance(spec, "u", CounterRng(5).child(i))
+            u = sample(spec, i)
             assert set(u.source) <= set(content_ids(spec.vocab))
 
     def test_min_duration_guard(self):
@@ -163,6 +211,18 @@ class TestSampling:
         bad["duration_range"] = [2, 6]
         with pytest.raises(ValueError):
             load_task(bad)
+
+    @pytest.mark.parametrize("scale, row_shift, error", [
+        (0.5, 0.0, "init probabilities must sum to 1"), (1.0, 1.0, "probabilities must be >= 0")])
+    def test_probabilities_are_checked(self, spec, scale, row_shift, error):
+        # the walk's CDFs pin their last entry to 1, so a shortfall would land
+        # on the last token, a special; a negative entry breaks the CDF order
+        trans = spec.transition.copy()
+        trans[0, :2] += (row_shift, -row_shift)  # rows keep their sum
+        task = {k: v for k, v in TASK.items() if k != "chain"}
+        task.update(transition=trans.tolist(), init=(spec.init_probs * scale).tolist())
+        with pytest.raises(ValueError, match=error):
+            load_task(task)
 
 
 @st.composite
@@ -190,13 +250,30 @@ class TestSamplingMatchesOracle:
     @settings(max_examples=80, deadline=None)
     def test_byte_equal(self, bundle, seed, idx):
         spec, translation = bundle.spec, bundle.translation
-        for i in idx:
-            got = sample_utterance(spec, "u", CounterRng(seed).child(i), translation)
+        chunk = _sample_chunk(spec, ["u"] * len(idx),
+                              Streams.of(CounterRng(seed).child(i) for i in idx), translation)
+        for i, got in zip(idx, chunk):
             want = oracle.sample_utterance(spec, "u", oracle.CounterRng(seed).child(i),
                                            translation)
             assert (got.source, got.target) == (want.source, want.target)
             assert got.frames.tobytes() == want.frames.tobytes()
             assert got.frames.shape == want.frames.shape
+
+    # split sizes on both sides of the chunk edges
+    @given(bundle=task_specs(), seed=st.integers(0, 2**64 - 1),
+           sizes=st.tuples(*[st.sampled_from([1, 15, 16, 17, 33])] * 3))
+    @settings(max_examples=40, deadline=None)
+    def test_splits_equal_the_per_utterance_sampler(self, bundle, seed, sizes):
+        assert SPLIT_CHUNK == 16
+        spec, translation = bundle.spec, bundle.translation
+        got = make_splits(spec, *sizes, seed, translation)
+        want = per_utt.make_splits(spec, *sizes, seed, translation)
+        for g_split, w_split, n in zip(got, want, sizes):
+            assert len(g_split) == len(w_split) == n
+            for g, w in zip(g_split, w_split):
+                assert (g.id, g.source, g.target) == (w.id, w.source, w.target)
+                assert (g.frames.dtype, g.frames.shape) == (w.frames.dtype, w.frames.shape)
+                assert g.frames.tobytes() == w.frames.tobytes()
 
     @given(bundle=task_specs())
     @settings(max_examples=30, deadline=None)
@@ -269,21 +346,26 @@ class TestSplits:
             make_splits(spec, 0, 1, 1, seed=0)
 
 
+def augment_one(x, cfg, rng):
+    return augment([x], cfg, [rng])[0]
+
+
 class TestAugment:
     def test_none_config_is_identity(self):
         x = np.ones((10, 4), dtype=np.float32)
-        assert augment(x, None, CounterRng(0)) is x
+        assert augment_one(x, None, CounterRng(0)) is x
 
     def test_zero_masks_identity(self):
         x = np.ones((10, 4), dtype=np.float32)
-        out = augment(x, MaskConfig(time_masks=0, freq_masks=0), CounterRng(0))
+        out = augment_one(x, MaskConfig(time_masks=0, freq_masks=0), CounterRng(0))
         np.testing.assert_array_equal(out, x)
+        assert out is not x
 
     def test_full_span_zeroes_everything(self):
         x = np.ones((6, 4), dtype=np.float32)
         cfg = MaskConfig(time_masks=1, time_ratio=1.0, freq_masks=0)
         for tag in range(50):
-            out = augment(x, cfg, CounterRng(0).child(tag))
+            out = augment_one(x, cfg, CounterRng(0).child(tag))
             if (out == 0).all():
                 return
         raise AssertionError("full-span mask never drawn")
@@ -292,14 +374,33 @@ class TestAugment:
         x = np.ones((40, 8), dtype=np.float32)
         cfg = MaskConfig(time_masks=2, time_ratio=0.1, freq_masks=0)
         for tag in range(20):
-            out = augment(x, cfg, CounterRng(1).child(tag))
+            out = augment_one(x, cfg, CounterRng(1).child(tag))
             zero_rows = int((out == 0).all(axis=1).sum())
             assert zero_rows <= 2 * int(0.1 * 40)
 
     def test_input_not_mutated(self):
         x = np.ones((10, 4), dtype=np.float32)
-        augment(x, MaskConfig(), CounterRng(2))
+        augment_one(x, MaskConfig(), CounterRng(2))
         assert (x == 1).all()
+
+    @given(shapes=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 8)),
+                           min_size=1, max_size=6),
+           time_masks=st.integers(0, 3), time_ratio=st.sampled_from([0.0, 0.1, 0.37, 1.0]),
+           freq_masks=st.integers(0, 3), freq_width=st.integers(0, 10),
+           step=st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_per_utterance_masks(self, shapes, time_masks, time_ratio,
+                                              freq_masks, freq_width, step):
+        # the training loop's streams: one `aug{step}.{j}` child per utterance
+        cfg = MaskConfig(time_masks, time_ratio, freq_masks, freq_width)
+        frames = [CounterRng(7).child(j).normals(t * f).reshape(t, f).astype(np.float32)
+                  for j, (t, f) in enumerate(shapes)]
+        root = CounterRng(3, stream=0x7E)
+        got = augment(frames, cfg, [root.child(f"aug{step}.{j}") for j in range(len(frames))])
+        for j, (x, g) in enumerate(zip(frames, got)):
+            want = per_utt.augment(x, cfg, root.child(f"aug{step}.{j}"))
+            assert g.dtype == want.dtype and g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
 
 
 class TestTranslation:
@@ -325,7 +426,7 @@ class TestTranslation:
 
 class TestMaterialisation:
     def test_json_round_trip(self, spec):
-        u = sample_utterance(spec, "utt-1", CounterRng(5).child(3))
+        u = sample(spec, 3)
         again = utterance_from_json(utterance_to_json(u))
         assert again.id == u.id and again.source == u.source and again.target == u.target
         np.testing.assert_array_equal(again.frames, u.frames)
