@@ -87,12 +87,19 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
+
+
 def _load_json(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"no such file: {p}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(_read_text(p))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid JSON ({e})") from e
 
@@ -185,8 +192,9 @@ def _read_jsonl_split(data_dir: Path, split: str, expected: Optional[str],
     return utts
 
 
-def resolve_dataset(args, split: str) -> list[Utterance]:
-    """Materialised directory if --data was given, else on-the-fly from --spec."""
+def resolve_dataset(args, split: str) -> tuple[TaskSpec, list[Utterance]]:
+    """The task and the split's utterances: from the materialised directory
+    if --data was given, else built on the fly from --spec."""
     if args.data:
         data_dir = Path(args.data)
         manifest_path = data_dir / "manifest.json"
@@ -195,12 +203,22 @@ def resolve_dataset(args, split: str) -> list[Utterance]:
             task, expected = dict(manifest["task"]), manifest.get("sha256", {}).get(split)
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{manifest_path}: not a gen-data manifest ({e!r})") from e
-        load_task(task)  # validates the task block
-        return _read_jsonl_split(data_dir, split, expected, manifest_path)
+        spec = load_task(task).spec  # validates the task block
+        return spec, _read_jsonl_split(data_dir, split, expected, manifest_path)
     if not args.spec:
         raise ConfigError("need --spec TASK.json or --data DIR")
-    (utts,) = load_task(args.spec).splits(split)
-    return utts
+    bundle = load_task(args.spec)
+    (utts,) = bundle.splits(split)
+    return bundle.spec, utts
+
+
+def _check_task(spec: TaskSpec, enc: SpeechEncoder, enc_vocab: Vocabulary) -> None:
+    """ConfigError unless the task's tokens and feature dimension are the encoder's."""
+    if spec.vocab.tokens != enc_vocab.tokens:
+        raise ConfigError("task vocabulary differs from the encoder checkpoint")
+    if spec.feat_dim != enc.cfg.feat_dim:
+        raise ConfigError(f"task feat_dim {spec.feat_dim} differs from the encoder "
+                          f"checkpoint's {enc.cfg.feat_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +414,7 @@ def read_nbest_cache(paths: Sequence[str]) -> dict[str, NBestList]:
     """N-best lists by utterance id from JSONL files; a bad line is a ConfigError."""
     cache = {}
     for path in paths:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, line in enumerate(_read_text(path).splitlines(), 1):
             if line:
                 try:
                     utt_id, nb = nbest_from_json(line)
@@ -460,9 +478,8 @@ def cmd_train_encoder(args) -> int:
     enc_raw = raw_cfg.get("encoder", {})
     start_step = 0
     if args.resume:
-        enc, vocab_r, meta = load_trained_encoder(args.resume)
-        if vocab_r.tokens != vocab.tokens:
-            raise ConfigError("resume checkpoint was trained on a different vocabulary")
+        enc, enc_vocab, meta = load_trained_encoder(args.resume)
+        _check_task(bundle.spec, enc, enc_vocab)
         start_step = meta.get("step", 0)
     else:
         try:
@@ -502,8 +519,7 @@ def cmd_adapt(args) -> int:
         raise ConfigError(f"unknown mode {args.mode!r}; choose from {tuple(CONNECTIONS)}")
     enc, vocab, _ = load_trained_encoder(args.encoder)
     bundle = load_task(args.spec)
-    if bundle.spec.vocab.tokens != vocab.tokens:
-        raise ConfigError("task vocabulary differs from the encoder checkpoint")
+    _check_task(bundle.spec, enc, vocab)
     overrides = {"steps": args.steps, "seed": args.seed}
     cfg, raw_cfg = load_train_config(args.config, overrides)
     conn = connector_with_overrides(raw_cfg.get("connector", {}), args, args.mode,
@@ -560,13 +576,14 @@ def cmd_adapt(args) -> int:
 
 def _eval_inputs(args) -> tuple[SpeechEncoder, Vocabulary, list[Utterance]]:
     """Checked --beam/--limit/--max-new, the --encoder checkpoint and the
-    evaluated utterances."""
+    evaluated utterances, whose task must fit the encoder."""
     for flag, value in (("--beam", args.beam), ("--limit", args.limit),
                         ("--max-new", args.max_new)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     enc, enc_vocab, _ = load_trained_encoder(args.encoder)
-    dataset = resolve_dataset(args, args.split)
+    spec, dataset = resolve_dataset(args, args.split)
+    _check_task(spec, enc, enc_vocab)
     return enc, enc_vocab, dataset[:args.limit]
 
 
@@ -738,7 +755,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, FileNotFoundError) as e:
+    except (ConfigError, CheckpointError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (tt.NonFiniteError, TrainingDiverged) as e:

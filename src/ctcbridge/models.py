@@ -18,14 +18,14 @@ padding, attention block and positions), so a packed pass gives each
 utterance what a pass of it alone would give.
 
 Greedy generation is batched and cached: `generate` decodes a batch of
-utterances in one call.  Packed passes over their [speech; prompt]
-sequences fill a `KVCache` with every block's keys and values and give
-each utterance's first token; then every further token is one
-`DecoderLM.step`, which feeds only the utterance's newest row and attends
-over its cached rows.  A step runs on raw arrays, outside the tape ops,
-with the arithmetic of a `forward` pass.  The cache also carries the
-decoder's weights, converted to float64 once per call.  `evaluate_system`
-decodes a whole dataset in one call.
+utterances in one call.  One packed pass over a chunk of their [speech;
+prompt] sequences fills the chunk's float64 `KVCache` with every block's
+keys and values and gives each utterance's first token; then every further
+token is one `DecoderLM.step`, which feeds only the utterance's newest row
+and attends over its cached rows.  A step runs on raw arrays, outside the
+tape ops, with the arithmetic of a `forward` pass.  The cache also carries
+the decoder's weights, converted to float64 once per call.
+`evaluate_system` decodes a whole dataset in one call.
 
 One step loop, `_train`, with two front ends: `train_encoder_ctc`
 CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
@@ -453,15 +453,11 @@ class KVCache:
     """The keys and values of every row a batch of B decoder sequences has
     fed, for untaped generation (the per-layer cache of Pope et al., 2022,
     "Efficiently Scaling Transformer Inference"): per block, [B, H, rows,
-    d/H] key and value arrays, and each sequence's filled length.  A
-    `DecoderLM.forward` pass fills an empty cache (the prefill); each
-    `DecoderLM.step` adds one row per sequence.
-
-    `dtype` is the arrays' storage dtype, the tensors' storage dtype by
-    default; either that or float64 holds `qkv` exactly.  A float64 cache
-    converts each row once, as it is written or loaded, instead of on every
-    step that reads it, at twice the memory: `generate` steps on one, and
-    prefills into the storage dtype.
+    d/H] float64 key and value arrays, and each sequence's filled length.
+    A `DecoderLM.forward` pass fills an empty cache (the prefill); each
+    `DecoderLM.step` adds one row per sequence.  float64 holds `qkv`
+    exactly, so each row is converted once, as it is written, instead of on
+    every step that reads it.
 
     `weights` is `_fixed_weights(decoder)`, which every pass and step with
     this cache reads instead of the decoder's parameters, so one `generate`
@@ -470,36 +466,20 @@ class KVCache:
     share it."""
 
     def __init__(self, cfg: DecoderConfig, batch: int, rows: int,
-                 weights: dict[str, tt.Tensor], dtype=None):
+                 weights: dict[str, tt.Tensor]):
         shape = (batch, cfg.heads, rows, cfg.dim // cfg.heads)
-        dtype = tt._DTYPE if dtype is None else dtype
-        self.blocks = [(np.zeros(shape, dtype), np.zeros(shape, dtype))
-                       for _ in range(cfg.blocks)]
+        self.blocks = [(np.zeros(shape), np.zeros(shape)) for _ in range(cfg.blocks)]
         self.filled = np.zeros(batch, dtype=np.intp)
         self.rows = rows
         self.weights = weights
 
     def part(self, start: int, stop: int) -> KVCache:
         """Sequences [start, stop) as a cache of their own, over views of
-        this one's arrays: what a forward call adds there is added here."""
+        this one's arrays: what a pass or step adds there is added here."""
         part = object.__new__(KVCache)
         part.blocks = [(k[start:stop], v[start:stop]) for k, v in self.blocks]
         part.filled, part.rows, part.weights = self.filled[start:stop], self.rows, self.weights
         return part
-
-    def load(self, seq: int, src: KVCache, src_seq: int) -> None:
-        """Replace sequence `seq` with a copy of sequence `src_seq` of `src`,
-        converted to this cache's dtype."""
-        n = src.filled[src_seq]
-        for (k, v), (src_k, src_v) in zip(self.blocks, src.blocks):
-            k[seq, :, :n] = src_k[src_seq, :, :n]
-            v[seq, :, :n] = src_v[src_seq, :, :n]
-        self.filled[seq] = n
-
-    def keep(self, index: np.ndarray) -> None:
-        """Keep only the sequences at `index`, in that order."""
-        self.blocks = [(k[index], v[index]) for k, v in self.blocks]
-        self.filled = self.filled[index]
 
 
 def _fixed_weights(dec: DecoderLM) -> dict[str, tt.Tensor]:
@@ -769,16 +749,6 @@ def check_fits(sys: DecoderSystem, vocab: Vocabulary, dataset: Sequence[Utteranc
 # generation
 
 
-# utterances one decoder step feeds at most.  On the bench lego system a
-# step of one row takes about 0.20 ms median and 0.17 ms best on one core
-# of a 2-core x86 host, and a step of 42 rows about 1.4 ms.  So a wider
-# step decodes a batch faster, but its time then follows how long the
-# longest utterance runs rather than the tokens the batch emits: at 48 rows
-# a batch costs `max_new` steps whether one utterance runs that long or all
-# do.  One row per step keeps a decode's time in proportion to its tokens.
-_STEP_ROWS = 1
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[Sequence[int]],
              max_new: int = 48, speech_lens: Optional[Sequence[int]] = None) -> list[TokenSeq]:
@@ -787,73 +757,47 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[S
     utterance of a packed batch in `DecoderLM.forward`'s form (a list of
     prompts, their speech prefixes stacked with `speech_lens` rows each).
 
-    Packed passes over the [speech; prompt] sequences of up to
-    `INFERENCE_BATCH` utterances fill a K/V cache and give each utterance's
-    first token.  Then each `DecoderLM.step` feeds the newest token of up
-    to `_STEP_ROWS` utterances, in order, one row each, into a float64
-    step cache; an utterance leaves at <eos> or its budget and the next
-    waiting one takes its place with a copy of its cached rows.  Every pass
-    and step of the call reads the weights its caches carry, converted
-    once per call.
+    The utterances go in chunks of up to `INFERENCE_BATCH`.  One packed
+    pass over a chunk's [speech; prompt] sequences fills the chunk's K/V
+    cache and gives each utterance's first token; then each utterance in
+    turn runs to its end, one `DecoderLM.step` of one row per token fed
+    back, so a decode's time follows the tokens it emits.  A chunk's cache
+    is released before the next one is built.  Every pass and step of the
+    call reads the weights converted once per call.
     numpy's floating-point warnings are off: the check on each step's
     logits reports a non-finite value instead.
     """
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
-    dec = sys.decoder
+    dec, eos = sys.decoder, sys.decoder.vocab.eos_id
     prompts = [list(p) for p in prompt]
     s_lens = _speech_lens(speech, speech_lens, len(prompts)).tolist()
-    budgets = np.array([min(max_new, dec.cfg.max_len - s - len(p))
-                        for s, p in zip(s_lens, prompts)], dtype=np.intp)
-    tokens = np.zeros((len(prompts), max(budgets.max(), 0)), dtype=np.intp)
-    n_out = np.zeros(len(prompts), dtype=np.intp)
-    live = np.flatnonzero(budgets > 0)
-    if live.size:
-        prefixes = [s_lens[b] + len(prompts[b]) for b in live]
-        prefilled = KVCache(dec.cfg, live.size, max(prefixes), _fixed_weights(dec))
-        s_starts = np.cumsum([0] + s_lens)
-        rows = []
-        for lo in range(0, live.size, INFERENCE_BATCH):
-            part = live[lo:lo + INFERENCE_BATCH]
-            part_speech = None if speech is None else tt.gather_rows(speech, np.concatenate(
-                [np.arange(s_starts[b], s_starts[b + 1]) for b in part]))
-            logits = dec.forward(part_speech, [prompts[b] for b in part],
-                                 cache=prefilled.part(lo, lo + part.size),
-                                 speech_lens=None if speech is None else [s_lens[b] for b in part])
-            rows.append(logits.data[np.cumsum([len(prompts[b]) for b in part]) - 1])
-        last = np.argmax(tt._finite(np.concatenate(rows), "the next-token logits"), axis=1)
-        going = last != dec.vocab.eos_id
-        tokens[live[going], 0] = last[going]
-        n_out[live[going]] = 1
-        # positions in `live` of the utterances that go on, in order
-        waiting = np.flatnonzero(going & (budgets[live] > 1))
-        slots = waiting[:_STEP_ROWS].copy()  # the position each step row decodes
-        if slots.size:
-            # the last token is never fed back
-            cache = KVCache(dec.cfg, slots.size, max(prefixes[i] + budgets[live[i]] - 1
-                                                     for i in waiting), prefilled.weights,
-                            np.float64)
-            for j, i in enumerate(slots):
-                cache.load(j, prefilled, i)
-            queued = slots.size
-        while slots.size:
-            rows = dec.step(last[slots], cache)
-            nxt = np.argmax(tt._finite(rows, "the next-token logits"), axis=1)
-            last[slots] = nxt
-            b = live[slots]
-            going = nxt != dec.vocab.eos_id
-            tokens[b[going], n_out[b[going]]] = nxt[going]
-            n_out[b[going]] += 1
-            going &= n_out[b] < budgets[b]
-            for j in np.flatnonzero(~going)[:waiting.size - queued]:
-                slots[j] = waiting[queued]
-                cache.load(j, prefilled, slots[j])
-                going[j] = True
-                queued += 1
-            if not going.all():
-                slots = slots[going]
-                cache.keep(np.flatnonzero(going))
-    return [tuple(row[:n].tolist()) for row, n in zip(tokens, n_out)]
+    budgets = [min(max_new, dec.cfg.max_len - s - len(p)) for s, p in zip(s_lens, prompts)]
+    live = [b for b, n in enumerate(budgets) if n > 0]
+    s_starts = np.cumsum([0] + s_lens)
+    weights = _fixed_weights(dec)
+    hyps: list[TokenSeq] = [()] * len(prompts)
+    for lo in range(0, len(live), INFERENCE_BATCH):
+        part = live[lo:lo + INFERENCE_BATCH]
+        part_speech = None if speech is None else tt.gather_rows(speech, np.concatenate(
+            [np.arange(s_starts[b], s_starts[b + 1]) for b in part]))
+        # the last token is never fed back
+        cache = KVCache(dec.cfg, len(part), max(s_lens[b] + len(prompts[b]) + budgets[b] - 1
+                                                for b in part), weights)
+        logits = dec.forward(part_speech, [prompts[b] for b in part], cache=cache,
+                             speech_lens=None if speech is None else [s_lens[b] for b in part])
+        firsts = np.argmax(tt._finite(logits.data[np.cumsum([len(prompts[b]) for b in part]) - 1],
+                                      "the next-token logits"), axis=1)
+        for j, b in enumerate(part):
+            out, token, one = [], int(firsts[j]), cache.part(j, j + 1)
+            while token != eos:
+                out.append(token)
+                if len(out) == budgets[b]:
+                    break
+                token = int(np.argmax(tt._finite(dec.step([token], one), "the next-token logits")))
+            hyps[b] = tuple(out)
+        del cache, one  # frees this chunk's arrays, which the part's views also hold
+    return hyps
 
 
 # ---------------------------------------------------------------------------

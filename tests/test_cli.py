@@ -597,6 +597,81 @@ def test_non_finite_split_frames_exit_2(tiny, capsys, tmp_path, value):
     assert "non-finite" in err
 
 
+UNFIT_TASK = {"feat_dim-12": (dict(TASK, feat_dim=12),
+                              "task feat_dim 12 differs from the encoder checkpoint's 4"),
+              "vocab_size-10": (dict(TASK, vocab_size=10),
+                                "task vocabulary differs from the encoder checkpoint")}
+
+
+@pytest.mark.parametrize("source", ["spec", "data"])
+@pytest.mark.parametrize("case", sorted(UNFIT_TASK))
+@pytest.mark.parametrize("command", ["decode-eval", "sweep-tau", "swap"])
+def test_evaluating_a_task_that_does_not_fit_the_encoder_exits_2(tiny, capsys, tmp_path,
+                                                                 command, case, source):
+    task, message = UNFIT_TASK[case]
+    spec = _write(tmp_path, "task.json", task)
+    argv = [command, "--encoder", tiny["enc"], "--spec", spec]
+    if source == "data":
+        assert cli.main(["gen-data", "--spec", spec, "--out", str(tmp_path / "data")]) == 0
+        argv[-2:] = ["--data", str(tmp_path / "data")]
+    if command != "decode-eval":
+        argv += ["--decoder", tiny["sys"]]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["adapt", "resume"])
+def test_training_on_a_task_of_another_feat_dim_exits_2(tiny, capsys, tmp_path, command):
+    task, message = UNFIT_TASK["feat_dim-12"]
+    spec, out = _write(tmp_path, "task.json", task), tmp_path / "out.ckpt"
+    argv = {
+        "adapt": ["adapt", "--mode", "lego", "--encoder", tiny["enc"], "--spec", spec,
+                  "--config", tiny["dec_cfg"], "--out", str(out)],
+        "resume": ["train-encoder", "--spec", spec, "--config", tiny["enc_cfg"],
+                   "--resume", tiny["enc"], "--out", str(out)],
+    }[command]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def _not_utf8(d):
+    path = d / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    return str(path)
+
+
+def _aec_adapt(t, d, cache):
+    return ["adapt", "--mode", "aec", "--encoder", t["enc"], "--spec", t["spec"],
+            "--config", _aec_config(d), "--nbest-cache", cache, "--out", str(d / "s.ckpt")]
+
+
+# each returns the argv and the path the error names
+UNREADABLE = {
+    "config-directory": lambda t, d: (["train-encoder", "--spec", t["spec"], "--config", str(d),
+                                       "--out", str(d / "e.ckpt")], str(d)),
+    "encoder-directory": lambda t, d: (decode(t, "--encoder", str(d)), str(d)),
+    "nbest-cache-directory": lambda t, d: (_aec_adapt(t, d, str(d)), str(d)),
+    "out-directory": lambda t, d: (decode(t, "--limit", "1", "--out", str(d)), str(d)),
+    "checkpoint-out-directory": lambda t, d: (["train-encoder", "--spec", t["spec"], "--config",
+                                               t["enc_cfg"], "--out", str(d)], str(d)),
+    "spec-not-utf8": lambda t, d: (["gen-data", "--spec", _not_utf8(d), "--out",
+                                    str(d / "data")], _not_utf8(d)),
+    "config-not-utf8": lambda t, d: (["adapt", "--mode", "lego", "--encoder", t["enc"],
+                                      "--spec", t["spec"], "--config", _not_utf8(d),
+                                      "--out", str(d / "s.ckpt")], _not_utf8(d)),
+    "nbest-cache-not-utf8": lambda t, d: (_aec_adapt(t, d, _not_utf8(d)), _not_utf8(d)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_file_exits_2(tiny, capsys, tmp_path, case):
+    argv, culprit = UNREADABLE[case](tiny, tmp_path)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and culprit in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # divergence: exit 1, naming where the first non-finite value appeared
 

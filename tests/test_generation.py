@@ -11,6 +11,8 @@ Measured over 60 random decoders of 1-4 heads, 20 steps each: the float32
 logits were bit-identical, the float64 ones within 1.6e-15.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,16 +87,8 @@ def batch_inputs(sysm, enc, vocab, utts, cache):
     return speech, prompts, lens
 
 
-@pytest.fixture(params=[1, 3], ids=lambda w: f"width{w}")
-def step_rows(request, monkeypatch):
-    """`_STEP_ROWS` as shipped and wider, so refills of several rows and
-    the drain run too."""
-    monkeypatch.setattr(md, "_STEP_ROWS", request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("mode", tuple(md.CONNECTIONS))
-def test_every_mode_matches_the_oracle(task, systems, mode, step_rows):
+def test_every_mode_matches_the_oracle(task, systems, mode):
     vocab, _, dev, test = task
     utts = [*dev, *test]  # more than one prefill pass holds
     assert len(utts) > md.INFERENCE_BATCH
@@ -111,7 +105,7 @@ def test_every_mode_matches_the_oracle(task, systems, mode, step_rows):
     assert report == corpus_wer([u.target for u in utts], want)
 
 
-def test_batch_mixing_eos_budget_and_max_len_stops(task, systems, step_rows):
+def test_batch_mixing_eos_budget_and_max_len_stops(task, systems):
     """One utterance meets <eos> at step 0, one runs to its budget of
     `max_new` tokens, and one's budget is cut short by max_len."""
     vocab, _, _, test = task
@@ -135,28 +129,42 @@ def test_batch_mixing_eos_budget_and_max_len_stops(task, systems, step_rows):
     assert got == want
 
 
-def test_steps_stay_full_while_utterances_wait(task, systems, monkeypatch, step_rows):
-    """A cached step feeds at most `_STEP_ROWS` rows, one per utterance,
-    and fewer only once no utterance waits: at most `max_new` steps at the
-    end, so the step count follows the tokens fed back."""
+def test_one_row_steps_over_one_cache_per_chunk(task, systems, monkeypatch):
+    """Every step feeds one row, and the steps feed back each utterance's
+    tokens in order, all but the last of one that runs to `max_new`.  Each
+    chunk of at most `INFERENCE_BATCH` utterances gets one float64 cache,
+    and the previous chunk's cache and its arrays are gone before the next
+    one is built."""
     vocab, _, dev, test = task
     enc, (sysm, _) = systems[0], systems[1]["lego"]
     utts = [*dev, *test]
     speech, prompts, lens = batch_inputs(sysm, enc, vocab, utts, None)
-    widths = []
+    fed, sizes, dtypes, alive, refs = [], [], set(), [], []
     step = md.DecoderLM.step
 
     def spy(self, ids, cache):
-        widths.append(len(ids))
+        fed.append(list(ids))
         return step(self, ids, cache)
 
+    class Cache(md.KVCache):
+        def __init__(self, *args):
+            alive.append(any(r() is not None for r in refs))
+            super().__init__(*args)
+            sizes.append(self.filled.size)
+            arrays = [a for kv in self.blocks for a in kv]
+            dtypes.update(a.dtype for a in arrays)
+            refs[:] = [weakref.ref(self), *map(weakref.ref, arrays)]
+
     monkeypatch.setattr(md.DecoderLM, "step", spy)
+    monkeypatch.setattr(md, "KVCache", Cache)
     hyps = md.generate(sysm, speech, prompts, MAX_NEW, lens)
-    fed = sum(len(h) - (len(h) == MAX_NEW) for h in hyps)  # the last token is never fed
-    assert sum(widths) == fed > 2 * md._STEP_ROWS
-    assert max(widths) == md._STEP_ROWS
-    short = [i for i, w in enumerate(widths) if w < md._STEP_ROWS]
-    assert len(short) < MAX_NEW and short == list(range(len(widths) - len(short), len(widths)))
+    assert all(len(ids) == 1 for ids in fed)
+    assert [t for ids in fed for t in ids] == [t for h in hyps for t in h[:MAX_NEW - 1]]
+    assert len(fed) > MAX_NEW and any(len(h) == MAX_NEW for h in hyps)
+    assert sizes == [min(md.INFERENCE_BATCH, len(utts) - lo)
+                     for lo in range(0, len(utts), md.INFERENCE_BATCH)]
+    assert len(sizes) > 1 and dtypes == {np.dtype(np.float64)}
+    assert alive == [False] * len(sizes)
 
 
 VOCAB = build_vocabulary(8)
@@ -164,14 +172,12 @@ VOCAB = build_vocabulary(8)
 
 @given(seed=st.integers(0, 2 ** 16), heads=st.sampled_from([1, 2]), blocks=st.integers(1, 2),
        shape=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)), min_size=1, max_size=6),
-       with_speech=st.booleans(), max_new=st.integers(1, 8), max_len=st.integers(4, 20),
-       step_rows=st.integers(1, 4))
+       with_speech=st.booleans(), max_new=st.integers(1, 8), max_len=st.integers(4, 20))
 @settings(max_examples=60, deadline=None)
 def test_random_decoders_match_the_oracle(seed, heads, blocks, shape, with_speech, max_new,
-                                          max_len, step_rows):
-    """Random decoders, batch sizes, prompts, speech rows, budgets and step
-    widths; an utterance whose [speech; prompt] leaves no room gets no
-    tokens."""
+                                          max_len):
+    """Random decoders, batch sizes, prompts, speech rows and budgets; an
+    utterance whose [speech; prompt] leaves no room gets no tokens."""
     dec = decoder(VOCAB, seed=seed, dim=8 * heads, ffn=16, blocks=blocks, heads=heads,
                   max_len=max_len)
     sysm = md.DecoderSystem(decoder=dec, mode="lego", conn=ConnectorConfig())
@@ -182,9 +188,7 @@ def test_random_decoders_match_the_oracle(seed, heads, blocks, shape, with_speec
     want = [oracle.generate(sysm, sp if with_speech else None, p, max_new)
             for sp, p in zip(prefixes, prompts)]
     speech = tt.Tensor(np.concatenate([sp.data for sp in prefixes])) if with_speech else None
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(md, "_STEP_ROWS", step_rows)
-        got = md.generate(sysm, speech, prompts, max_new, s_lens if with_speech else None)
+    got = md.generate(sysm, speech, prompts, max_new, s_lens if with_speech else None)
     assert got == want
 
 
@@ -303,7 +307,7 @@ def test_cache_rejects_a_tape_and_overlong_steps(task):
         dec.step([1, 1], cache)
     with pytest.raises(ValueError, match="fills an empty K/V cache only"):
         dec.forward(None, [[vocab.bos_id], [vocab.bos_id]], cache=cache)
-    cache.keep(np.array([1]))
+    cache = cache.part(1, 2)
     with pytest.raises(ValueError, match="holds 1 sequences, got 2 ids"):
         dec.step([1, 1], cache)
     with pytest.raises(ValueError, match=r"outside \[0, V\)"):
@@ -329,7 +333,8 @@ def test_step_matches_the_retired_cached_pass(dtype, seed, heads, blocks, tie_ou
     """`DecoderLM.step` against the cached `forward` pass it replaced, on
     random decoders with every parameter moved off its initial value and
     on ragged fills: the logits' bytes, and every block's cache bytes after
-    each step, on a cache in the storage dtype and on a float64 one."""
+    each step.  Both caches are filled by a `forward` prefill; the retired
+    pass's cache is then put back in the storage dtype it ran on."""
     with precision(dtype):
         dec = decoder(VOCAB, seed=seed, dim=8 * heads, ffn=16, blocks=blocks, heads=heads,
                       max_len=16, tie_output=tie_output)
@@ -338,21 +343,20 @@ def test_step_matches_the_retired_cached_pass(dtype, seed, heads, blocks, tie_ou
         speech, prompts, lens = random_batch(seed, dec, shape)
         weights = md._fixed_weights(dec)
         rows = max(s + p for s, p in shape) + steps
-        prefilled = md.KVCache(dec.cfg, len(shape), rows, weights)
-        first = dec.forward(speech, prompts, speech_lens=lens, cache=prefilled)
-        ids = first.data[np.cumsum([len(p) for p in prompts]) - 1].argmax(axis=1)
-        want_cache = md.KVCache(dec.cfg, len(shape), rows, weights)
-        caches = [md.KVCache(dec.cfg, len(shape), rows, weights, dt) for dt in (None, np.float64)]
-        for c in (want_cache, *caches):
-            for b in range(len(shape)):
-                c.load(b, prefilled, b)
+        want_cache, cache = (md.KVCache(dec.cfg, len(shape), rows, weights) for _ in range(2))
+        first = [dec.forward(speech, prompts, speech_lens=lens, cache=c).data
+                 for c in (want_cache, cache)]
+        assert first[0].tobytes() == first[1].tobytes()
+        want_cache.blocks = [(k.astype(tt._DTYPE), v.astype(tt._DTYPE))
+                             for k, v in want_cache.blocks]
+        ids = first[0][np.cumsum([len(p) for p in prompts]) - 1].argmax(axis=1)
         for _ in range(steps):
             want = step_oracles.cached_forward(dec, ids[:, None], want_cache).data
-            for c in caches:
-                got = dec.step(ids, c)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                assert c.filled.tolist() == want_cache.filled.tolist()
-                for (k, v), (wk, wv) in zip(c.blocks, want_cache.blocks):
-                    assert k.tobytes() == wk.astype(k.dtype).tobytes()
-                    assert v.tobytes() == wv.astype(v.dtype).tobytes()
+            got = dec.step(ids, cache)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert cache.filled.tolist() == want_cache.filled.tolist()
+            for (k, v), (wk, wv) in zip(cache.blocks, want_cache.blocks):
+                assert k.dtype == np.float64
+                assert k.tobytes() == wk.astype(k.dtype).tobytes()
+                assert v.tobytes() == wv.astype(v.dtype).tobytes()
             ids = want.argmax(axis=1)

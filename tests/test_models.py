@@ -531,7 +531,8 @@ class TestAdam:
         opt = md.Adam([p, q], lr=1e38, total_steps=10)
         p.grad[...] = 1.0
         q.grad[...] = 10.0  # lr * 10 overflows float32
-        with pytest.raises(tt.NonFiniteError, match="the Adam update of 'q'"):
+        with pytest.raises(tt.NonFiniteError, match="the Adam update of 'q'"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             opt.step()
         q.grad[...] = np.nan
         with pytest.raises(tt.NonFiniteError, match="the gradient of 'q'"):

@@ -272,13 +272,15 @@ class TestCheckedTape:
 
     def test_unchecked_tape_defers_to_the_loss_check(self):
         tape = tt.GradTape()
-        loss = reduce_sum(self.overflowing_matmul(tape))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            loss = reduce_sum(self.overflowing_matmul(tape))
         with pytest.raises(tt.NonFiniteError, match="non-finite values in the loss"):
             tape.backward(loss)
 
     def test_check_ops_names_the_op_and_node(self):
         with pytest.raises(tt.NonFiniteError,
-                           match=r"output of op 'matmul' \(tape node 1\)"):
+                           match=r"output of op 'matmul' \(tape node 1\)"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             self.overflowing_matmul(tt.GradTape(check_ops=True))
 
     def test_check_ops_names_the_op_whose_gradient_overflows(self):
@@ -288,9 +290,11 @@ class TestCheckedTape:
             tape.backward(reduce_sum(mul(y, tt.Tensor([1e30]))))
             return p.grad
 
-        assert np.isinf(run(tt.GradTape())).all()  # left for the optimiser's check
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert np.isinf(run(tt.GradTape())).all()  # left for the optimiser's check
         with pytest.raises(tt.NonFiniteError,
-                           match=r"gradient from op 'mul' \(tape node 1\)"):
+                           match=r"gradient from op 'mul' \(tape node 1\)"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             run(tt.GradTape(check_ops=True))
 
     def test_check_ops_names_attention(self):
@@ -298,7 +302,8 @@ class TestCheckedTape:
         p.value[2, 4] = np.inf  # a value entry that reached storage unchecked
         tape = tt.GradTape(check_ops=True)
         with pytest.raises(tt.NonFiniteError,
-                           match=r"output of op 'attention' \(tape node 1\)"):
+                           match=r"output of op 'attention' \(tape node 1\)"), \
+                pytest.warns(RuntimeWarning, match="invalid value"):
             tt.attention(tape.watch(p), 1, causal=True)
 
     def test_relu_propagates_nan(self):
