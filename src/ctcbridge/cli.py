@@ -212,6 +212,16 @@ def resolve_dataset(args, split: str) -> tuple[TaskSpec, list[Utterance]]:
     return bundle.spec, utts
 
 
+def _check_outputs(*paths: Optional[str]) -> None:
+    """Fail before any training when an output file could not be written:
+    its directory must exist and the path must not be a directory."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise ConfigError(f"output path {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"output path {path} is not in an existing directory")
+
+
 def _check_task(spec: TaskSpec, enc: SpeechEncoder, enc_vocab: Vocabulary) -> None:
     """ConfigError unless the task's tokens and feature dimension are the encoder's."""
     if spec.vocab.tokens != enc_vocab.tokens:
@@ -471,6 +481,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_encoder(args) -> int:
+    _check_outputs(args.out, args.curve)
     bundle = load_task(args.spec)
     vocab = bundle.spec.vocab
     overrides = {"steps": args.steps, "seed": args.seed}
@@ -517,6 +528,7 @@ def cmd_train_encoder(args) -> int:
 def cmd_adapt(args) -> int:
     if args.mode not in CONNECTIONS:
         raise ConfigError(f"unknown mode {args.mode!r}; choose from {tuple(CONNECTIONS)}")
+    _check_outputs(args.out, args.curve)
     enc, vocab, _ = load_trained_encoder(args.encoder)
     bundle = load_task(args.spec)
     _check_task(bundle.spec, enc, vocab)
@@ -755,7 +767,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, FileNotFoundError, IsADirectoryError) as e:
+    except (ConfigError, CheckpointError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (tt.NonFiniteError, TrainingDiverged) as e:

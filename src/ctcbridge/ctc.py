@@ -1,14 +1,17 @@
 """CTC loss and decoding.
 
-The loss is one fused op: a float64 numpy pass computes the log-softmax
-and the forward (alpha) recursion over the 2N+1 extended label sequence,
-and records a single tape node.  Its backward pass runs the same
-recursion on the time- and state-reversed emissions to get beta, and
-returns softmax minus the normalised state occupancy alpha * beta /
-emission, summed by label (Graves et al., ICML 2006).  The dynamic
-program stays in float64 -- it is exactly the place where 32-bit
-accumulation drifts -- and only the final scalar is rounded to storage
-precision.  An untaped call never computes beta.
+The loss is one fused op over a packed batch: a float64 numpy pass
+computes the log-softmax of every row, then the forward (alpha) recursion
+over each utterance's 2N+1 extended label sequence, all utterances in one
+frame loop over padded [B, 2N_max+1] arrays, and records a single
+tape node for the mean over the feasible utterances.  On a tape the same
+loop also runs the recursion on each utterance's time- and
+state-reversed emissions, stacked under alpha's, to get beta; the
+backward pass returns softmax minus the normalised state occupancy
+alpha * beta / emission, summed by label (Graves et al., ICML 2006).  The
+dynamic program stays in float64 -- it is exactly the place where 32-bit
+accumulation drifts -- and only the per-utterance losses are rounded to
+storage precision.  An untaped call never computes beta.
 
 Decoding takes a batch of posteriorgrams (`Posteriorgram`, zero-padded
 `[B, T_max, V+1]` rows) and returns one result per utterance: per-frame
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +41,16 @@ _LOG_PROB_FLOOR = 1e-37  # keeps log() of exact-zero posteriors finite
 
 @dataclass(frozen=True)
 class CtcLoss:
+    """A batch's CTC loss: `loss` is the mean over the utterances whose
+    target is feasible, and `losses` holds each utterance's own loss in
+    storage precision, None where its target is infeasible."""
     loss: "tt.Tensor"
-    feasible: bool
+    losses: tuple[Optional[float], ...]
+
+    @property
+    def feasible(self) -> bool:
+        """Whether every utterance of the batch has a feasible target."""
+        return None not in self.losses
 
 
 @dataclass(frozen=True)
@@ -66,73 +78,126 @@ def min_frames(y: TokenSeq) -> int:
     return len(y) + sum(1 for a, b in zip(y, y[1:]) if a == b)
 
 
-def ctc_loss(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> CtcLoss:
-    """-log P(y | logits) summed over all alignments, differentiable through
-    the [T, V+1] `logits`.
+def ctc_loss(logits: tt.Tensor, y: Sequence[TokenSeq], blank_id: int,
+             lengths: Optional[Sequence[int]] = None) -> CtcLoss:
+    """Mean over a batch's utterances of -log P(y_b | logits_b), summed over
+    all alignments, differentiable through the packed [sum T, V+1] `logits`.
 
-    Infeasible targets (more symbols than frames can carry) return the
-    INFEASIBLE_LOSS sentinel with `feasible=False` instead of raising, so a
-    training loop can skip and count them.
+    `lengths` splits the rows into the utterances' consecutive segments
+    (None: the rows are one utterance) and `y` holds one target per
+    segment.  An infeasible target (more symbols than its frames can
+    carry) is skipped instead of raising, so a training loop can count it;
+    a batch with no feasible target gives the INFEASIBLE_LOSS sentinel,
+    untaped.  The mean is the per-utterance losses, rounded to storage
+    precision, summed in order; its gradient gives the rows of each of the n
+    feasible utterances the share g / n.
     """
-    t_frames, width = logits.shape
-    if t_frames < 1:
+    segs = tt._segments(logits.shape[0], lengths)
+    width = logits.shape[1]
+    if segs[0][1] < 1:
         raise ValueError("logit gram needs at least one frame")
     if width != blank_id + 1:
         raise ValueError(f"logit gram width {width} does not match blank id {blank_id}")
-    if any(not 0 <= c < blank_id for c in y):
+    if len(y) != len(segs):
+        raise ValueError(f"need one target per segment, got {len(y)} for {len(segs)}")
+    if any(not 0 <= c < blank_id for target in y for c in target):
         raise ValueError("target contains ids outside [0, V)")
-    if min_frames(y) > t_frames:
-        return CtcLoss(tt.Tensor(np.float32(INFEASIBLE_LOSS)), False)
+    feasible = [min_frames(target) <= b - a for (a, b), target in zip(segs, y)]
+    ok = [j for j, f in enumerate(feasible) if f]
+    if not ok:
+        return CtcLoss(tt.Tensor(np.float32(INFEASIBLE_LOSS)), (None,) * len(segs))
 
-    ext = np.full(2 * len(y) + 1, blank_id, dtype=np.intp)
-    ext[1::2] = y
-    x = logits.data.astype(np.float64)
+    # the feasible utterances, padded to [B, T_max] frames and [B, S_max]
+    # extended states (the blank before, between and after the tokens)
+    first = np.array([segs[j][0] for j in ok])
+    frames = np.array([segs[j][1] for j in ok]) - first
+    states = np.array([2 * len(y[j]) + 1 for j in ok])
+    batch, t_max, s_max = len(ok), frames.max(), states.max()
+    ext = np.full((batch, s_max), blank_id, dtype=np.intp)
+    for row, j in enumerate(ok):
+        ext[row, 1:states[row]:2] = y[j]
+
+    x = tt._f64(logits.data)
     zc = x - x.max(axis=1, keepdims=True)
     logp = zc - np.log(np.exp(zc).sum(axis=1, keepdims=True))
-    emit = logp[:, ext]
-    alpha = _forward(emit, _skip_mask(ext, blank_id))
-    tail = alpha[-1, -2:]  # a path ends on the last token or the blank after it
-    top = tail.max()
-    total = top + np.log(np.exp(tail - top).sum())
+    # recursion row r reads frame t of logp row rows[r, t] and state s of
+    # label exts[r, s]; on a tape, rows B.. are the utterances again, each
+    # reversed in time and states.  Padding repeats a frame or reads the
+    # blank: finite values that no real state reads.
+    last = (frames - 1)[:, None]
+    rows = first[:, None] + np.minimum(np.arange(t_max), last)
+    exts = ext
+    if logits.tape is not None:
+        flip = np.maximum(states[:, None] - 1 - np.arange(s_max), 0)
+        rows = np.concatenate([rows, first[:, None] + np.maximum(last - np.arange(t_max), 0)])
+        exts = np.concatenate([ext, ext[np.arange(batch)[:, None], flip]])
+    emit = logp[rows.T[:, :, None], exts]  # [T_max, R, S_max], one slab per frame
+    alpha = _forward(emit, _skip_mask(exts, blank_id))
+
+    # a path ends on the last token or the blank after it
+    at = np.arange(batch)
+    end = alpha[frames - 1, at]
+    tail_hi = end[at, states - 1]
+    tail_lo = np.where(states > 1, end[at, np.maximum(states - 2, 0)], -np.inf)
+    top = np.maximum(tail_lo, tail_hi)
+    total = top + np.log(np.exp(tail_lo - top) + np.exp(tail_hi - top))
+    per = tt._storage(-total)
+    skipped = [seg for seg, f in zip(segs, feasible) if not f]
 
     def backward(g):
-        # d loss / d logits = softmax - normalised state occupancy, where the
-        # occupancy alpha * beta / emission sums each frame's states by label
-        beta = _forward(emit[::-1, ::-1], _skip_mask(ext[::-1], blank_id))[::-1, ::-1]
-        occupancy = np.zeros_like(logp)
-        np.add.at(occupancy, (slice(None), ext), np.exp(alpha + beta - emit - total))
-        return (((np.exp(logp) - occupancy) * g).astype(g.dtype),)
+        # d loss / d logits = share * (softmax - normalised state occupancy),
+        # where the occupancy alpha * beta / emission sums each frame's
+        # states by label, in (frame, state) order per utterance
+        share = g / g.dtype.type(batch)
+        t, b, s = np.nonzero((np.arange(t_max)[:, None] < frames)[:, :, None]
+                             & (np.arange(s_max) < states[:, None]))
+        beta = alpha[frames[b] - 1 - t, batch + b, states[b] - 1 - s]
+        occ = np.exp(alpha[t, b, s] + beta - emit[t, b, s] - total[b])
+        cells = (first[b] + t) * width + ext[b, s]
+        occupancy = np.bincount(cells, weights=occ, minlength=logp.size).reshape(logp.shape)
+        grad = (np.exp(logp) - occupancy) * share
+        for start, stop in skipped:
+            grad[start:stop] = 0.0
+        return (grad.astype(g.dtype),)
 
-    # one tape node; only the float64 scalar is rounded to storage precision
-    loss = tt._emit(logits.tape, -total, (logits.nid,), backward)
-    tt._finite(loss.data, "the CTC loss")
-    return CtcLoss(loss, True)
+    losses = per.tolist()
+    loss = tt._emit(logits.tape, sum(losses) / batch, (logits.nid,), backward)
+    tt._finite(per, "the CTC loss")
+    each = iter(losses)
+    return CtcLoss(loss, tuple(next(each) if f else None for f in feasible))
 
 
 def _skip_mask(ext: np.ndarray, blank_id: int) -> np.ndarray:
-    """0 where state s may be entered from s - 2 (a non-repeated token), else LOG_ZERO."""
-    mask = np.full(ext.size, tt.LOG_ZERO)
-    mask[2:][(ext[2:] != blank_id) & (ext[2:] != ext[:-2])] = 0.0
+    """0 where state s may be entered from s - 2 (a non-repeated token), else
+    LOG_ZERO; one row per extended label sequence of `ext`."""
+    mask = np.full(ext.shape, tt.LOG_ZERO)
+    mask[:, 2:][(ext[:, 2:] != blank_id) & (ext[:, 2:] != ext[:, :-2])] = 0.0
     return mask
 
 
 def _forward(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Log forward variables over the extended states, one row per frame.
+    """Log forward variables over the extended states of R sequences at once:
+    `emit` is [T, R, S], one slab per frame, and the result has its shape.
 
     A path starts on the leading blank or the first token and each frame
     stays, moves one state on, or skips a blank where `skip` allows it;
     unreachable states hold LOG_ZERO-scale values.
     """
     alpha = np.empty_like(emit)
-    init = np.full(emit.shape[1], tt.LOG_ZERO)
+    init = np.full(emit.shape[2], tt.LOG_ZERO)
     init[:2] = 0.0
     alpha[0] = emit[0] + init
-    one = np.full(emit.shape[1], tt.LOG_ZERO)
-    two = np.full(emit.shape[1], tt.LOG_ZERO)
+    one = np.full(emit.shape[1:], tt.LOG_ZERO)
+    two = np.full(emit.shape[1:], tt.LOG_ZERO)
+    jump = np.empty(emit.shape[1:])
     for t in range(1, emit.shape[0]):
-        one[1:] = alpha[t - 1, :-1]
-        two[2:] = alpha[t - 1, :-2]
-        alpha[t] = np.logaddexp(np.logaddexp(alpha[t - 1], one), two + skip) + emit[t]
+        prev, cur = alpha[t - 1], alpha[t]
+        one[:, 1:] = prev[:, :-1]
+        two[:, 2:] = prev[:, :-2]
+        np.add(two, skip, out=jump)
+        np.logaddexp(prev, one, out=cur)
+        np.logaddexp(cur, jump, out=cur)
+        cur += emit[t]
     return alpha
 
 

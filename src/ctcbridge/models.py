@@ -62,7 +62,7 @@ import numpy as np
 
 from . import tensor as tt
 from .connector import ConnectorConfig, reconstruct_full, reconstruct_topP
-from .ctc import NBestList, ctc_loss
+from .ctc import CtcLoss, NBestList, ctc_loss
 from .lexicon import TokenSeq, Vocabulary
 from .metrics import WerReport, corpus_wer
 from .rng import CounterRng, Streams
@@ -432,7 +432,7 @@ class DecoderLM:
         w, dtype = cache.weights, tt._DTYPE
 
         def norm(x, name):
-            return tt._layer_norm_rows(x, w[name + "g"].data, w[name + "b"].data)
+            return tt._layer_norm_rows(x, w[name + "g"].data, w[name + "b"].data)[0]
 
         def mm(x, name):
             return tt._matmul_rows(x, w[name].data)
@@ -805,20 +805,39 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[S
 
 
 class Adam:
-    """Plain Adam with linear warmup into cosine decay."""
+    """Plain Adam with linear warmup into cosine decay.
+
+    The optimiser owns one flat buffer each for the values, gradients and
+    both moments of its parameters: each parameter's `value` and `grad`
+    are rebound as views into the first two, in order, so a step or a
+    `zero_grad` is a few numpy calls over all of them.  The parameters
+    must share one dtype.
+    """
 
     def __init__(self, params: Sequence[tt.Parameter], lr: float, total_steps: int,
                  warmup: int = 0, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):
         self.params = list(params)
+        dtypes = {p.value.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         self.base_lr = lr
         self.total = max(total_steps, 1)
         self.warmup = warmup
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        stops = np.cumsum(sizes).tolist()
+        self._spans = list(zip([0] + stops[:-1], stops))
+        (dtype,) = dtypes or {tt._DTYPE}
+        self._value, self._grad = np.empty(sum(sizes), dtype), np.empty(sum(sizes), dtype)
+        for p, (a, b) in zip(self.params, self._spans):
+            self._value[a:b], self._grad[a:b] = p.value.reshape(-1), p.grad.reshape(-1)
+            p.value = self._value[a:b].reshape(p.value.shape)
+            p.grad = self._grad[a:b].reshape(p.grad.shape)
+        self._m = np.zeros_like(self._value)
+        self._v = np.zeros_like(self._value)
 
     def lr_at(self, t: int) -> float:
         if self.base_lr == 0.0:
@@ -830,14 +849,20 @@ class Adam:
         return self.base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self._grad[...] = 0.0
+
+    def _finite(self, flat: np.ndarray, what: str) -> None:
+        """Raise NonFiniteError naming the first parameter whose part of
+        `flat` holds NaN/Inf."""
+        if not np.isfinite(flat).all():
+            for p, (a, b) in zip(self.params, self._spans):
+                tt._finite(flat[a:b], f"{what} of {p.name!r}")
 
     def step(self):
         """Update every parameter or none: a non-finite gradient or new value
         raises NonFiniteError before any parameter or moment is written."""
-        for p in self.params:
-            tt._finite(p.grad, f"the gradient of {p.name!r}")
+        g = self._grad
+        self._finite(g, "the gradient")
         t = self.t + 1
         lr = self.lr_at(t)
         if lr == 0.0:
@@ -845,21 +870,14 @@ class Adam:
             return
         c1 = 1.0 - self.b1 ** t
         c2 = 1.0 - self.b2 ** t
-        moments, values = [], []
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m = m * self.b1
-            m += (1.0 - self.b1) * g
-            v = v * self.b2
-            v += (1.0 - self.b2) * g * g
-            value = p.value - (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(p.value.dtype)
-            values.append(tt._finite(value, f"the Adam update of {p.name!r}"))
-            moments.append((m, v))
-        self.t = t
-        self._m = [m for m, _ in moments]
-        self._v = [v for _, v in moments]
-        for p, value in zip(self.params, values):
-            p.value[...] = value
+        m = self._m * self.b1
+        m += (1.0 - self.b1) * g
+        v = self._v * self.b2
+        v += (1.0 - self.b2) * g * g
+        value = self._value - (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(g.dtype)
+        self._finite(value, "the Adam update")
+        self.t, self._m, self._v = t, m, v
+        self._value[...] = value
 
 
 # ---------------------------------------------------------------------------
@@ -965,19 +983,11 @@ def _chunks(dataset: Sequence[Utterance], size: int):
 
 
 def _ctc_losses(enc: SpeechEncoder, frames: Sequence[np.ndarray], targets: Sequence[TokenSeq],
-               blank_id: int, tape=None, drop_rate: float = 0.0,
-               drop_rngs=None) -> list[tt.Tensor]:
-    """CTC losses of the utterances with a feasible target, from one packed
-    encoder pass over `frames`."""
+               blank_id: int, tape=None, drop_rate: float = 0.0, drop_rngs=None) -> CtcLoss:
+    """The CTC loss of a batch, from one packed encoder pass over `frames`
+    and one `ctc_loss` call over its logits."""
     _, logits = enc.forward(frames, tape=tape, drop_rate=drop_rate, drop_rng=drop_rngs)
-    losses, start = [], 0
-    for f, y in zip(frames, targets):
-        stop = start + enc.out_len(f.shape[0])
-        res = ctc_loss(tt.slice_rows(logits, start, stop), y, blank_id)
-        if res.feasible:
-            losses.append(res.loss)
-        start = stop
-    return losses
+    return ctc_loss(logits, list(targets), blank_id, [enc.out_len(f.shape[0]) for f in frames])
 
 
 def mean_ctc_loss(enc: SpeechEncoder, dataset: Sequence[Utterance],
@@ -985,9 +995,10 @@ def mean_ctc_loss(enc: SpeechEncoder, dataset: Sequence[Utterance],
                   batch_size: int = 8) -> float:
     """Mean CTC loss over the feasible utterances of `dataset`, in packed
     passes of `batch_size` utterances."""
-    losses = [loss.item() for chunk in _chunks(dataset, batch_size)
+    losses = [loss for chunk in _chunks(dataset, batch_size)
               for loss in _ctc_losses(enc, [u.frames for u in chunk],
-                                     [u.source for u in chunk], blank_id, tape)]
+                                      [u.source for u in chunk], blank_id, tape).losses
+              if loss is not None]
     return sum(losses) / max(len(losses), 1)
 
 
@@ -997,9 +1008,10 @@ def train_encoder_ctc(enc: SpeechEncoder, train_set: Sequence[Utterance],
     """CTC training; deterministic per cfg.seed.  Raises on divergence."""
 
     def loss_of(utts, frames, tape, drop_rngs) -> tuple[Optional[tt.Tensor], int]:
-        losses = _ctc_losses(enc, frames, [u.source for u in utts], blank_id, tape,
-                            cfg.dropout, drop_rngs)
-        return (tt.mean(losses) if losses else None), len(losses)
+        res = _ctc_losses(enc, frames, [u.source for u in utts], blank_id, tape,
+                          cfg.dropout, drop_rngs)
+        n_ok = len(utts) - res.losses.count(None)
+        return (res.loss if n_ok else None), n_ok
 
     return _train(enc.params, train_set, dev_set, cfg, 0x7E40, loss_of,
                   lambda subset, tape: mean_ctc_loss(enc, subset, blank_id, tape,

@@ -114,9 +114,6 @@ class Parameter:
         self.grad = np.zeros_like(self.value)
         self.name = name
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
@@ -410,33 +407,32 @@ def _normalise(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                    eps: float = 1e-5) -> np.ndarray:
+                    eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of `x` normalised, then gain and bias in float64, rounded to
-    the storage dtype: the forward arithmetic of `layer_norm`, which
-    `DecoderLM.step` shares."""
-    xhat, _ = _normalise(x, eps)
-    return (xhat * _f64(gain) + _f64(bias)).astype(_DTYPE, copy=False)
+    the storage dtype, with the float64 (xhat, 1/std) it came from: the
+    forward arithmetic of `layer_norm`, which `DecoderLM.step` shares."""
+    xhat, inv = _normalise(x, eps)
+    return (xhat * _f64(gain) + _f64(bias)).astype(_DTYPE, copy=False), xhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalisation, then gain and bias.  The backward pass
-    recomputes the float64 normalised rows from the stored input, which is
-    half their size."""
+    """Per-row normalisation, then gain and bias.  On a tape the op keeps
+    the float64 normalised rows and 1/std for its backward pass: twice the
+    size of its float32 input, plus one float64 per row."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if x.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
         raise ValueError("layer_norm expects [n, c] input with [c] gain/bias")
     tape = _tape_of(x, gain, bias)
-    out = _layer_norm_rows(x.data, gain.data, bias.data, eps)
+    out, xhat, inv = _layer_norm_rows(x.data, gain.data, bias.data, eps)
     if tape is None:
         return _emit(None, out)
     px = x.nid if x.tape is not None else None
     pg = gain.nid if gain.tape is not None else None
     pb = bias.nid if bias.tape is not None else None
-    xd, gd = x.data, _f64(gain.data)
+    gd = _f64(gain.data)
 
     def bwd(g):
         g64 = _f64(g)
-        xhat, inv = _normalise(xd, eps)
         res = []
         if px is not None:
             dxhat = g64 * gd
@@ -530,7 +526,7 @@ def attention(qkv: Tensor, heads: int, causal: bool,
         p = q[:, a:b] @ k[:, a:b].transpose(0, 2, 1)
         p *= scale
         if causal:
-            p[:, above[:b - a, :b - a]] = LOG_ZERO
+            p = np.where(above[:b - a, :b - a], LOG_ZERO, p)
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=2, keepdims=True)
@@ -591,26 +587,7 @@ def _cached_step(qkv: np.ndarray, heads: int, cache) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# losses / reductions
-
-
-def mean(parts: Sequence[Tensor]) -> Tensor:
-    """Mean of one-element tensors as one op, e.g. a batch's per-utterance losses."""
-    parts = [as_tensor(p) for p in parts]
-    if not parts or any(p.size != 1 for p in parts):
-        raise ValueError("mean needs at least one one-element tensor")
-    tape = _tape_of(*parts)
-    n = len(parts)
-    out = sum(float(p.data.reshape(())) for p in parts) / n
-    if tape is None:
-        return _emit(None, out)
-    shapes = [p.shape for p in parts if p.tape is not None]
-
-    def bwd(g):
-        share = g / g.dtype.type(n)
-        return tuple(share.reshape(shape) for shape in shapes)
-
-    return _emit(tape, out, tuple(p.nid for p in parts if p.tape is not None), bwd)
+# losses
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:

@@ -2,10 +2,17 @@
 
 `alignment_oracle` enumerates every frame path by brute force.
 `ctc_loss_reference` is the tape-built forward recursion that the fused
-`ctcbridge.ctc.ctc_loss` replaced: about seven tape nodes per frame
-(log-softmax, gather, shift, logaddexp, slice), whose gradient comes from
-the generic backward rules.  The fused loss must match its value bit for
-bit and its gradient to rounding.
+CTC loss replaced: about seven tape nodes per frame (log-softmax, gather,
+shift, logaddexp, slice), whose gradient comes from the generic backward
+rules.  The fused loss must match its value bit for bit and its gradient
+to rounding.
+`fused_ctc_loss` is the fused loss of one utterance that the batched
+`ctcbridge.ctc.ctc_loss` replaced: one float64 numpy pass and one tape
+node per utterance, with two frame loops (alpha, and beta in the backward
+pass).  `batch_ctc_loss` is how a packed batch used it: one `slice_rows`
+node and one `fused_ctc_loss` node per utterance, then one `mean` node
+(`tape_ops.mean`) over the feasible ones.  The batched loss must
+reproduce its value and gradient bit for bit in float32.
 `beam_search_reference` is the dict-based prefix beam search of one
 utterance that `ctcbridge.ctc.beam_search` replaced: one Python
 `np.logaddexp` per (prefix, token) pair and a full sort of every candidate
@@ -17,13 +24,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ctcbridge import tensor as tt
-from ctcbridge.ctc import _LOG_PROB_FLOOR, INFEASIBLE_LOSS, CtcLoss, NBestList, min_frames
+from ctcbridge.ctc import _LOG_PROB_FLOOR, INFEASIBLE_LOSS, NBestList, min_frames
 from ctcbridge.lexicon import Alignment, TokenSeq, collapse
-from tape_ops import gather_flat, log_softmax, logaddexp, logsumexp, mul, neg, precision, shift
+from tape_ops import (gather_flat, log_softmax, logaddexp, logsumexp, mean, mul, neg, precision,
+                      shift)
 
 
 def alignment_oracle(y: TokenSeq, frames: int, vocab_size: int, blank_id: int | None = None) -> set[Alignment]:
@@ -39,7 +49,13 @@ def alignment_oracle(y: TokenSeq, frames: int, vocab_size: int, blank_id: int | 
     }
 
 
-def ctc_loss_reference(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> CtcLoss:
+@dataclass(frozen=True)
+class UtteranceLoss:
+    loss: tt.Tensor
+    feasible: bool
+
+
+def ctc_loss_reference(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> UtteranceLoss:
     """-log P(y | logits) summed over all alignments, differentiable through
     the [T, V+1] `logits`.
 
@@ -55,7 +71,7 @@ def ctc_loss_reference(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> CtcLoss
     if any(not 0 <= c < blank_id for c in y):
         raise ValueError("target contains ids outside [0, V)")
     if min_frames(y) > t_frames:
-        return CtcLoss(tt.Tensor(np.float32(INFEASIBLE_LOSS)), False)
+        return UtteranceLoss(tt.Tensor(np.float32(INFEASIBLE_LOSS)), False)
 
     n = len(y)
     s = 2 * n + 1
@@ -97,7 +113,76 @@ def ctc_loss_reference(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> CtcLoss
 
     # round the accumulated scalar back to storage precision
     loss = mul(loss64, 1.0)
-    return CtcLoss(loss, True)
+    return UtteranceLoss(loss, True)
+
+
+def fused_ctc_loss(logits: tt.Tensor, y: TokenSeq, blank_id: int) -> UtteranceLoss:
+    """-log P(y | logits) of one utterance's [T, V+1] `logits` as one tape
+    node; the INFEASIBLE_LOSS sentinel, untaped, for an infeasible target."""
+    t_frames, width = logits.shape
+    if t_frames < 1:
+        raise ValueError("logit gram needs at least one frame")
+    if width != blank_id + 1:
+        raise ValueError(f"logit gram width {width} does not match blank id {blank_id}")
+    if any(not 0 <= c < blank_id for c in y):
+        raise ValueError("target contains ids outside [0, V)")
+    if min_frames(y) > t_frames:
+        return UtteranceLoss(tt.Tensor(np.float32(INFEASIBLE_LOSS)), False)
+
+    ext = np.full(2 * len(y) + 1, blank_id, dtype=np.intp)
+    ext[1::2] = y
+    x = logits.data.astype(np.float64)
+    zc = x - x.max(axis=1, keepdims=True)
+    logp = zc - np.log(np.exp(zc).sum(axis=1, keepdims=True))
+    emit = logp[:, ext]
+    alpha = _forward_one(emit, _skip_mask_one(ext, blank_id))
+    tail = alpha[-1, -2:]  # a path ends on the last token or the blank after it
+    top = tail.max()
+    total = top + np.log(np.exp(tail - top).sum())
+
+    def backward(g):
+        beta = _forward_one(emit[::-1, ::-1], _skip_mask_one(ext[::-1], blank_id))[::-1, ::-1]
+        occupancy = np.zeros_like(logp)
+        np.add.at(occupancy, (slice(None), ext), np.exp(alpha + beta - emit - total))
+        return (((np.exp(logp) - occupancy) * g).astype(g.dtype),)
+
+    loss = tt._emit(logits.tape, -total, (logits.nid,), backward)
+    tt._finite(loss.data, "the CTC loss")
+    return UtteranceLoss(loss, True)
+
+
+def _skip_mask_one(ext: np.ndarray, blank_id: int) -> np.ndarray:
+    mask = np.full(ext.size, tt.LOG_ZERO)
+    mask[2:][(ext[2:] != blank_id) & (ext[2:] != ext[:-2])] = 0.0
+    return mask
+
+
+def _forward_one(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    alpha = np.empty_like(emit)
+    init = np.full(emit.shape[1], tt.LOG_ZERO)
+    init[:2] = 0.0
+    alpha[0] = emit[0] + init
+    one = np.full(emit.shape[1], tt.LOG_ZERO)
+    two = np.full(emit.shape[1], tt.LOG_ZERO)
+    for t in range(1, emit.shape[0]):
+        one[1:] = alpha[t - 1, :-1]
+        two[2:] = alpha[t - 1, :-2]
+        alpha[t] = np.logaddexp(np.logaddexp(alpha[t - 1], one), two + skip) + emit[t]
+    return alpha
+
+
+def batch_ctc_loss(logits: tt.Tensor, ys: Sequence[TokenSeq], blank_id: int,
+                   lengths: Sequence[int]) -> tuple[Optional[tt.Tensor], list[Optional[float]]]:
+    """(mean loss over the feasible utterances or None, each utterance's
+    loss or None) of a packed batch, one `fused_ctc_loss` per utterance."""
+    losses, each, start = [], [], 0
+    for y, t in zip(ys, lengths):
+        res = fused_ctc_loss(tt.slice_rows(logits, start, start + t), y, blank_id)
+        if res.feasible:
+            losses.append(res.loss)
+        each.append(res.loss.item() if res.feasible else None)
+        start += t
+    return (mean(losses) if losses else None), each
 
 
 def beam_search_reference(probs: np.ndarray, beam: int, n: int) -> NBestList:

@@ -24,10 +24,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ctcbridge import tensor as tt
-from ctcbridge.ctc import ctc_loss
 from ctcbridge.models import (Adam, TrainingDiverged, TrainLog, _mix_block, _w, check_system,
                               teacher_forcing_example)
 from ctcbridge.rng import CounterRng
+from ctc_oracles import fused_ctc_loss
 from utterance_oracles import augment
 
 
@@ -170,7 +170,7 @@ def train(params, train_set, dev_set, cfg, stream: int,
 def mean_ctc_loss(enc, dataset, blank_id: int, tape=None) -> float:
     total, count = 0.0, 0
     for utt in dataset:
-        res = ctc_loss(encoder_forward(enc, utt.frames, tape=tape)[1], utt.source, blank_id)
+        res = fused_ctc_loss(encoder_forward(enc, utt.frames, tape=tape)[1], utt.source, blank_id)
         if res.feasible:
             total += res.loss.item()
             count += 1
@@ -183,7 +183,7 @@ def train_encoder_ctc(enc, train_set, dev_set, cfg, blank_id: int,
     def loss_of(utt, frames: np.ndarray, tape, drop_rng) -> Optional[tt.Tensor]:
         _, logits = encoder_forward(enc, frames, tape=tape, drop_rate=cfg.dropout,
                                     drop_rng=drop_rng)
-        res = ctc_loss(logits, utt.source, blank_id)
+        res = fused_ctc_loss(logits, utt.source, blank_id)
         return res.loss if res.feasible else None
 
     return train(enc.params, train_set, dev_set, cfg, 0x7E40, loss_of,

@@ -3,10 +3,12 @@ before the one-row decode step was trimmed and then taken out of the tape
 ops.
 
 `normalise` is `tensor._normalise` with its row means taken by
-`ndarray.mean`.  `write_cache` is `tensor._write_cache`, which stored the
-keys and values of every segment through the repeat/cumsum row arithmetic
-after each sequence's filled rows; a cached decode step called it with
-one-row segments.  `cached_step` is `tensor._cached_step` with its mask
+`ndarray.mean`.  `layer_norm` is `tensor.layer_norm` as it was before it
+kept its normalised rows for the backward pass: the backward pass
+recomputed them, and 1/std, from the op's float32 input.  `write_cache`
+is `tensor._write_cache`, which stored the keys and values of every
+segment through the repeat/cumsum row arithmetic after each sequence's
+filled rows; a cached decode step called it with one-row segments.  `cached_step` is `tensor._cached_step` with its mask
 applied by a boolean assignment through `np.broadcast_to` and without the
 row write.
 
@@ -33,6 +35,25 @@ def normalise(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     xc = xd - xd.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
     return xc * inv, inv
+
+
+def layer_norm(x: tt.Tensor, gain: tt.Tensor, bias: tt.Tensor, eps: float = 1e-5) -> tt.Tensor:
+    """Per-row normalisation, then gain and bias, on one tape; x, gain and
+    bias all taped."""
+    xd, gd = x.data, _f64(gain.data)
+    xhat, _ = normalise(xd, eps)
+    out = xhat * gd + _f64(bias.data)
+
+    def bwd(g):
+        g64 = _f64(g)
+        xhat, inv = normalise(xd, eps)
+        dxhat = g64 * gd
+        m1 = dxhat.mean(axis=1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        return ((inv * (dxhat - m1 - xhat * m2)).astype(g.dtype),
+                (g64 * xhat).sum(axis=0).astype(g.dtype), g64.sum(axis=0).astype(g.dtype))
+
+    return tt._emit(x.tape, out, (x.nid, gain.nid, bias.nid), bwd)
 
 
 def write_cache(qkv: np.ndarray, heads: int, cache, lengths: list[int]) -> None:

@@ -1,11 +1,13 @@
 """Tape ops and checks that only the tests use.
 
-`neg`, `mul` and `reduce_sum` are plain tape ops the package has no use
-for, `causal_mask` is the additive mask of the per-head attention oracle
-in `block_oracles`, and `params_digest` fingerprints a set of parameters.  The log-space ops
-(`shift`, `gather_flat`, `logaddexp`, `logsumexp`, `log_softmax`) are the
-building blocks of `ctc_oracles.ctc_loss_reference`, the tape-built CTC
-recursion that the fused `ctcbridge.ctc.ctc_loss` is checked against.
+`neg`, `mul`, `reduce_sum` and `mean` are plain tape ops the package has
+no use for (`mean` averaged a batch's per-utterance CTC losses before the
+loss took a whole batch), `causal_mask` is the additive mask of the
+per-head attention oracle in `block_oracles`, and `params_digest`
+fingerprints a set of parameters.  The log-space ops (`shift`,
+`gather_flat`, `logaddexp`, `logsumexp`, `log_softmax`) are the building
+blocks of `ctc_oracles.ctc_loss_reference`, the tape-built CTC recursion
+that the fused CTC losses are checked against.
 They record on a `GradTape` through the same `ctcbridge.tensor` internals
 as the package's own ops.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +80,25 @@ def mul(a: Tensor, b) -> Tensor:
         return tuple(res)
 
     return _emit(tape, ad * bd, tuple(p for p in (pa, pb) if p is not None), bwd)
+
+
+def mean(parts: Sequence[Tensor]) -> Tensor:
+    """Mean of one-element tensors as one op, e.g. a batch's per-utterance losses."""
+    parts = [as_tensor(p) for p in parts]
+    if not parts or any(p.size != 1 for p in parts):
+        raise ValueError("mean needs at least one one-element tensor")
+    tape = _tape_of(*parts)
+    n = len(parts)
+    out = sum(float(p.data.reshape(())) for p in parts) / n
+    if tape is None:
+        return _emit(None, out)
+    shapes = [p.shape for p in parts if p.tape is not None]
+
+    def bwd(g):
+        share = g / g.dtype.type(n)
+        return tuple(share.reshape(shape) for shape in shapes)
+
+    return _emit(tape, out, tuple(p.nid for p in parts if p.tape is not None), bwd)
 
 
 def causal_mask(n: int) -> Tensor:

@@ -672,6 +672,42 @@ def test_unreadable_input_file_exits_2(tiny, capsys, tmp_path, case):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["decode-eval", "train-encoder"])
+def test_out_under_a_regular_file_exits_2(tiny, capsys, tmp_path, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = str(afile / "x.json")
+    argv = {"decode-eval": decode(tiny, "--limit", "1", "--out", out),
+            "train-encoder": ["train-encoder", "--spec", tiny["spec"], "--config",
+                              tiny["enc_cfg"], "--out", out]}[command]
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and out in err
+    assert sorted(tmp_path.iterdir()) == [afile]
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("models._train ran")
+
+
+@pytest.mark.parametrize("flag, bad", [("--out", "directory"), ("--out", "missing-parent"),
+                                       ("--curve", "directory"), ("--curve", "missing-parent")])
+@pytest.mark.parametrize("command", ["train-encoder", "adapt"])
+def test_bad_output_path_exits_2_before_training(tiny, capsys, tmp_path, monkeypatch,
+                                                 command, flag, bad):
+    monkeypatch.setattr(md, "_train", _no_training)
+    path = str(tmp_path if bad == "directory" else tmp_path / "missing" / "f")
+    paths = {"--out": str(tmp_path / "f.ckpt"), "--curve": str(tmp_path / "f.csv"), flag: path}
+    argv = {"train-encoder": ["train-encoder", "--spec", tiny["spec"], "--config",
+                              tiny["enc_cfg"]],
+            "adapt": ["adapt", "--mode", "lego", "--encoder", tiny["enc"], "--spec",
+                      tiny["spec"], "--config", tiny["dec_cfg"]]}[command]
+    code, out, err = run(capsys, argv + ["--out", paths["--out"], "--curve", paths["--curve"]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # divergence: exit 1, naming where the first non-finite value appeared
 

@@ -16,7 +16,8 @@ from ctcbridge.ctc import (
 )
 from ctcbridge.lexicon import Posteriorgram, collapse
 from ctcbridge.rng import CounterRng
-from ctc_oracles import alignment_oracle, beam_search_reference, ctc_loss_reference
+from ctc_oracles import (alignment_oracle, batch_ctc_loss, beam_search_reference,
+                         ctc_loss_reference)
 from tape_ops import finite_diff_check, precision
 
 
@@ -54,16 +55,16 @@ def oracle_log_prob(z: np.ndarray, y, blank):
 class TestCtcLoss:
     def test_uniform_two_frame_single_token(self):
         # rows [0.5, 0.5]; 3 of 4 paths collapse to (a,)
-        res = ctc_loss(gram(np.zeros((2, 2))), (0,), blank_id=1)
+        res = ctc_loss(gram(np.zeros((2, 2))), [(0,)], blank_id=1)
         assert res.feasible
         assert res.loss.item() == pytest.approx(-np.log(0.75), rel=1e-6)
 
     def test_probability_one_path_is_zero_loss(self):
-        res = ctc_loss(onehot_gram((0, 2, 1), 3), (0, 1), blank_id=2)
+        res = ctc_loss(onehot_gram((0, 2, 1), 3), [(0, 1)], blank_id=2)
         assert res.loss.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_repeat_needs_separating_blank(self):
-        res = ctc_loss(gram(np.zeros((2, 2))), (0, 0), blank_id=1)
+        res = ctc_loss(gram(np.zeros((2, 2))), [(0, 0)], blank_id=1)
         assert not res.feasible
         assert res.loss.item() == pytest.approx(INFEASIBLE_LOSS, rel=1e-6)
         # sentinel carries no gradient
@@ -76,12 +77,12 @@ class TestCtcLoss:
 
     def test_empty_target(self):
         z = np.zeros((2, 2))
-        res = ctc_loss(gram(z), (), blank_id=1)
+        res = ctc_loss(gram(z), [()], blank_id=1)
         assert res.loss.item() == pytest.approx(-2 * np.log(0.5), rel=1e-5)
 
     def test_target_ids_validated(self):
         with pytest.raises(ValueError):
-            ctc_loss(gram(np.zeros((2, 3))), (2,), blank_id=2)
+            ctc_loss(gram(np.zeros((2, 3))), [(2,)], blank_id=2)
 
     def test_oracle_equivalence_random(self):
         rng = CounterRng(123)
@@ -92,7 +93,7 @@ class TestCtcLoss:
             n = int(crng.integers(0, min(4, t_frames + 1), 1)[0])
             y = tuple(int(i) for i in crng.integers(0, v, n))
             z = crng.normals(t_frames * (v + 1)).reshape(t_frames, v + 1) * 2.0
-            res = ctc_loss(gram(z), y, blank_id=v)
+            res = ctc_loss(gram(z), [y], blank_id=v)
             expect = oracle_log_prob(z, y, v)
             if not res.feasible or expect == -np.inf:
                 got_p = 0.0 if not res.feasible else np.exp(-res.loss.item())
@@ -108,7 +109,7 @@ class TestCtcLoss:
             total = 0.0
             for n in range(0, 4):
                 for y in itertools.product(range(2), repeat=n):
-                    res = ctc_loss(gram(z), y, blank_id=2)
+                    res = ctc_loss(gram(z), [y], blank_id=2)
                     total += np.exp(-res.loss.item())
             assert total == pytest.approx(1.0, abs=1e-5)
 
@@ -117,7 +118,7 @@ class TestCtcLoss:
         z0 = rng.normals(4 * 3).reshape(4, 3)
 
         def f(z):
-            return ctc_loss(z, (0, 1), blank_id=2).loss
+            return ctc_loss(z, [(0, 1)], blank_id=2).loss
 
         assert finite_diff_check(f, z0, h=1e-4) < 1e-3
 
@@ -126,7 +127,7 @@ class TestCtcLoss:
         tape = tt.GradTape()
         z = tape.watch(p)
         before = len(tape._parents)
-        res = ctc_loss(z, tuple(range(9)), blank_id=32)
+        res = ctc_loss(z, [tuple(range(9))], blank_id=32)
         assert res.feasible and res.loss.tape is tape
         assert len(tape._parents) - before == 1
 
@@ -139,6 +140,10 @@ def taped_loss_and_grad(fn, z: np.ndarray, y, blank: int):
     if res.feasible:
         tape.backward(res.loss)
     return res.feasible, res.loss.data.tobytes(), p.grad
+
+
+def batch_of_one(logits, y, blank: int):
+    return ctc_loss(logits, [y], blank)
 
 
 class TestCtcLossMatchesReference:
@@ -157,11 +162,116 @@ class TestCtcLossMatchesReference:
             z = crng.normals(t_frames * (v + 1)).reshape(t_frames, v + 1) * scale
             for dtype, atol in ((np.float32, 1e-6), (np.float64, 1e-9)):
                 with precision(dtype):
-                    ok, loss, grad = taped_loss_and_grad(ctc_loss, z, y, v)
+                    ok, loss, grad = taped_loss_and_grad(batch_of_one, z, y, v)
                     ok_ref, loss_ref, grad_ref = taped_loss_and_grad(ctc_loss_reference, z, y, v)
                 assert (ok, loss) == (ok_ref, loss_ref), (case, dtype)
                 np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=atol,
                                            err_msg=f"case {case} {dtype.__name__}")
+
+
+def random_batch(rng: CounterRng, v: int, lengths: list[int], repeats: bool):
+    """Targets of 0 to T+1 tokens for utterances of `lengths` frames (the
+    longer ones infeasible), drawn from a 2-token alphabet when `repeats`,
+    and packed logits."""
+    ys = []
+    for j, t in enumerate(lengths):
+        n = int(rng.child(f"n{j}").integers(0, t + 2, 1)[0])
+        ys.append(tuple(int(c) for c in rng.child(f"y{j}").integers(0, min(v, 2) if repeats else v, n)))
+    z = rng.child("z").normals(sum(lengths) * (v + 1)).reshape(-1, v + 1)
+    return ys, z * (0.5, 2.0, 8.0)[sum(lengths) % 3]
+
+
+def batched(logits, ys, v: int, lengths):
+    """`ctc_loss` in `ctc_oracles.batch_ctc_loss`'s form."""
+    res = ctc_loss(logits, ys, v, lengths)
+    return (res.loss if res.loss.tape is not None else None), res.losses
+
+
+def batched_and_oracle(z, ys, v, lengths):
+    """(loss bytes or None, per-utterance losses, d loss / d z) of the
+    batched loss and of the per-utterance oracle, each on its own tape."""
+    out = []
+    for fn in (batched, batch_ctc_loss):
+        p = tt.Parameter(z)
+        tape = tt.GradTape()
+        loss, each = fn(tape.watch(p), ys, v, lengths)
+        if loss is not None:
+            tape.backward(loss)
+        out.append((None if loss is None else loss.data.tobytes(), tuple(each), p.grad))
+    return out
+
+
+class TestBatchedCtcLoss:
+    """One node for a packed batch against one fused node per utterance
+    (`ctc_oracles.batch_ctc_loss`)."""
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_matches_the_per_utterance_oracle(self, repeats):
+        rng = CounterRng(2106, stream=int(repeats))
+        for case in range(60):
+            crng = rng.child(case)
+            v = int(crng.integers(1, 33, 1)[0])
+            lengths = [int(t) for t in crng.integers(1, 21, int(crng.integers(1, 9, 1)[0]))]
+            ys, z = random_batch(crng, v, lengths, repeats)
+            for dtype in (np.float32, np.float64):
+                with precision(dtype):
+                    (loss, each, grad), (loss_ref, each_ref, grad_ref) = \
+                        batched_and_oracle(z, ys, v, lengths)
+                if dtype is np.float32:
+                    assert (loss, each) == (loss_ref, each_ref), case
+                    assert grad.tobytes() == grad_ref.tobytes(), case
+                else:
+                    assert each == pytest.approx(each_ref, rel=0, abs=1e-10), case
+                    np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-10,
+                                               err_msg=f"case {case}")
+
+    def test_a_mixed_batch(self):
+        # infeasible, empty, one-frame, repeated-token and plain utterances
+        v = 3
+        lengths = [2, 3, 1, 1, 5, 4, 2]
+        ys = [(0, 0), (), (), (2,), (1, 1, 0), (0, 1, 2, 0), (1, 2, 0)]
+        z = CounterRng(31).normals(sum(lengths) * (v + 1)).reshape(-1, v + 1) * 2.0
+        (loss, each, grad), (loss_ref, each_ref, grad_ref) = batched_and_oracle(z, ys, v, lengths)
+        assert [e is None for e in each] == [True, False, False, False, False, False, True]
+        assert (loss, each, grad.tobytes()) == (loss_ref, each_ref, grad_ref.tobytes())
+        rows = np.cumsum([0] + lengths)
+        for j in (0, 6):  # an infeasible utterance's rows get no gradient
+            assert not grad[rows[j]:rows[j + 1]].any()
+        res = ctc_loss(gram(z), ys, v, lengths)
+        assert not res.feasible and res.loss.tape is None
+        assert res.loss.item() == pytest.approx(sum(e for e in each if e is not None) / 5)
+
+    def test_an_all_infeasible_batch_gives_the_sentinel(self):
+        p = tt.Parameter(np.zeros((3, 2)))
+        tape = tt.GradTape()
+        res = ctc_loss(tape.watch(p), [(0, 0), (0, 0)], 1, [1, 2])
+        assert res.losses == (None, None) and not res.feasible
+        assert res.loss.tape is None
+        assert res.loss.item() == pytest.approx(INFEASIBLE_LOSS, rel=1e-6)
+
+    def test_one_tape_node_per_batch(self):
+        p = tt.Parameter(CounterRng(15).normals(30 * 33).reshape(30, 33))
+        tape = tt.GradTape()
+        z = tape.watch(p)
+        before = len(tape._parents)
+        res = ctc_loss(z, [tuple(range(9)), (), (4, 4)], 32, [15, 5, 10])
+        assert res.feasible and res.loss.tape is tape
+        assert len(tape._parents) - before == 1
+
+    def test_an_utterance_does_not_depend_on_its_batch(self):
+        v, lengths = 5, [4, 9, 2, 6]
+        ys, z = random_batch(CounterRng(77), v, lengths, repeats=True)
+        rows = np.cumsum([0] + lengths)
+        whole = ctc_loss(gram(z), ys, v, lengths).losses
+        alone = [ctc_loss(gram(z[a:b]), [y], v).losses[0]
+                 for a, b, y in zip(rows, rows[1:], ys)]
+        assert whole == tuple(alone)
+
+    def test_one_target_per_segment(self):
+        with pytest.raises(ValueError, match="one target per segment, got 1 for 2"):
+            ctc_loss(gram(np.zeros((3, 2))), [(0,)], 1, [1, 2])
+        with pytest.raises(ValueError, match="summing to 3 rows"):
+            ctc_loss(gram(np.zeros((3, 2))), [(0,), (0,)], 1, [1, 1])
 
 
 class TestAlignmentOracle:

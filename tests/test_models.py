@@ -538,7 +538,43 @@ class TestAdam:
         with pytest.raises(tt.NonFiniteError, match="the gradient of 'q'"):
             opt.step()
         assert (p.value[0], q.value[0], opt.t) == (1.0, 1.0, 0)
-        assert not any(m.any() or v.any() for m, v in zip(opt._m, opt._v))
+        assert opt._m.shape == opt._v.shape == (2,)
+        assert not opt._m.any() and not opt._v.any()
+
+    def test_non_finite_step_after_a_step_writes_nothing(self):
+        p, q = tt.Parameter(np.array([1.0, 2.0]), "p"), tt.Parameter(np.array([3.0]), "q")
+        opt = md.Adam([p, q], lr=0.1, total_steps=10)
+        p.grad[...], q.grad[...] = 1.0, -2.0
+        opt.step()
+        state = [a.tobytes() for a in (opt._value, opt._m, opt._v, p.value, q.value)]
+        p.grad[1] = np.inf
+        with pytest.raises(tt.NonFiniteError, match="the gradient of 'p'"):
+            opt.step()
+        p.grad[1], q.grad[...] = 1.0, 20.0
+        opt.base_lr = 1e38  # lr times q's corrected first moment overflows float32
+        with pytest.raises(tt.NonFiniteError, match="the Adam update of 'q'"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            opt.step()
+        assert opt.t == 1
+        assert state == [a.tobytes() for a in (opt._value, opt._m, opt._v, p.value, q.value)]
+
+    def test_values_and_grads_are_views_of_one_buffer(self):
+        p = tt.Parameter(np.arange(6.0).reshape(2, 3), "p")
+        q = tt.Parameter(np.array([7.0]), "q")
+        p.grad[...] = 0.5
+        opt = md.Adam([p, q], lr=0.1, total_steps=10)
+        assert opt._value.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+        assert opt._grad.tolist() == [0.5] * 6 + [0.0]
+        assert p.value.shape == (2, 3) and p.value.flags.c_contiguous
+        assert p.value.base is opt._value and q.grad.base is opt._grad
+        opt.zero_grad()
+        assert not p.grad.any()
+
+    def test_rejects_mixed_dtypes(self):
+        p, q = tt.Parameter(np.zeros(2), "p"), tt.Parameter(np.zeros(2), "q")
+        q.value = q.value.astype(np.float64)
+        with pytest.raises(ValueError, match="one dtype"):
+            md.Adam([p, q], lr=0.1, total_steps=10)
 
 
 def _old_relu(a):
