@@ -360,8 +360,13 @@ def load_system_ckpt(path) -> tuple[DecoderSystem, Vocabulary, dict]:
                         meta.get("decoder_seed", 0))
         conn = dict(meta["connector"])
         # older checkpoints also stored the connector's own mode name, which
-        # only repeated the top-level "mode" (the registry now derives it)
+        # only repeated the top-level "mode" (the registry now derives it),
+        # and "apply_tau_at", whose one kept value applies tau at inference
         conn.pop("mode", None)
+        tau_at = conn.pop("apply_tau_at", "inference_only")
+        if tau_at != "inference_only":
+            raise ValueError(f"connector apply_tau_at={tau_at!r} is not supported: "
+                             "tau applies at inference only")
         sys_ = DecoderSystem(decoder=dec, mode=meta["mode"], conn=ConnectorConfig(**conn),
                              extra=extra, aec_n=meta.get("aec_n", 1),
                              prompt_id=meta.get("prompt_id"))

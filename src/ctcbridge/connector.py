@@ -13,7 +13,7 @@ table an adaptation mode uses is decided by its entry in
 
 Everything is differentiable with respect to the tables/projection (and
 the scores, when they are tape-recorded); temperature is applied at
-inference time only unless the config says otherwise.
+inference time only.
 """
 
 from __future__ import annotations
@@ -32,20 +32,12 @@ class ConnectorConfig:
     tau: float = 1.0
     blk_downscale: float = 1.0
     k: Optional[int] = None
-    apply_tau_at: str = "inference_only"  # or "always"
 
     def __post_init__(self):
         if not self.tau > 0:  # also rejects NaN
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not self.blk_downscale >= 1.0:
-            raise ValueError(f"blk_downscale must be >= 1, got {self.blk_downscale}")
-        if self.apply_tau_at not in ("inference_only", "always"):
-            raise ValueError("apply_tau_at must be 'inference_only' or 'always'")
-
-    def effective_tau(self, at_inference: bool) -> float:
-        if at_inference or self.apply_tau_at == "always":
-            return self.tau
-        return 1.0
+        if not 1.0 <= self.blk_downscale < math.inf:  # also rejects NaN
+            raise ValueError(f"blk_downscale must be finite and >= 1, got {self.blk_downscale}")
 
 
 def blank_downscale(logits: tt.Tensor, factor: float) -> tt.Tensor:
@@ -81,7 +73,8 @@ def _check_width(logits: tt.Tensor, table: tt.Tensor) -> int:
 def reconstruct_full(logits: tt.Tensor, table: tt.Tensor, cfg: ConnectorConfig,
                      at_inference: bool = True, k: Optional[int] = None) -> tt.Tensor:
     """Weighted sum of table rows under the per-frame distribution of the
-    [T, V+1] `logits`.
+    [T, V+1] `logits`, at temperature `cfg.tau` at inference and 1 in
+    training.
 
     With `k`, scores outside each frame's K highest (after blank downscale)
     are set to LOG_ZERO before the softmax, so only those K rows are summed.
@@ -93,7 +86,7 @@ def reconstruct_full(logits: tt.Tensor, table: tt.Tensor, cfg: ConnectorConfig,
         mask = np.full(logits.shape, tt.LOG_ZERO)
         np.put_along_axis(mask, keep, 0.0, axis=1)
         logits = tt.add(logits, tt.Tensor(mask))
-    probs = tt.softmax(logits, tau=cfg.effective_tau(at_inference))
+    probs = tt.softmax(logits, tau=cfg.tau if at_inference else 1.0)
     return tt.matmul(probs, table)
 
 

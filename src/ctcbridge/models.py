@@ -31,7 +31,7 @@ One step loop, `_train`, with two front ends: `train_encoder_ctc`
 CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
 frozen encoder through one entry of the `CONNECTIONS` registry.  A front
 end hands the loop its parameters, rng stream, batch loss and dev loss;
-the loop owns batching, augmentation, dropout rngs, Adam, log rows and
+the loop owns batching, augmentation, dropout streams, Adam, log rows and
 divergence handling, and records each step's batch on one tape with one
 backward pass.  Dev passes run in packed chunks of the batch size.  An
 entry names what it reads from the encoder (logits, hidden states or an
@@ -65,7 +65,7 @@ from .connector import ConnectorConfig, reconstruct_full, reconstruct_topP
 from .ctc import CtcLoss, NBestList, ctc_loss
 from .lexicon import TokenSeq, Vocabulary
 from .metrics import WerReport, corpus_wer
-from .rng import CounterRng, Streams
+from .rng import CounterRng
 from .synthdata import MaskConfig, Utterance, augment
 
 
@@ -153,7 +153,7 @@ def _normals(rng: CounterRng, shapes: dict[str, tuple[tuple[int, ...], float]]
     starts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _INIT_PASS_WORDS)) + 1
     drawn = {}
     for a, b in zip([0, *starts], [*starts, len(names)]):
-        flat = Streams.of(rng.child(name) for name in names[a:b]).normals(sizes[a:b])
+        flat = rng.child(*names[a:b]).normals(sizes[a:b])
         for name, part in zip(names[a:b], np.split(flat, np.cumsum(sizes[a:b])[:-1])):
             shape, scale = shapes[name]
             drawn[name] = part.reshape(shape) * scale
@@ -178,7 +178,7 @@ def _mix_block(x: tt.Tensor, params, prefix: str, tape, causal: bool,
                lengths: Optional[Sequence[int]] = None, kv=None) -> tt.Tensor:
     """One pre-LN block over the rows of `x`; with `lengths`, a packed batch of
     segments that attend within themselves and draw dropout from their own
-    rng in `drop_rng`.  `kv` is the block's (key, value) arrays of an empty
+    stream of `drop_rng`.  `kv` is the block's (key, value) arrays of an empty
     K/V cache to fill (see `tt.attention`)."""
     h = tt.layer_norm(x, _w(params, f"{prefix}.ln1g", tape), _w(params, f"{prefix}.ln1b", tape))
     qkv = tt.matmul(h, _w(params, f"{prefix}.wqkv", tape))
@@ -288,7 +288,7 @@ class SpeechEncoder:
                 drop_rng=None) -> tuple[tt.Tensor, tt.Tensor]:
         """One packed pass over a batch of utterances' [T, F] frames: returns
         (hidden [sum T', width], logits [sum T', V+1]), each utterance's
-        T' = ceil(T/4) rows in turn.  `drop_rng` holds one rng per utterance.
+        T' = ceil(T/4) rows in turn.  `drop_rng` has one stream per utterance.
         An utterance's rows depend on its own frames only.
         """
         for f in frames:
@@ -349,7 +349,7 @@ class DecoderLM:
 
         `text_ids` holds one token sequence per utterance, `speech` their
         [S, d] prefixes (already in embedding space) stacked, with
-        `speech_lens` rows each, or None, and `drop_rng` one rng per
+        `speech_lens` rows each, or None, and `drop_rng` one stream per
         utterance.  Each utterance is its own causal sequence [speech;
         text], with positions from 0, and the logits of its text rows follow
         those of the utterance before.  The blocks are pre-LN, so the prefix
@@ -909,12 +909,12 @@ def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
     """The step loop of both stages; deterministic per cfg.seed and `stream`.
 
     Each step draws a batch, masks each utterance's frames when cfg.augment
-    is set, and records `loss_of(utts, frames, tape, drop_rngs)` on one
-    fresh tape, with one dropout rng per utterance.  It returns the batch's
-    mean loss over the utterances that gave one and their count; an
-    infeasible target gives none and is counted and skipped, and a batch
-    with no loss at all is (None, 0).  One backward pass of that mean
-    gives gradients averaged over those utterances.
+    is set, and records `loss_of(utts, frames, tape, drop_rng)` on one
+    fresh tape, where `drop_rng` has one dropout stream per utterance.  It
+    returns the batch's mean loss over the utterances that gave one and
+    their count; an infeasible target gives none and is counted and
+    skipped, and a batch with no loss at all is (None, 0).  One backward
+    pass of that mean gives gradients averaged over those utterances.
     `dev_loss(subset, tape)` is a subset's mean loss, untaped except in a
     divergence replay.  A non-finite value in a step, or in the dev pass
     after it, raises TrainingDiverged for that step: the failed work is
@@ -940,11 +940,11 @@ def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
         frames = [u.frames for u in utts]
         if cfg.augment is not None:
             frames = augment(frames, cfg.augment,
-                             [root.child(f"aug{step}.{j}") for j in range(len(frames))])
-        drop_rngs = [root.child(f"drop{step}.{j}") for j in range(len(utts))]
+                             root.child(*(f"aug{step}.{j}" for j in range(len(frames)))))
+        drop_rng = root.child(*(f"drop{step}.{j}" for j in range(len(utts))))
         opt.zero_grad()
         tape = tt.GradTape(check_ops)
-        loss, n_ok = loss_of(utts, frames, tape, drop_rngs)
+        loss, n_ok = loss_of(utts, frames, tape, drop_rng)
         log.skipped += len(utts) - n_ok
         if loss is None:
             return 0, 0.0
@@ -983,10 +983,10 @@ def _chunks(dataset: Sequence[Utterance], size: int):
 
 
 def _ctc_losses(enc: SpeechEncoder, frames: Sequence[np.ndarray], targets: Sequence[TokenSeq],
-               blank_id: int, tape=None, drop_rate: float = 0.0, drop_rngs=None) -> CtcLoss:
+               blank_id: int, tape=None, drop_rate: float = 0.0, drop_rng=None) -> CtcLoss:
     """The CTC loss of a batch, from one packed encoder pass over `frames`
     and one `ctc_loss` call over its logits."""
-    _, logits = enc.forward(frames, tape=tape, drop_rate=drop_rate, drop_rng=drop_rngs)
+    _, logits = enc.forward(frames, tape=tape, drop_rate=drop_rate, drop_rng=drop_rng)
     return ctc_loss(logits, list(targets), blank_id, [enc.out_len(f.shape[0]) for f in frames])
 
 
@@ -1007,9 +1007,9 @@ def train_encoder_ctc(enc: SpeechEncoder, train_set: Sequence[Utterance],
                       blank_id: int, start_step: int = 0) -> TrainLog:
     """CTC training; deterministic per cfg.seed.  Raises on divergence."""
 
-    def loss_of(utts, frames, tape, drop_rngs) -> tuple[Optional[tt.Tensor], int]:
+    def loss_of(utts, frames, tape, drop_rng) -> tuple[Optional[tt.Tensor], int]:
         res = _ctc_losses(enc, frames, [u.source for u in utts], blank_id, tape,
-                          cfg.dropout, drop_rngs)
+                          cfg.dropout, drop_rng)
         n_ok = len(utts) - res.losses.count(None)
         return (res.loss if n_ok else None), n_ok
 
@@ -1042,7 +1042,7 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
             cache.update(zip(todo, encoder_readout(reads, enc, list(todo.values()))))
         return [cache[u.id] for u in utts]
 
-    def loss_of(utts, frames, tape, drop_rngs) -> tuple[tt.Tensor, int]:
+    def loss_of(utts, frames, tape, drop_rng) -> tuple[tt.Tensor, int]:
         """The mean over `utts` of each one's mean next-token cross-entropy,
         from one packed decoder pass."""
         examples = [teacher_forcing_example(
@@ -1050,10 +1050,10 @@ def adapt_decoder(sys: DecoderSystem, enc: SpeechEncoder, vocab: Vocabulary,
             for u in utts]
         enc_outs = readouts(utts, frames)
         speech = conditioning(sys, enc, None, tape=tape, at_inference=False, enc_out=enc_outs)
-        # dev passes come without drop rngs and run without dropout
+        # dev passes come without a drop rng and run without dropout
         logits = sys.decoder.forward(
-            speech, [text for text, _, _ in examples], tape=tape, drop_rng=drop_rngs,
-            drop_rate=cfg.dropout if drop_rngs is not None else 0.0,
+            speech, [text for text, _, _ in examples], tape=tape, drop_rng=drop_rng,
+            drop_rate=cfg.dropout if drop_rng is not None else 0.0,
             speech_lens=None if speech is None else [len(e) for e in enc_outs])
         # an utterance's rows weigh 1 / its count, so the weights sum to len(utts)
         weights = np.concatenate([mask / mask.sum() for _, _, mask in examples])

@@ -14,12 +14,13 @@ generator, so "regenerate" and "reload" are the same operation.
 Utterance i of a split draws from its own stream, the split stream's
 `child(i)`, so it does not depend on how the split is sampled.
 `make_splits` samples a split in chunks of at most `SPLIT_CHUNK`
-utterances, one many-stream pass (`rng.Streams`) per chunk: lengths,
-walks, durations, flips and frame noise of all the chunk's utterances
-together, and the walks advance one token position at a time across
-them.  `augment` draws the masks of a whole batch in one pass.  Each
-utterance and each mask equals, byte for byte, what drawing from its own
-stream alone gives; the per-utterance forms are kept as test oracles.
+utterances, one many-stream pass per chunk from a `CounterRng` with one
+stream per utterance: lengths, walks, durations, flips and frame noise of
+all the chunk's utterances together, and the walks advance one token
+position at a time across them.  `augment` draws the masks of a whole
+batch in one pass.  Each utterance and each mask equals, byte for byte,
+what drawing from its own stream alone gives; the per-utterance forms are
+kept as test oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lexicon import TokenSeq, Vocabulary
-from .rng import CounterRng, Streams, integers_from
+from .rng import CounterRng, integers_from
 
 SPECIALS = ("<sep>", "<bos>", "<eos>", "<tsk>")
 SPLITS = ("train", "dev", "test")
@@ -235,17 +236,17 @@ def make_splits(spec: TaskSpec, n_train: int, n_dev: int, n_test: int, seed: int
     root = CounterRng(seed, stream=0xDA7A)
     out = []
     for split in names:
-        split_streams = Streams.of([root.child(split)])
+        split_rng = root.child(split)
         utts: list[Utterance] = []
         for start in range(0, sizes[split], SPLIT_CHUNK):
             idx = range(start, min(start + SPLIT_CHUNK, sizes[split]))
             utts += _sample_chunk(spec, [f"s{seed}-{split}-{i:05d}" for i in idx],
-                                  split_streams.child(*idx), translation)
+                                  split_rng.child(*idx), translation)
         out.append(utts)
     return tuple(out)
 
 
-def _sample_chunk(spec: TaskSpec, ids: Sequence[str], streams: Streams,
+def _sample_chunk(spec: TaskSpec, ids: Sequence[str], streams: CounterRng,
                   translation: Optional[dict[int, int]]) -> list[Utterance]:
     """One utterance per stream, each drawn from its stream's children
     "len", "walk", "dur", "conf" and "noise", all utterances in one pass."""
@@ -286,10 +287,11 @@ def _sample_chunk(spec: TaskSpec, ids: Sequence[str], streams: Streams,
 
 
 def augment(frames: Sequence[np.ndarray], cfg: Optional[MaskConfig],
-            rngs: Sequence[CounterRng]) -> list[np.ndarray]:
+            rng: CounterRng) -> list[np.ndarray]:
     """A batch's frames with masked spans and bands zeroed, training-time
-    only: copies, masked from the fresh stream `rngs[j]` for utterance j,
-    all masks of the batch in one draw (without cfg, the frames as given).
+    only: copies, masked from stream j of `rng` (one stream per utterance)
+    for utterance j, all masks of the batch in one draw (without cfg, the
+    frames as given).
 
     Mask m of an utterance draws two words from the utterance's child
     `t{m}` (time) or `f{m}` (feature): a span or width, then its start.
@@ -298,7 +300,7 @@ def augment(frames: Sequence[np.ndarray], cfg: Optional[MaskConfig],
         return list(frames)
     tm = cfg.time_masks
     tags = [f"t{m}" for m in range(tm)] + [f"f{m}" for m in range(cfg.freq_masks)]
-    u = Streams.of(rngs).child(*tags).uniforms(2).reshape(len(tags), len(frames), 2)
+    u = rng.child(*tags).uniforms(2).reshape(len(tags), len(frames), 2)
     t = np.array([x.shape[0] for x in frames])
     f = np.array([x.shape[1] for x in frames])
     span = integers_from(u[:tm, :, 0], 0, (cfg.time_ratio * t).astype(np.int64) + 1)

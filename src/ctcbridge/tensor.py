@@ -9,9 +9,10 @@ their outputs are float32 all the same.  Log-space code uses `LOG_ZERO` (a finit
 -inf would otherwise appear.
 
 Rows may hold a packed batch of sequences stacked one after another.  The
-two ops that treat rows as a sequence, `attention` and `dropout`, take a
-table of segment lengths and run one loop over the segments; without a
-table, the rows are one segment.
+two ops that treat rows as a sequence take a table of segment lengths;
+without a table, the rows are one segment.  `attention` runs one loop
+over the segments, and `dropout` draws every segment's mask from its own
+rng stream in one draw.
 
 Finiteness is checked at the boundaries, not inside every op.  A
 `Tensor(...)` or `Parameter(...)` built from outside data raises
@@ -308,20 +309,19 @@ def relu(a: Tensor) -> Tensor:
 
 
 def dropout(a: Tensor, rate: float, rng, lengths: Optional[Sequence[int]] = None) -> Tensor:
-    """Inverted dropout; identity when rate == 0.  With `lengths`, `rng` is a
-    sequence of CounterRngs, one per segment of that many rows, each drawing
-    its own segment's mask; without, one CounterRng for one segment."""
+    """Inverted dropout; identity when rate == 0.  `rng` is a CounterRng
+    with one stream per segment of `lengths` rows (one stream without), and
+    stream i draws segment i's mask in one draw for all segments."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return a
     a = as_tensor(a)
     segs = _segments(a.shape[0], lengths)
-    rngs = [rng] if lengths is None else rng
-    if len(rngs) != len(segs):
-        raise ValueError(f"dropout needs one rng per segment, got {len(rngs)} for {len(segs)}")
-    draws = np.concatenate([r.uniforms((stop - start) * a.shape[1])
-                            for r, (start, stop) in zip(rngs, segs)])
+    if len(rng.keys) != len(segs):
+        raise ValueError(f"dropout needs one rng stream per segment, got {len(rng.keys)} "
+                         f"for {len(segs)}")
+    draws = rng.uniforms([(stop - start) * a.shape[1] for start, stop in segs])
     keep = (draws.reshape(a.shape) >= rate).astype(a.data.dtype)
     mask = keep / _DTYPE(1.0 - rate)
     return _emit(a.tape, a.data * mask, (a.nid,), lambda g: (g * mask,))

@@ -139,6 +139,18 @@ BAD_CONFIGS = {
     "augment-key": lambda t, d: ["train-encoder", "--spec", t["spec"], "--config", _write(
         d, "train.json", dict(TRAIN, augment={"bogus": 1})), "--out", str(d / "e.ckpt")],
     "decode-tau-negative": lambda t, d: decode(t, "--decoder", t["sys"], "--tau", "-1"),
+    "adapt-blk-downscale-inf": lambda t, d: ["adapt", "--mode", "lego", "--blk-downscale", "inf",
+                                             "--encoder", t["enc"], "--spec", t["spec"],
+                                             "--out", str(d / "s.ckpt")],
+    "decode-blk-downscale-inf": lambda t, d: decode(t, "--decoder", t["sys"],
+                                                    "--blk-downscale", "inf"),
+    # tau applies at inference only: the knob that also applied it in training is gone
+    "connector-block-apply_tau_at": lambda t, d: [
+        "adapt", "--mode", "lego", "--encoder", t["enc"], "--spec", t["spec"],
+        "--out", str(d / "s.ckpt"), "--config", _write(d, "adapt.json", dict(
+            TRAIN, decoder=DECODER, connector={"apply_tau_at": "inference_only"}))],
+    "decoder-ckpt-apply_tau_at-always": lambda t, d: decode(t, "--decoder",
+                                                            _tau_always_system(t, d)),
     "grid-zero": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
                                "--spec", t["spec"], "--grid", "0"],
     "grid-text": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
@@ -179,6 +191,13 @@ def _splits(d, **sizes):
     return _write(d, "task.json", dict(TASK, splits=dict(TASK["splits"], **sizes)))
 
 
+def _tau_always_system(t, d):
+    tensors, meta = load_checkpoint(t["sys"])
+    meta["connector"]["apply_tau_at"] = "always"
+    save_checkpoint(d / "always.ckpt", tensors, meta)
+    return str(d / "always.ckpt")
+
+
 def _six_bytes(d):
     path = d / "six.ckpt"
     path.write_bytes(b"LEGO\x01\x00")
@@ -190,6 +209,21 @@ def test_bad_config_values_exit_2(tiny, capsys, tmp_path, case):
     code, out, err = run(capsys, BAD_CONFIGS[case](tiny, tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the connector cases of BAD_CONFIGS, and the field each error line names
+CONNECTOR_FIELDS = {
+    "adapt-blk-downscale-inf": "blk_downscale",
+    "decode-blk-downscale-inf": "blk_downscale",
+    "connector-block-apply_tau_at": "apply_tau_at",
+    "decoder-ckpt-apply_tau_at-always": "apply_tau_at",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONNECTOR_FIELDS))
+def test_bad_connector_field_is_named(tiny, capsys, tmp_path, case):
+    _, _, err = run(capsys, BAD_CONFIGS[case](tiny, tmp_path))
+    assert CONNECTOR_FIELDS[case] in err
 
 
 BAD_TRAIN = {
@@ -427,10 +461,11 @@ def test_parent_format_encoder_checkpoint_loads(tiny, tmp_path):
 
 
 def test_parent_format_system_checkpoint_loads(systems, tmp_path):
-    # older checkpoints repeated the mode inside the connector block and
-    # held each attention head's projections as tensors of their own
+    # older checkpoints repeated the mode inside the connector block, said
+    # where tau applies, and held each attention head's projections as
+    # tensors of their own
     tensors, meta = load_checkpoint(systems["topP"])
-    meta["connector"]["mode"] = "topP"
+    meta["connector"].update(mode="topP", apply_tau_at="inference_only")
     _per_head_layout(tensors, meta)
     assert "dec/blk0.h1.wo" in tensors and "dec/blk0.wo" not in tensors
     old = tmp_path / "old.ckpt"

@@ -48,23 +48,25 @@ def parts():
 class TestConfig:
     def test_defaults(self):
         cfg = ConnectorConfig()
-        assert cfg.tau == 1.0 and cfg.blk_downscale == 1.0
-        assert cfg.apply_tau_at == "inference_only"
+        assert cfg.tau == 1.0 and cfg.blk_downscale == 1.0 and cfg.k is None
 
     def test_validation(self):
         for bad in ({"tau": 0.0}, {"tau": float("nan")}, {"blk_downscale": 0.5},
-                    {"blk_downscale": float("nan")}, {"apply_tau_at": "never"}):
+                    {"blk_downscale": float("nan")}, {"blk_downscale": float("inf")}):
             with pytest.raises(ValueError):
                 ConnectorConfig(**bad)
         with pytest.raises(TypeError):
             ConnectorConfig(mode="full")  # modes are registry entries, not connector fields
+        with pytest.raises(TypeError):
+            ConnectorConfig(apply_tau_at="always")  # tau applies at inference only
 
-    def test_tau_held_back_during_training(self):
+    def test_tau_held_back_during_training(self, z, table):
         cfg = ConnectorConfig(tau=2.0)
-        assert cfg.effective_tau(at_inference=False) == 1.0
-        assert cfg.effective_tau(at_inference=True) == 2.0
-        always = ConnectorConfig(tau=2.0, apply_tau_at="always")
-        assert always.effective_tau(at_inference=False) == 2.0
+        plain = reconstruct_full(z, table, ConnectorConfig()).data
+        assert reconstruct_full(z, table, cfg, at_inference=False).data.tobytes() == plain.tobytes()
+        hot = tt.matmul(tt.softmax(z, tau=2.0), table).data
+        assert reconstruct_full(z, table, cfg, at_inference=True).data.tobytes() == hot.tobytes()
+        assert hot.tobytes() != plain.tobytes()
 
 
 class TestBlankDownscale:
@@ -241,9 +243,8 @@ class TestOrderOfOperations:
         base = None
         for tau in (1e-4, 0.5, 1.0, 2.0, 1e4):
             for blk in (1.0, 10.0, 1e4, 1e12):
-                cfg = ConnectorConfig(tau=tau, blk_downscale=blk)
                 zd = blank_downscale(z, blk)
-                probs = tt.softmax(zd, tau=cfg.effective_tau(True)).data
+                probs = tt.softmax(zd, tau=tau).data
                 am = np.argmax(probs[:, :V], axis=1)
                 if base is None:
                     base = am
@@ -256,9 +257,7 @@ class TestOrderOfOperations:
         cfg = ConnectorConfig(tau=tau, blk_downscale=blk)
         zd = blank_downscale(z, blk)
         expect = tt.softmax(zd, tau=tau).data
-        got = tt.softmax(blank_downscale(z, blk), tau=cfg.effective_tau(True)).data
-        np.testing.assert_allclose(got, expect)
-        # and the fused entry point agrees
+        # the fused entry point applies them in that order
         full = reconstruct_full(z, table, cfg).data
         np.testing.assert_allclose(full, expect @ table.data.astype(np.float64), atol=1e-5)
 

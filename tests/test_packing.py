@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import packing_oracles as oracle
+import rng_oracles
 from ctcbridge import cli
 from ctcbridge import models as md
 from ctcbridge import tensor as tt
@@ -113,13 +114,29 @@ class TestSegmentedAttention:
 
     def test_dropout_draws_each_segment_from_its_own_rng(self):
         x = tt.Tensor(np.ones((5, 4)))
-        packed = tt.dropout(x, 0.5, [CounterRng(1), CounterRng(2)], [2, 3]).data
+        packed = tt.dropout(x, 0.5, CounterRng(1).child(0, 1), [2, 3]).data
         assert packed[:2].tobytes() == tt.dropout(tt.Tensor(np.ones((2, 4))), 0.5,
-                                                  CounterRng(1)).data.tobytes()
+                                                  CounterRng(1).child(0)).data.tobytes()
         assert packed[2:].tobytes() == tt.dropout(tt.Tensor(np.ones((3, 4))), 0.5,
-                                                  CounterRng(2)).data.tobytes()
-        with pytest.raises(ValueError, match="one rng per segment"):
-            tt.dropout(x, 0.5, [CounterRng(1)], [2, 3])
+                                                  CounterRng(1).child(1)).data.tobytes()
+        with pytest.raises(ValueError, match="one rng stream per segment"):
+            tt.dropout(x, 0.5, CounterRng(1), [2, 3])
+
+    @given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+           width=st.integers(1, 5), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_dropout_twice_equals_per_segment_oracle_masks(self, lengths, width, seed):
+        # a block drops out twice with one generator: each segment's second
+        # mask continues its own stream where the first stopped
+        rate = 0.3
+        rng = CounterRng(seed).child(*range(len(lengths)))
+        x = tt.Tensor(np.ones((sum(lengths), width)))
+        streams = [rng_oracles.CounterRng(seed).child(i) for i in range(len(lengths))]
+        for _ in range(2):
+            got = tt.dropout(x, rate, rng, lengths).data
+            u = np.concatenate([r.uniforms(n * width) for r, n in zip(streams, lengths)])
+            want = (u.reshape(got.shape) >= rate).astype(got.dtype) / got.dtype.type(1.0 - rate)
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcbridge.rng import CounterRng, Streams, fnv1a64
+from ctcbridge.rng import CounterRng, fnv1a64
 from ctcbridge.synthdata import (
     SPLIT_CHUNK,
     MaskConfig,
@@ -88,10 +88,10 @@ class TestRngMatchesOracle:
     @settings(max_examples=200, deadline=None)
     def test_keys_and_words_equal(self, seed, stream, tags, n):
         new, old = CounterRng(seed, stream), oracle.CounterRng(seed, stream)
-        assert new._key == int(old._key)
+        assert new.keys[0] == int(old._key)
         for tag in tags:
             new, old = new.child(tag), old.child(tag)
-            assert new._key == int(old._key)
+            assert new.keys[0] == int(old._key)
             if isinstance(tag, str):
                 assert fnv1a64(tag) == oracle.fnv1a64(tag)
         np.testing.assert_array_equal(new.raw(n), old.raw(n))
@@ -102,14 +102,15 @@ class TestRngMatchesOracle:
     def test_non_ascii_tags(self):
         for tag in ("é", "日本語", "🎲x", "\x00"):
             assert fnv1a64(tag) == oracle.fnv1a64(tag)
-            assert CounterRng(7).child(tag)._key == int(oracle.CounterRng(7).child(tag)._key)
+            assert CounterRng(7).child(tag).keys[0] == int(oracle.CounterRng(7).child(tag)._key)
 
 
 tags = st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=8))
 
 
 class TestStreams:
-    """Many streams drawn in one pass against each stream's own draws."""
+    """Many streams drawn in one pass against each stream's draws from the
+    independent one-stream oracle."""
 
     @given(seed=st.integers(0, 2**64 - 1),
            streams=st.lists(st.tuples(tags, st.integers(0, 9)), max_size=6),
@@ -117,33 +118,58 @@ class TestStreams:
            child_tags=st.lists(tags, min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_each_stream_equals_its_own_draws(self, seed, streams, lo, width, child_tags):
-        root = CounterRng(seed, stream=0x51)
-        many = Streams.of(root.child(tag) for tag, _ in streams)
+        root, old_root = CounterRng(seed, stream=0x51), oracle.CounterRng(seed, stream=0x51)
+        names = [tag for tag, _ in streams]
         counts = [n for _, n in streams]
 
         def each(draw):
-            """Every stream's own draw from a fresh `root.child(tag)`, concatenated."""
-            parts = [draw(root.child(tag), n) for tag, n in streams]
+            """Every stream's own draw from a fresh oracle `child(tag)`, concatenated."""
+            parts = [draw(old_root.child(tag), n) for tag, n in streams]
             return np.concatenate(parts) if parts else np.zeros(0)
 
+        # a fresh generator for each draw kind, as a draw advances its streams
         for name in ("raw", "uniforms", "normals"):
             want = each(lambda r, n: getattr(r, name)(n))
-            assert getattr(many, name)(counts).tobytes() == want.tobytes(), name
+            assert getattr(root.child(*names), name)(counts).tobytes() == want.tobytes(), name
         want = each(lambda r, n: r.integers(lo, lo + width, n))
-        assert many.integers(lo, lo + width, counts).tobytes() == want.astype(np.int64).tobytes()
+        got = root.child(*names).integers(lo, lo + width, counts)
+        assert got.tobytes() == want.astype(np.int64).tobytes()
         # one count for every stream, and each stream's children, tag by tag
         want = [each(lambda r, n: r.child(t).normals(3)) for t in child_tags]
-        assert many.child(*child_tags).normals(3).tobytes() == np.concatenate(want).tobytes()
+        got = root.child(*names).child(*child_tags).normals(3)
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
-    def test_a_stream_that_has_drawn_is_refused(self):
-        rng = CounterRng(1).child("a")
-        rng.raw(1)
-        with pytest.raises(ValueError, match="drawn nothing"):
-            Streams.of([rng])
+    @given(seed=st.integers(0, 2**64 - 1), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_streams_that_have_drawn_continue_like_the_oracle(self, seed, data):
+        # streams that have drawn unequal amounts, then a mixed run of draws
+        drawn = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True))
+        s = len(drawn)
+        counts = st.lists(st.integers(0, 9), min_size=s, max_size=s)
+        odd = st.lists(st.integers(0, 4).map(lambda k: 2 * k + 1), min_size=s, max_size=s)
+        steps = [("raw", counts), ("normals", odd), ("uniforms", counts),
+                 ("integers", counts), ("normals", counts), ("raw", counts)]
+        many = CounterRng(seed, stream=0x51).child(*range(s))
+        old = [oracle.CounterRng(seed, stream=0x51).child(i) for i in range(s)]
+        many.raw(drawn)
+        for r, n in zip(old, drawn):
+            r.raw(n)
+        for kind, strategy in steps:
+            ns = data.draw(strategy)
+            args = (-2, 5) if kind == "integers" else ()
+            want = np.concatenate([getattr(r, kind)(*args, n) for r, n in zip(old, ns)])
+            assert getattr(many, kind)(*args, ns).tobytes() == want.tobytes(), kind
+
+    def test_a_stream_that_has_drawn_continues(self):
+        # each stream's draws in turn equal its one longer draw
+        rng = CounterRng(1).child("a", "b")
+        rng.raw([1, 2])
+        whole = CounterRng(1).child("a", "b").raw([4, 5])
+        assert rng.raw(3).tobytes() == np.concatenate([whole[1:4], whole[6:9]]).tobytes()
 
     def test_empty_range_is_refused(self):
         with pytest.raises(ValueError, match="empty range"):
-            Streams.of([CounterRng(1), CounterRng(2)]).integers(3, 3, 0)
+            CounterRng(1).child(1, 2).integers(3, 3, 0)
 
 
 class TestVocabularyLayout:
@@ -175,7 +201,7 @@ class TestVocabularyLayout:
 
 def sample(spec, i, seed=5):
     """The utterance of stream `CounterRng(seed).child(i)`."""
-    return _sample_chunk(spec, ["u"], Streams.of([CounterRng(seed).child(i)]), None)[0]
+    return _sample_chunk(spec, ["u"], CounterRng(seed).child(i), None)[0]
 
 
 class TestSampling:
@@ -251,7 +277,7 @@ class TestSamplingMatchesOracle:
     def test_byte_equal(self, bundle, seed, idx):
         spec, translation = bundle.spec, bundle.translation
         chunk = _sample_chunk(spec, ["u"] * len(idx),
-                              Streams.of(CounterRng(seed).child(i) for i in idx), translation)
+                              CounterRng(seed).child(*idx), translation)
         for i, got in zip(idx, chunk):
             want = oracle.sample_utterance(spec, "u", oracle.CounterRng(seed).child(i),
                                            translation)
@@ -347,7 +373,7 @@ class TestSplits:
 
 
 def augment_one(x, cfg, rng):
-    return augment([x], cfg, [rng])[0]
+    return augment([x], cfg, rng)[0]
 
 
 class TestAugment:
@@ -396,7 +422,7 @@ class TestAugment:
         frames = [CounterRng(7).child(j).normals(t * f).reshape(t, f).astype(np.float32)
                   for j, (t, f) in enumerate(shapes)]
         root = CounterRng(3, stream=0x7E)
-        got = augment(frames, cfg, [root.child(f"aug{step}.{j}") for j in range(len(frames))])
+        got = augment(frames, cfg, root.child(*(f"aug{step}.{j}" for j in range(len(frames)))))
         for j, (x, g) in enumerate(zip(frames, got)):
             want = per_utt.augment(x, cfg, root.child(f"aug{step}.{j}"))
             assert g.dtype == want.dtype and g.shape == want.shape
