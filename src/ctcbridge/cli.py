@@ -395,16 +395,35 @@ def _check_compatible(sys_: DecoderSystem, enc: SpeechEncoder,
 # evaluation plumbing shared by decode-eval / sweep / swap
 
 
-def posteriorgrams(enc: SpeechEncoder, dataset: Sequence[Utterance]) -> Iterator[Posteriorgram]:
-    """The CTC posteriorgrams of `dataset`, one zero-padded batch per packed
-    encoder pass of at most `INFERENCE_BATCH` utterances.  The softmax is
-    row-wise, so it runs once over a pass's packed logits."""
+# utterances per CTC beam search: the posteriorgrams of up to
+# SEARCH_BATCH // INFERENCE_BATCH encoder passes share one frame loop,
+# whose numpy dispatch per frame is mostly fixed cost.  Searching the bench
+# task's 160 test utterances (33 output slots, up to 23 frames) at beam 10
+# peaks at 1.8 MB of Python heap in searches of 64, half of it the prefix
+# trie (about 5,100 nodes), against 0.5 MB in searches of 16 and 4.3 MB in
+# one search of all 160.
+SEARCH_BATCH = 64
+
+
+def _pass_rows(enc: SpeechEncoder, dataset: Sequence[Utterance]) -> Iterator[np.ndarray]:
+    """Each utterance's posteriorgram rows, from packed encoder passes of at
+    most `INFERENCE_BATCH` utterances.  The softmax is row-wise, so it runs
+    once over a pass's packed logits."""
     for lo in range(0, len(dataset), INFERENCE_BATCH):
-        chunk = [utt.frames for utt in dataset[lo:lo + INFERENCE_BATCH]]
-        logits = encoder_readout("logits", enc, chunk)
+        logits = encoder_readout("logits", enc,
+                                 [utt.frames for utt in dataset[lo:lo + INFERENCE_BATCH]])
         probs = tt.softmax(tt._unchecked(np.concatenate(logits))).data
         tt._finite(probs, "the posteriorgram")
-        yield Posteriorgram.pack(np.split(probs, np.cumsum([len(x) for x in logits])[:-1]))
+        yield from np.split(probs, np.cumsum([len(x) for x in logits])[:-1])
+
+
+def posteriorgrams(enc: SpeechEncoder, dataset: Sequence[Utterance],
+                   batch: int = INFERENCE_BATCH) -> Iterator[Posteriorgram]:
+    """The CTC posteriorgrams of `dataset`, one zero-padded batch for each
+    `batch` utterances in turn, read from packed encoder passes of at most
+    `INFERENCE_BATCH` of them."""
+    for lo in range(0, len(dataset), batch):
+        yield Posteriorgram.pack(list(_pass_rows(enc, dataset[lo:lo + batch])))
 
 
 def eval_ctc_beam(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
@@ -420,8 +439,11 @@ def eval_ctc_greedy(enc: SpeechEncoder, dataset: Sequence[Utterance]):
 
 def build_aec_cache(enc: SpeechEncoder, dataset: Sequence[Utterance], beam: int,
                     n: int) -> dict[str, NBestList]:
-    """Each utterance's n-best list from CTC prefix beam search, by utterance id."""
-    lists = [nb for p in posteriorgrams(enc, dataset) for nb in beam_search(p, beam=beam, n=n)]
+    """Each utterance's n-best list from CTC prefix beam search, by utterance
+    id: one search per `SEARCH_BATCH` utterances, which gives the lists a
+    search of each utterance alone would."""
+    lists = [nb for p in posteriorgrams(enc, dataset, SEARCH_BATCH)
+             for nb in beam_search(p, beam=beam, n=n)]
     return {utt.id: nb for utt, nb in zip(dataset, lists)}
 
 

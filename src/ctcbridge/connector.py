@@ -34,8 +34,8 @@ class ConnectorConfig:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if not self.tau > 0:  # also rejects NaN
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:  # also rejects NaN
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 1.0 <= self.blk_downscale < math.inf:  # also rejects NaN
             raise ValueError(f"blk_downscale must be finite and >= 1, got {self.blk_downscale}")
 

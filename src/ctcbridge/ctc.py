@@ -20,7 +20,11 @@ whose Python work grows with the prefixes it creates, not with utterances
 x beam x V.  Its n-best lists are ranked by `(-score, prefix)`, exact ties
 at the beam's cut keep the smallest prefixes, and they depend neither on
 accumulation order nor on which utterances share a batch.  Scores carry
-no length normalisation.
+no length normalisation.  A search of B utterances holds their float64 log
+posteriors, `[B, T_max, V+1]`, for the whole frame loop, a few per-frame
+`[a, beam, V+1]` candidate arrays for the `a` utterances still running,
+and a prefix trie of at most one node per utterance, frame and beam slot,
+each node a tuple of its tokens.
 """
 
 from __future__ import annotations
@@ -239,7 +243,8 @@ def beam_search(p: Posteriorgram, beam: int, n: int) -> list[NBestList]:
         raise ValueError("need beam >= n >= 1")
     order = np.argsort([-t for t in p.lengths], kind="stable")
     lengths = [p.lengths[b] for b in order]
-    logp = np.log(np.maximum(np.asarray(p.probs, dtype=np.float64)[order], _LOG_PROB_FLOOR))
+    logp = np.maximum(p.probs[order], _LOG_PROB_FLOOR, dtype=np.float64)
+    np.log(logp, out=logp)
     v = p.width - 1
     rows = len(order)
 

@@ -271,18 +271,20 @@ class SpeechEncoder:
         zero-padded by one row at both of its ends: T rows give ceil(T/2)."""
         zero = tt._unchecked(np.zeros((1, x.shape[1]), dtype=x.data.dtype))
         padded = tt.concat_rows([zero, x])
-        rows, start = [], 0
-        for t in lengths:
-            # rows of [0; segment; 0] under each window, 0 for the padding
-            taps = np.arange((t + 1) // 2)[:, None] * 2 + np.arange(3)
-            rows.append(np.where((taps == 0) | (taps > t), 0, taps + start))
-            start += t
-        outs = [(t + 1) // 2 for t in lengths]
-        windows = tt.reshape(tt.gather_rows(padded, np.concatenate(rows).reshape(-1)),
-                             (sum(outs), 3 * x.shape[1]))
+        t = np.asarray(lengths)
+        outs = (t + 1) // 2
+        ends = np.cumsum(outs)
+        # window w of a segment starting at row s of `x` covers rows 2w..2w+2
+        # of [0; segment; 0]: tap i is row s + i of `padded`, or 0 (the zero
+        # row) for the padding at i = 0 and i > T
+        taps = 2 * (np.arange(ends[-1]) - np.repeat(ends - outs, outs))[:, None] + np.arange(3)
+        rows = np.where((taps == 0) | (taps > np.repeat(t, outs)[:, None]), 0,
+                        taps + np.repeat(np.cumsum(t) - t, outs)[:, None])
+        windows = tt.reshape(tt.gather_rows(padded, rows.reshape(-1)),
+                             (int(ends[-1]), 3 * x.shape[1]))
         y = tt.add(tt.matmul(windows, _w(self.params, f"{prefix}.w", tape)),
                    _w(self.params, f"{prefix}.b", tape))
-        return tt.relu(y), outs
+        return tt.relu(y), outs.tolist()
 
     def forward(self, frames: Sequence[np.ndarray], tape=None, drop_rate: float = 0.0,
                 drop_rng=None) -> tuple[tt.Tensor, tt.Tensor]:
@@ -670,8 +672,8 @@ def check_system(sys: DecoderSystem, enc_cfg: EncoderConfig) -> None:
 # utterances per untaped inference pass (a generation prefill, a CTC
 # decode's posteriorgrams), which bounds the pass's float64 temporaries:
 # about 1.3 MB for 16 bench utterances, against 3.7 MB for 48 in one pass.
-# A CTC beam search takes one pass's posteriorgrams as its batch, so this
-# also bounds the search's per-frame candidate arrays and its prefix trie.
+# A CTC beam search packs several passes' posteriorgrams into one batch
+# (`cli.SEARCH_BATCH`), so this does not bound the search.
 INFERENCE_BATCH = 16
 
 

@@ -11,6 +11,9 @@ passes, and read the frozen encoder one utterance at a time.
 `posteriorgram` is `cli._posteriorgram`, which decoding with the encoder
 alone called once per utterance before its passes were packed; it gives
 the utterance's [T, V+1] probability rows.
+`conv_rows` is the per-segment loop with which the packed
+`SpeechEncoder._conv` built its gather rows before it built them for all
+segments at once.
 
 The blocks are `models._mix_block` without a segment table, which the
 per-head oracle in `block_oracles` covers.
@@ -29,6 +32,18 @@ from ctcbridge.models import (Adam, TrainingDiverged, TrainLog, _mix_block, _w, 
 from ctcbridge.rng import CounterRng
 from ctc_oracles import fused_ctc_loss
 from utterance_oracles import augment
+
+
+def conv_rows(lengths: Sequence[int]) -> np.ndarray:
+    """The rows of `[0; x]` under every width-3, stride-2 window of each
+    segment of `lengths` rows of x, zero-padded at both of its ends."""
+    rows, start = [], 0
+    for t in lengths:
+        # rows of [0; segment; 0] under each window, 0 for the padding
+        taps = np.arange((t + 1) // 2)[:, None] * 2 + np.arange(3)
+        rows.append(np.where((taps == 0) | (taps > t), 0, taps + start))
+        start += t
+    return np.concatenate(rows).reshape(-1)
 
 
 def _conv(enc, x: tt.Tensor, prefix: str, tape) -> tt.Tensor:

@@ -149,8 +149,16 @@ BAD_CONFIGS = {
         "adapt", "--mode", "lego", "--encoder", t["enc"], "--spec", t["spec"],
         "--out", str(d / "s.ckpt"), "--config", _write(d, "adapt.json", dict(
             TRAIN, decoder=DECODER, connector={"apply_tau_at": "inference_only"}))],
-    "decoder-ckpt-apply_tau_at-always": lambda t, d: decode(t, "--decoder",
-                                                            _tau_always_system(t, d)),
+    "decoder-ckpt-apply_tau_at-always": lambda t, d: decode(
+        t, "--decoder", _system_with(t, d, apply_tau_at="always")),
+    # an infinite tau would be written into JSON results as Infinity
+    "adapt-tau-inf": lambda t, d: ["adapt", "--mode", "lego", "--tau", "inf", "--encoder",
+                                   t["enc"], "--spec", t["spec"], "--out", str(d / "s.ckpt")],
+    "decode-tau-inf": lambda t, d: decode(t, "--decoder", t["sys"], "--tau", "inf"),
+    "grid-inf": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
+                              "--spec", t["spec"], "--grid", "1,inf"],
+    "decoder-ckpt-tau-inf": lambda t, d: decode(t, "--decoder",
+                                                _system_with(t, d, tau=float("inf"))),
     "grid-zero": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
                                "--spec", t["spec"], "--grid", "0"],
     "grid-text": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
@@ -191,11 +199,12 @@ def _splits(d, **sizes):
     return _write(d, "task.json", dict(TASK, splits=dict(TASK["splits"], **sizes)))
 
 
-def _tau_always_system(t, d):
+def _system_with(t, d, **connector):
+    """The tiny lego system, its checkpoint's connector fields replaced."""
     tensors, meta = load_checkpoint(t["sys"])
-    meta["connector"]["apply_tau_at"] = "always"
-    save_checkpoint(d / "always.ckpt", tensors, meta)
-    return str(d / "always.ckpt")
+    meta["connector"].update(connector)
+    save_checkpoint(d / "system.ckpt", tensors, meta)
+    return str(d / "system.ckpt")
 
 
 def _six_bytes(d):
@@ -211,12 +220,16 @@ def test_bad_config_values_exit_2(tiny, capsys, tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# the connector cases of BAD_CONFIGS, and the field each error line names
+# the connector cases of BAD_CONFIGS, and the words of each error line that name the field
 CONNECTOR_FIELDS = {
     "adapt-blk-downscale-inf": "blk_downscale",
     "decode-blk-downscale-inf": "blk_downscale",
     "connector-block-apply_tau_at": "apply_tau_at",
     "decoder-ckpt-apply_tau_at-always": "apply_tau_at",
+    "adapt-tau-inf": "tau must be",
+    "decode-tau-inf": "tau must be",
+    "grid-inf": "tau must be",
+    "decoder-ckpt-tau-inf": "tau must be",
 }
 
 

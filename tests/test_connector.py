@@ -51,7 +51,8 @@ class TestConfig:
         assert cfg.tau == 1.0 and cfg.blk_downscale == 1.0 and cfg.k is None
 
     def test_validation(self):
-        for bad in ({"tau": 0.0}, {"tau": float("nan")}, {"blk_downscale": 0.5},
+        for bad in ({"tau": 0.0}, {"tau": float("nan")}, {"tau": float("inf")},
+                    {"blk_downscale": 0.5},
                     {"blk_downscale": float("nan")}, {"blk_downscale": float("inf")}):
             with pytest.raises(ValueError):
                 ConnectorConfig(**bad)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcbridge import tensor as tt
 from ctcbridge.ctc import (
@@ -463,6 +465,33 @@ class TestBeamSearchMatchesReference:
         for beam, n in ((1, 1), (2, 2), (3, 1), (5, 5), (10, 3)):
             want = [beam_search_reference(g, beam=beam, n=n) for g in grams]
             assert_same_lists(beam_search(p, beam=beam, n=n), want, (beam, n))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_search_batches_do_not_change_the_lists(self, data):
+        """Peaky and flat utterances, split into random batches in random
+        order: each list is its batch-of-one search's and the reference's.
+        Flat (uniform) rows tie at the beam's cut in every frame."""
+        v = data.draw(st.sampled_from((1, 2, 3, 5)), label="v")
+        kinds = data.draw(st.lists(st.sampled_from(("peaky", "uniform", "softmax", "mixed")),
+                                   min_size=1, max_size=12), label="kinds")
+        lengths = data.draw(st.lists(st.integers(0, 12), min_size=len(kinds),
+                                     max_size=len(kinds)), label="lengths")
+        rng = CounterRng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        grams = [posterior_rows(k, t, v, rng.child(i))
+                 for i, (k, t) in enumerate(zip(kinds, lengths))]
+        order = data.draw(st.permutations(range(len(grams))), label="order")
+        cuts = data.draw(st.sets(st.integers(1, len(grams) - 1)) if len(grams) > 1
+                         else st.just(set()), label="cuts")
+        beam, n = data.draw(st.sampled_from(((1, 1), (2, 2), (3, 1), (4, 3))), label="beam, n")
+        got = [None] * len(grams)
+        for part in np.split(np.asarray(order), sorted(cuts)):
+            p = Posteriorgram.pack([grams[i] for i in part])
+            for i, nb in zip(part.tolist(), beam_search(p, beam=beam, n=n)):
+                got[i] = nb
+        assert got == [beam_search(one(g), beam=beam, n=n)[0] for g in grams]
+        assert_same_lists(got, [beam_search_reference(g, beam=beam, n=n) for g in grams],
+                          (kinds, lengths, order, cuts))
 
     def test_batch_of_one_equals_its_row_in_a_batch(self):
         grams = mixed_batch(5)

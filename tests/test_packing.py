@@ -11,6 +11,7 @@ largest magnitude; the worst case measured over these tests is 1.6e-7.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestPackedPasses:
         for packed, ref in ((hidden, [h for h, _ in refs]), (logits, [z for _, z in refs])):
             assert np.abs(packed.data - np.concatenate([r.data for r in ref])).max() <= 1e-10
 
+    @given(lengths=st.lists(st.integers(1, 60), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_conv_gathers_the_rows_of_the_per_segment_loop(self, task, lengths):
+        enc = encoder(task[0])
+        x = tt.Tensor(normals(30, sum(lengths), 8))
+        with mock.patch.object(tt, "gather_rows", wraps=tt.gather_rows) as gather:
+            y, outs = enc._conv(x, lengths, "conv1", None)
+        (_, rows), _ = gather.call_args
+        want = oracle.conv_rows(lengths)
+        assert (rows.dtype, rows.tobytes()) == (want.dtype, want.tobytes())
+        assert outs == [(t + 1) // 2 for t in lengths] and y.shape[0] == sum(outs)
+
     @given(shape=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1,
                           max_size=4), with_speech=st.booleans())
     @settings(max_examples=25, deadline=None)
@@ -210,8 +223,9 @@ class TestPackedPasses:
 
 class TestPackedPosteriorgrams:
     """Decoding with the encoder alone reads posteriorgrams from packed
-    passes of at most `INFERENCE_BATCH` utterances; the one-utterance passes
-    gave the same bytes."""
+    passes of at most `INFERENCE_BATCH` utterances, which one beam search
+    takes up to `cli.SEARCH_BATCH` at a time; the one-utterance passes gave
+    the same bytes."""
 
     @pytest.fixture(scope="class")
     def utts(self, task):
@@ -246,16 +260,32 @@ class TestPackedPosteriorgrams:
         assert [h for p in posteriorgrams(trained, utts) for h in greedy_decode(p)] == hyps
         assert eval_ctc_greedy(trained, utts) == corpus_wer([u.source for u in utts], hyps)
 
-    def test_the_search_gets_at_most_one_pass_of_utterances(self, trained, utts, monkeypatch):
-        searched = []
+    @pytest.mark.parametrize("search_batch", [cli.SEARCH_BATCH, 24])
+    def test_each_utterance_is_searched_once_in_bounded_batches(self, trained, utts,
+                                                                monkeypatch, search_batch):
+        # 24 is no multiple of INFERENCE_BATCH: a pass ends where its search batch does
+        passes, searched = [], []
+        forward = md.SpeechEncoder.forward
+
+        def count_pass(self, frames, *args, **kwargs):
+            passes.append(len(frames))
+            return forward(self, frames, *args, **kwargs)
 
         def spy(p, *args, **kwargs):
-            searched.append(len(p.lengths))
+            searched.append(p)
             return beam_search(p, *args, **kwargs)
 
+        monkeypatch.setattr(md.SpeechEncoder, "forward", count_pass)
         monkeypatch.setattr(cli, "beam_search", spy)
+        monkeypatch.setattr(cli, "SEARCH_BATCH", search_batch)
         build_aec_cache(trained, utts, beam=2, n=1)
-        assert max(searched) <= md.INFERENCE_BATCH and sum(searched) == len(utts)
+        assert max(passes) <= md.INFERENCE_BATCH and sum(passes) == len(utts)
+        sizes = [len(p.lengths) for p in searched]
+        assert sizes == [min(search_batch, len(utts) - lo)
+                         for lo in range(0, len(utts), search_batch)]
+        # each utterance's rows reach the search once, in dataset order
+        assert [p.probs[b, :t].tobytes() for p in searched for b, t in enumerate(p.lengths)] == [
+            oracle.posteriorgram(trained, u).tobytes() for u in utts]
 
 
 # ---------------------------------------------------------------------------
