@@ -38,6 +38,9 @@ class ConnectorConfig:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 1.0 <= self.blk_downscale < math.inf:  # also rejects NaN
             raise ValueError(f"blk_downscale must be finite and >= 1, got {self.blk_downscale}")
+        k = self.k  # an int flag or JSON value; bool is an int subclass
+        if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
+            raise ValueError(f"k must be None or an int >= 1, got {k!r}")
 
 
 def blank_downscale(logits: tt.Tensor, factor: float) -> tt.Tensor:

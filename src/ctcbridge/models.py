@@ -15,7 +15,9 @@ utterances' rows stacked as [sum T, d] with a table of their lengths, so a
 batch is one pass of each op.  Row-wise ops need no table; attention and
 dropout take it, and each utterance is its own sequence (its own conv
 padding, attention block and positions), so a packed pass gives each
-utterance what a pass of it alone would give.
+utterance what a pass of it alone would give: the same bytes untaped, and
+within float32 rounding on a tape, whose matmuls multiply in float32
+(see `tensor`).
 
 Greedy generation is batched and cached: `generate` decodes a batch of
 utterances in one call.  One packed pass over a chunk of their [speech;
@@ -291,7 +293,8 @@ class SpeechEncoder:
         """One packed pass over a batch of utterances' [T, F] frames: returns
         (hidden [sum T', width], logits [sum T', V+1]), each utterance's
         T' = ceil(T/4) rows in turn.  `drop_rng` has one stream per utterance.
-        An utterance's rows depend on its own frames only.
+        An utterance's rows depend on its own frames only: bytewise for an
+        untaped pass, within float32 rounding for a taped one.
         """
         for f in frames:
             if f.ndim != 2 or f.shape[1] != self.cfg.feat_dim:
@@ -415,10 +418,10 @@ class DecoderLM:
         """Feed token ids[b] to sequence b of `cache`, which a `forward`
         pass filled, and return the next-token logits [B, V] of every
         sequence.  One row per sequence, untaped, on raw arrays and the
-        weights the cache carries: the arithmetic of the tape ops in a
-        `forward` pass, with their float64 insides and their rounding to
-        the storage dtype after each layer norm, matmul and attention, so
-        the logits are the bytes such a pass would give."""
+        weights the cache carries: the arithmetic of the tape ops in an
+        untaped `forward` pass, with their float64 insides and their
+        rounding to the storage dtype after each layer norm, matmul and
+        attention, so the logits are the bytes such a pass would give."""
         ids, filled = np.asarray(ids, dtype=np.intp), cache.filled
         if ids.shape != filled.shape:
             raise ValueError(f"the cache holds {filled.size} sequences, got {ids.size} ids")
@@ -586,7 +589,7 @@ class Connection:
     blk_downscale: Optional[float] = None  # pinned over the connector's value
 
     def check_k(self, conn: ConnectorConfig, out_slots: int) -> None:
-        if self.needs_k and not (isinstance(conn.k, int) and 1 <= conn.k <= out_slots):
+        if self.needs_k and (conn.k is None or conn.k > out_slots):  # the config checks k >= 1
             raise ValueError(f"k must lie in [1, {out_slots}] for this mode, got {conn.k}")
 
 
@@ -922,8 +925,11 @@ def _train(params: dict[str, tt.Parameter], train_set: Sequence[Utterance],
     after it, raises TrainingDiverged for that step: the failed work is
     replayed on tapes that check every op, which names the op that first
     produced a non-finite value.  Batches, masks and dropout come from
-    step-keyed rng children and dev passes draw none, so the replay computes
-    the same values.  numpy's floating-point warnings are off for the whole
+    step-keyed rng children, so a replayed step recomputes its values
+    exactly.  A dev pass draws none, but its replay runs on a checking
+    tape, so its matmuls multiply in float32, not in the untaped pass's
+    float64 (see `tensor`): it names the first op whose float32 output is
+    non-finite.  numpy's floating-point warnings are off for the whole
     loop: those checks report a non-finite value instead.
     """
     if not train_set:

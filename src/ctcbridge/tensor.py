@@ -1,12 +1,21 @@
 """Dense tensors with a recorded-operation reverse-mode gradient tape.
 
-Storage is 32-bit, row-major, contiguous.  Reductions (matmul, attention,
-softmax and cross-entropy normalisers, layer-norm statistics) accumulate
-in 64-bit before rounding back, which keeps them accurate without doubling
-memory.  A constant (untaped) Tensor may hold float64 data, such as a
-weight that many passes read: the 64-bit ops read it without a cast, and
-their outputs are float32 all the same.  Log-space code uses `LOG_ZERO` (a finite sentinel) where a true
--inf would otherwise appear.
+Storage is 32-bit, row-major, contiguous.  Reductions (attention, softmax
+and cross-entropy normalisers, layer-norm statistics, and untaped matmul)
+accumulate in 64-bit before rounding back, which keeps them accurate
+without doubling memory.  A taped matmul -- the forward and both gradient
+products of a training step, most of its arithmetic -- multiplies in
+float32 instead: float32 master weights, a float32 GEMM and the wide
+reductions kept wide, as in mixed-precision training (Micikevicius et
+al., 2018, "Mixed Precision Training").  Untaped passes keep float64
+for batch-invariant inference: a float32 GEMM's result depends on how
+many rows it multiplies, so a packed pass would change the bytes of an
+utterance's rows, while float64's row-count-dependent bits are the ones
+the rounding to float32 drops.  A constant (untaped) Tensor may
+hold float64 data, such as a weight that many passes read: the 64-bit ops
+read it without a cast, and their outputs are float32 all the same.
+Log-space code uses `LOG_ZERO` (a finite sentinel) where a true -inf
+would otherwise appear.
 
 Rows may hold a packed batch of sequences stacked one after another.  The
 two ops that treat rows as a sequence take a table of segment lengths;
@@ -265,33 +274,35 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in float64, rounded to the storage dtype: the forward
-    arithmetic of `matmul`, which `DecoderLM.step` shares."""
+    """a @ b in float64, rounded to the storage dtype: the untaped
+    arithmetic of `matmul`, which `DecoderLM.step` shares.  An output row's
+    bytes do not depend on the other rows `a` holds (see the module
+    docstring)."""
     return (_f64(a) @ _f64(b)).astype(_DTYPE, copy=False)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.  Untaped, in float64 (`_matmul_rows`); on a tape, the forward
+    and both gradient products multiply in the storage dtype."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul needs [n,k]@[k,m], got {a.shape} @ {b.shape}")
     tape = _tape_of(a, b)
-    out = _matmul_rows(a.data, b.data)
     if tape is None:
-        return _emit(None, out)
+        return _emit(None, _matmul_rows(a.data, b.data))
     pa = a.nid if a.tape is not None else None
     pb = b.nid if b.tape is not None else None
     ad, bd = a.data, b.data
 
     def bwd(g):
-        g64 = _f64(g)
         res = []
         if pa is not None:
-            res.append((g64 @ _f64(bd).T).astype(g.dtype))
+            res.append(g @ bd.T)
         if pb is not None:
-            res.append((_f64(ad).T @ g64).astype(g.dtype))
+            res.append(ad.T @ g)
         return tuple(res)
 
-    return _emit(tape, out, tuple(p for p in (pa, pb) if p is not None), bwd)
+    return _emit(tape, ad @ bd, tuple(p for p in (pa, pb) if p is not None), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -2,9 +2,11 @@
 
 `neg`, `mul`, `reduce_sum` and `mean` are plain tape ops the package has
 no use for (`mean` averaged a batch's per-utterance CTC losses before the
-loss took a whole batch), `causal_mask` is the additive mask of the
-per-head attention oracle in `block_oracles`, and `params_digest`
-fingerprints a set of parameters.  The log-space ops (`shift`,
+loss took a whole batch), `matmul64` is `tt.matmul` with its taped
+products in float64 too (the oracle its float32 ones are bounded
+against), `causal_mask` is the additive mask of the per-head attention
+oracle in `block_oracles`, and `params_digest` fingerprints a set of
+parameters.  The log-space ops (`shift`,
 `gather_flat`, `logaddexp`, `logsumexp`, `log_softmax`) are the building
 blocks of `ctc_oracles.ctc_loss_reference`, the tape-built CTC recursion
 that the fused CTC losses are checked against.
@@ -80,6 +82,31 @@ def mul(a: Tensor, b) -> Tensor:
         return tuple(res)
 
     return _emit(tape, ad * bd, tuple(p for p in (pa, pb) if p is not None), bwd)
+
+
+def matmul64(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b with the forward and both gradient products in float64, each
+    rounded to the storage dtype: the arithmetic of an untaped `tt.matmul`,
+    on a tape too."""
+    a, b = as_tensor(a), as_tensor(b)
+    tape = _tape_of(a, b)
+    ad, bd = a.data, b.data
+    out = (_f64(ad) @ _f64(bd)).astype(tt._DTYPE)
+    if tape is None:
+        return _emit(None, out)
+    pa = a.nid if a.tape is not None else None
+    pb = b.nid if b.tape is not None else None
+
+    def bwd(g):
+        g64 = _f64(g)
+        res = []
+        if pa is not None:
+            res.append((g64 @ _f64(bd).T).astype(g.dtype))
+        if pb is not None:
+            res.append((_f64(ad).T @ g64).astype(g.dtype))
+        return tuple(res)
+
+    return _emit(tape, out, tuple(p for p in (pa, pb) if p is not None), bwd)
 
 
 def mean(parts: Sequence[Tensor]) -> Tensor:

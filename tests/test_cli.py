@@ -18,7 +18,7 @@ from ctcbridge import cli
 from ctcbridge import models as md
 from ctcbridge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ctcbridge.connector import ConnectorConfig
-from ctcbridge.synthdata import utterance_from_json, utterance_to_json
+from ctcbridge.synthdata import augment, utterance_from_json, utterance_to_json
 from block_oracles import split_heads
 from tape_ops import params_digest
 
@@ -159,6 +159,15 @@ BAD_CONFIGS = {
                               "--spec", t["spec"], "--grid", "1,inf"],
     "decoder-ckpt-tau-inf": lambda t, d: decode(t, "--decoder",
                                                 _system_with(t, d, tau=float("inf"))),
+    # k is None or an int >= 1, also in modes that do not read it
+    "adapt-k-negative": lambda t, d: ["adapt", "--mode", "lego", "--k", "-5", "--encoder",
+                                      t["enc"], "--spec", t["spec"], "--out", str(d / "s.ckpt")],
+    "connector-block-k-text": lambda t, d: [
+        "adapt", "--mode", "lego", "--encoder", t["enc"], "--spec", t["spec"],
+        "--out", str(d / "s.ckpt"), "--config", _write(d, "adapt.json", dict(
+            TRAIN, decoder=DECODER, connector={"k": "abc"}))],
+    "decode-k-0": lambda t, d: decode(t, "--decoder", t["sys"], "--k", "0"),
+    "decoder-ckpt-k-negative": lambda t, d: decode(t, "--decoder", _system_with(t, d, k=-5)),
     "grid-zero": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
                                "--spec", t["spec"], "--grid", "0"],
     "grid-text": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
@@ -230,6 +239,10 @@ CONNECTOR_FIELDS = {
     "decode-tau-inf": "tau must be",
     "grid-inf": "tau must be",
     "decoder-ckpt-tau-inf": "tau must be",
+    "adapt-k-negative": "k must be None or an int",
+    "connector-block-k-text": "k must be None or an int",
+    "decode-k-0": "k must be None or an int",
+    "decoder-ckpt-k-negative": "k must be None or an int",
 }
 
 
@@ -850,21 +863,50 @@ def test_gen_data_writes_splits_matching_its_manifest(tmp_path, capsys):
         assert len(blob.decode().splitlines()) == manifest["sizes"][split] == TASK["splits"][split]
 
 
-# pinned before augmentation masks were drawn many streams at a time; a change
-# to the mask rng streams or to how a draw is scaled moves this digest
-AUGMENTED_ENCODER_SHA256 = "1f824c75562589bb5efbf4b97adc67caca661b0c37af6418f7f01666beea2beb"
+MASKS = {"time_masks": 2, "time_ratio": 0.3, "freq_masks": 2, "freq_width": 2}
+
+
+def _train_tiny_encoder(tmp_path, capsys, name, aug) -> str:
+    """sha256 of a 3-step tiny encoder checkpoint trained with `aug` masks."""
+    cfg = dict(TRAIN, steps=3, augment=aug, encoder={"width": 8, "ffn": 16, "blocks": 1})
+    out = tmp_path / f"{name}.ckpt"
+    code, _, _ = run(capsys, ["train-encoder", "--spec", _write(tmp_path, "t.json", TASK),
+                              "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert code == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+# the masked frames that `augment` returns to the training loop, drawn from its
+# aug{step}.{j} streams: a change to the mask rng streams or to how a draw is
+# scaled moves this digest, and the training arithmetic does not
+AUGMENTED_FRAMES_SHA256 = "f135ce47aaba10bc75b6926661b988bceb770a955e6024531077db8276ee703a"
+
+
+def test_augmented_training_frames_are_pinned(tmp_path, capsys, monkeypatch):
+    batches = []
+
+    def spy(*args):
+        batches.append(augment(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(md, "augment", spy)
+    _train_tiny_encoder(tmp_path, capsys, "masked", MASKS)
+    assert len(batches) == 3
+    h = hashlib.sha256()
+    for x in (x for batch in batches for x in batch):
+        h.update(repr((x.dtype.str, x.shape)).encode())
+        h.update(x.tobytes())
+    assert h.hexdigest() == AUGMENTED_FRAMES_SHA256
+
+
+# also moves with the training arithmetic: re-pinned when taped matmuls began
+# to multiply in float32, with the masked frames above unchanged
+AUGMENTED_ENCODER_SHA256 = "19a0a475a1b8ea2a59831309f124f7a13af0307f7423a0a1094c5070814b813e"
 
 
 def test_augmented_encoder_checkpoint_is_pinned(tmp_path, capsys):
-    digests = {}
-    for name, aug in (("masked", {"time_masks": 2, "time_ratio": 0.3, "freq_masks": 2,
-                                  "freq_width": 2}), ("unmasked", None)):
-        cfg = dict(TRAIN, steps=3, augment=aug, encoder={"width": 8, "ffn": 16, "blocks": 1})
-        out = tmp_path / f"{name}.ckpt"
-        code, _, _ = run(capsys, ["train-encoder", "--spec", _write(tmp_path, "t.json", TASK),
-                                  "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
-        assert code == 0
-        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    digests = {name: _train_tiny_encoder(tmp_path, capsys, name, aug)
+               for name, aug in (("masked", MASKS), ("unmasked", None))}
     assert digests["masked"] == AUGMENTED_ENCODER_SHA256
     assert digests["unmasked"] != digests["masked"]
 

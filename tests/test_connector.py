@@ -53,7 +53,8 @@ class TestConfig:
     def test_validation(self):
         for bad in ({"tau": 0.0}, {"tau": float("nan")}, {"tau": float("inf")},
                     {"blk_downscale": 0.5},
-                    {"blk_downscale": float("nan")}, {"blk_downscale": float("inf")}):
+                    {"blk_downscale": float("nan")}, {"blk_downscale": float("inf")},
+                    {"k": 0}, {"k": -1}, {"k": "2"}, {"k": True}):
             with pytest.raises(ValueError):
                 ConnectorConfig(**bad)
         with pytest.raises(TypeError):

@@ -1,13 +1,17 @@
 """Packed batches against the one-utterance passes and step of
 `packing_oracles`: `tt.attention` with a segment table, the packed encoder
-and decoder passes, the CTC posteriorgrams of packed encoder passes, and
-the packed training step of both stages.
+and decoder passes, the CTC posteriorgrams of packed encoder passes, the
+untaped passes at the bench widths, and the packed training step of both
+stages.
 
 In float64 the packed passes agree with the one-utterance ones within
-1e-10 (only BLAS summation order differs; measured at most 1.1e-15).  In
-float32 the packed step's losses, dev losses and the gradient of every
-parameter agree with the per-utterance step within 1e-5 relative to the
-largest magnitude; the worst case measured over these tests is 1.6e-7.
+1e-10 (only BLAS summation order differs; measured at most 1.1e-15).
+Untaped float32 passes give the one-utterance bytes.  In float32 the
+packed step's losses, dev losses and the gradient of every parameter
+agree with the per-utterance step within 1e-5 relative to the largest
+magnitude; the worst case measured over these tests is 3.5e-7, with the
+taped matmuls multiplying in float32 (1.6e-7 when they multiplied in
+float64).
 """
 
 import dataclasses
@@ -286,6 +290,50 @@ class TestPackedPosteriorgrams:
         # each utterance's rows reach the search once, in dataset order
         assert [p.probs[b, :t].tobytes() for p in searched for b, t in enumerate(p.lengths)] == [
             oracle.posteriorgram(trained, u).tobytes() for u in utts]
+
+
+class TestBatchInvarianceAtBenchWidths:
+    """At the `EncoderConfig` and `DecoderConfig` defaults and the bench
+    task's sizes, untaped encoder readouts, connector prefixes and decoder
+    logits of packed passes are the one-utterance passes' bytes.  At these
+    widths a float32 GEMM's rows differ with the rows it multiplies, so
+    this fails if untaped matmuls multiply in float32."""
+
+    BENCH = dict(TASK, vocab_size=32, feat_dim=16, length_range=[5, 14],
+                 duration_range=[4, 8], splits={"train": 16, "dev": 1, "test": 1, "seed": 5})
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        bundle = load_task(self.BENCH)
+        vocab, (train,) = bundle.spec.vocab, bundle.splits("train")
+        enc = md.SpeechEncoder(md.EncoderConfig(feat_dim=16, out_slots=vocab.size + 1), seed=3)
+        dec = md.DecoderLM(md.DecoderConfig(vocab=vocab.size), vocab, seed=4)
+        return vocab, list(train), enc, md.build_system("lego", enc, dec)
+
+    @staticmethod
+    def rows(enc, sysm, vocab, utts) -> list[tuple[bytes, bytes, bytes, bytes]]:
+        """Per utterance: hidden, logits, lego prefix and decoder logits bytes
+        of one packed pass over `utts`."""
+        frames = [u.frames for u in utts]
+        lens = [enc.out_len(f.shape[0]) for f in frames]
+        hidden, logits = enc.forward(frames)
+        speech = md.conditioning(sysm, enc, frames)
+        texts = [[vocab.bos_id, *u.target] for u in utts]
+        out = sysm.decoder.forward(speech, texts, speech_lens=lens)
+        cuts, text_cuts = (np.cumsum(n)[:-1] for n in (lens, [len(t) for t in texts]))
+        return list(zip(*([part.tobytes() for part in np.split(x, at)] for x, at in (
+            (hidden.data, cuts), (logits.data, cuts), (speech.data, cuts),
+            (out.data, text_cuts)))))
+
+    @pytest.mark.parametrize("batch", [16, 5])
+    def test_packed_passes_give_the_one_utterance_bytes(self, bench, batch):
+        vocab, utts, enc, sysm = bench
+        assert (enc.cfg.width, enc.cfg.ffn) == (48, 96)
+        assert (sysm.decoder.cfg.dim, sysm.decoder.cfg.heads) == (64, 4)
+        alone = [r for u in utts for r in self.rows(enc, sysm, vocab, [u])]
+        packed = [r for lo in range(0, len(utts), batch)
+                  for r in self.rows(enc, sysm, vocab, utts[lo:lo + batch])]
+        assert packed == alone
 
 
 # ---------------------------------------------------------------------------

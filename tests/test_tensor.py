@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import step_oracles as oracle
 from ctcbridge import tensor as tt
 from ctcbridge.rng import CounterRng
-from tape_ops import (finite_diff_check, log_softmax, logaddexp, logsumexp, mean, mul,
-                      reduce_sum, shift)
+from tape_ops import (finite_diff_check, log_softmax, logaddexp, logsumexp, matmul64, mean, mul,
+                      precision, reduce_sum, shift)
 
 
 def entropy(p):
@@ -313,6 +313,55 @@ class TestCheckedTape:
 
 
 WIDTH_HEADS = [(1, 1), (48, 4), (64, 2)]
+
+
+class TestTapedMatmul:
+    """A taped matmul multiplies in float32: its forward and both gradient
+    products lie within (K + 2) * 2^-24 * (|x| @ |y|) of the float64
+    oracle, elementwise, where K is that product's inner size (the float32
+    dot-product bound K * 2^-24 plus the oracle's own rounding).  An
+    untaped matmul, and a taped one in float64 storage, give the oracle's
+    bytes."""
+
+    @staticmethod
+    def operands(m, k, n, seed, scaled):
+        """[m, k] and [k, n] float32 normals, and an [m, n] output gradient;
+        scaled, with rows of the first and columns of the second spread
+        over 1e-3..1e3."""
+        rng = CounterRng(seed)
+        a, b, g = (rng.child(nm).normals(r * c).reshape(r, c)
+                   for nm, r, c in (("a", m, k), ("b", k, n), ("g", m, n)))
+        if scaled:
+            a = a * 10.0 ** (rng.child("sa").uniforms(m)[:, None] * 6.0 - 3.0)
+            b = b * 10.0 ** (rng.child("sb").uniforms(n)[None, :] * 6.0 - 3.0)
+        return [x.astype(np.float32) for x in (a, b, g)]
+
+    @staticmethod
+    def run(op, a, b, g):
+        """(a @ b, d/da, d/db) of sum((a @ b) * g), each through `op`."""
+        pa, pb = tt.Parameter(a, "a"), tt.Parameter(b, "b")
+        tape = tt.GradTape()
+        out = op(tape.watch(pa), tape.watch(pb))
+        tape.backward(reduce_sum(mul(out, tt.Tensor(g))))
+        return out.data, pa.grad, pb.grad
+
+    @given(m=st.integers(1, 300), k=st.integers(1, 200), n=st.integers(1, 200),
+           seed=st.integers(0, 2 ** 16), scaled=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_float32_products_are_bounded_by_the_float64_oracle(self, m, k, n, seed, scaled):
+        a, b, g = self.operands(m, k, n, seed, scaled)
+        got, want = self.run(tt.matmul, a, b, g), self.run(matmul64, a, b, g)
+        assert all(x.dtype == np.float32 for x in got)
+        abs64 = [np.abs(x.astype(np.float64)) for x in (a, b, g)]
+        for x, y, inner, (u, v) in zip(got, want, (k, n, m), (
+                (abs64[0], abs64[1]), (abs64[2], abs64[1].T), (abs64[0].T, abs64[2]))):
+            bound = (inner + 2) * 2.0 ** -24 * (u @ v)
+            assert (np.abs(x.astype(np.float64) - y) <= bound).all()
+        untaped = tt.matmul(tt.Tensor(a), tt.Tensor(b)).data
+        assert untaped.tobytes() == matmul64(tt.Tensor(a), tt.Tensor(b)).data.tobytes()
+        with precision(np.float64):
+            got, want = self.run(tt.matmul, a, b, g), self.run(matmul64, a, b, g)
+        assert [x.tobytes() for x in got] == [y.tobytes() for y in want]
 
 
 class TestTrimmedOpsMatchTheirOracles:
