@@ -46,7 +46,6 @@ from .lexicon import Posteriorgram, Vocabulary
 from .metrics import corpus_wer, werr
 from .models import (
     CONNECTIONS,
-    INFERENCE_BATCH,
     DecoderConfig,
     DecoderLM,
     DecoderSystem,
@@ -137,7 +136,10 @@ def load_task(source) -> TaskBundle:
         else:
             trans = np.asarray(raw["transition"], dtype=np.float64)
             init = np.asarray(raw["init"], dtype=np.float64)
-            pairs = {int(k): int(v) for k, v in raw.get("confusion_pairs", {}).items()}
+            pairs = raw.get("confusion_pairs", {})
+            if not isinstance(pairs, dict):
+                raise ValueError(f"confusion_pairs must be a JSON object, got {json.dumps(pairs)}")
+            pairs = {int(k): int(v) for k, v in pairs.items()}
         spec = TaskSpec(
             vocab=vocab,
             feat_dim=raw["feat_dim"],
@@ -252,6 +254,8 @@ def load_train_config(path: Optional[str], overrides: dict) -> tuple[TrainConfig
 
 def connector_with_overrides(conn: dict, args, mode: str, out_slots: int) -> ConnectorConfig:
     """`conn` with the --tau/--blk-downscale/--k flags applied, checked for `mode`."""
+    if not isinstance(conn, dict):
+        raise ConfigError(f"connector must be a JSON object, got {json.dumps(conn)}")
     conn = dict(conn)
     for key in ("tau", "blk_downscale", "k"):
         if getattr(args, key, None) is not None:
@@ -394,6 +398,13 @@ def _check_compatible(sys_: DecoderSystem, enc: SpeechEncoder,
 # ---------------------------------------------------------------------------
 # evaluation plumbing shared by decode-eval / sweep / swap
 
+
+# utterances per untaped encoder pass of a CTC decode, which bounds the
+# pass's float64 temporaries: about 1.3 MB for 16 bench utterances, against
+# 3.7 MB for 48 in one pass.  A CTC beam search packs several passes'
+# posteriorgrams into one batch (`SEARCH_BATCH`), so this does not bound
+# the search.
+INFERENCE_BATCH = 16
 
 # utterances per CTC beam search: the posteriorgrams of up to
 # SEARCH_BATCH // INFERENCE_BATCH encoder passes share one frame loop,

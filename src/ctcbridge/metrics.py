@@ -6,7 +6,6 @@ and always satisfies wer * n_ref == sub + del + ins exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,9 +23,6 @@ class WerReport:
     def as_dict(self) -> dict:
         return {"wer": self.wer, "sub": self.substitutions, "del": self.deletions,
                 "ins": self.insertions, "n_ref": self.n_ref}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
     def __add__(self, other: "WerReport") -> "WerReport":
         sub = self.substitutions + other.substitutions

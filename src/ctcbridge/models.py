@@ -19,15 +19,16 @@ utterance what a pass of it alone would give: the same bytes untaped, and
 within float32 rounding on a tape, whose matmuls multiply in float32
 (see `tensor`).
 
-Greedy generation is batched and cached: `generate` decodes a batch of
-utterances in one call.  One packed pass over a chunk of their [speech;
-prompt] sequences fills the chunk's float64 `KVCache` with every block's
-keys and values and gives each utterance's first token; then every further
-token is one `DecoderLM.step`, which feeds only the utterance's newest row
-and attends over its cached rows.  A step runs on raw arrays, outside the
-tape ops, with the arithmetic of a `forward` pass.  The cache also carries
-the decoder's weights, converted to float64 once per call.
-`evaluate_system` decodes a whole dataset in one call.
+Greedy generation has one path, and it is cached: `generate` decodes a
+batch of utterances in one call, each over its own float64 `KVCache`, and
+`DecoderLM.step` is the only code that reads or writes such a cache.  One
+step feeds an utterance's [speech; prompt] rows, filling the cache with
+every block's keys and values, and gives its first token; every further
+token is one step of one row, which attends over the cached rows.  A step
+runs on raw arrays, outside the tape ops, with the arithmetic of an
+untaped `forward` pass, so `forward` and the ops know nothing of caches.
+The cache also carries the decoder's weights, converted to float64 once
+per call.  `evaluate_system` decodes a whole dataset in one call.
 
 One step loop, `_train`, with two front ends: `train_encoder_ctc`
 CTC-trains the encoder, then `adapt_decoder` adapts the decoder against a
@@ -168,23 +169,20 @@ def _const(name: str, shape, value: float) -> tt.Parameter:
 
 def _w(params: dict, name: str, tape) -> tt.Tensor:
     """Parameter `name` of `params` as a Tensor: watched on `tape`, or read
-    untaped; an entry that already is a Tensor passes through."""
+    untaped."""
     p = params[name]
-    if isinstance(p, tt.Tensor):
-        return p
     return tape.watch(p) if tape is not None else tt._unchecked(p.value)
 
 
 def _mix_block(x: tt.Tensor, params, prefix: str, tape, causal: bool,
                drop_rate: float, drop_rng, heads: int = 1,
-               lengths: Optional[Sequence[int]] = None, kv=None) -> tt.Tensor:
+               lengths: Optional[Sequence[int]] = None) -> tt.Tensor:
     """One pre-LN block over the rows of `x`; with `lengths`, a packed batch of
     segments that attend within themselves and draw dropout from their own
-    stream of `drop_rng`.  `kv` is the block's (key, value) arrays of an empty
-    K/V cache to fill (see `tt.attention`)."""
+    stream of `drop_rng`."""
     h = tt.layer_norm(x, _w(params, f"{prefix}.ln1g", tape), _w(params, f"{prefix}.ln1b", tape))
     qkv = tt.matmul(h, _w(params, f"{prefix}.wqkv", tape))
-    o = tt.matmul(tt.attention(qkv, heads, causal, lengths, kv), _w(params, f"{prefix}.wo", tape))
+    o = tt.matmul(tt.attention(qkv, heads, causal, lengths), _w(params, f"{prefix}.wo", tape))
     if drop_rate > 0:
         o = tt.dropout(o, drop_rate, drop_rng, lengths)
     x = tt.add(x, o)
@@ -348,8 +346,7 @@ class DecoderLM:
 
     def forward(self, speech: Optional[tt.Tensor], text_ids: Sequence[Sequence[int]],
                 tape=None, drop_rate: float = 0.0, drop_rng=None,
-                speech_lens: Optional[Sequence[int]] = None,
-                cache: Optional[KVCache] = None) -> tt.Tensor:
+                speech_lens: Optional[Sequence[int]] = None) -> tt.Tensor:
         """Next-token logits over V for every text position of a packed batch.
 
         `text_ids` holds one token sequence per utterance, `speech` their
@@ -360,11 +357,6 @@ class DecoderLM:
         those of the utterance before.  The blocks are pre-LN, so the prefix
         is read only through layer_norm: adding a constant to a whole speech
         row does not change the logits.
-
-        With a `cache` (untaped only), the pass is the prefill of a decode:
-        it stores every sequence's keys and values in the empty cache, and
-        `step` continues from there.  It reads the weights the cache
-        carries instead of `self.params`.
         """
         seqs = [np.asarray(t, dtype=np.intp) for t in text_ids]
         t_lens = np.array([ids.size for ids in seqs], dtype=np.intp)
@@ -379,15 +371,8 @@ class DecoderLM:
         total = int((s_lens + t_lens).max())
         if total > self.cfg.max_len:
             raise ValueError(f"sequence length {total} exceeds max_len {self.cfg.max_len}")
-        if cache is not None:
-            if tape is not None:
-                raise ValueError("a K/V cache is filled by untaped passes only")
-            if cache.filled.any():
-                raise ValueError("forward fills an empty K/V cache only; step continues it")
-            if total > cache.rows:
-                raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
 
-        params = self.params if cache is None else cache.weights
+        params = self.params
         emb = _w(params, "emb", tape)
         positions, is_text = _packed_rows(s_lens, t_lens)
         # each packed row reads its token's row of the table, or its speech
@@ -402,38 +387,38 @@ class DecoderLM:
         lengths = (s_lens + t_lens).tolist()
         for i in range(self.cfg.blocks):
             x = _mix_block(x, params, f"blk{i}", tape, causal=True, drop_rate=drop_rate,
-                           drop_rng=drop_rng, heads=self.cfg.heads, lengths=lengths,
-                           kv=None if cache is None else cache.blocks[i])
-        if cache is not None:
-            cache.filled += lengths
+                           drop_rng=drop_rng, heads=self.cfg.heads, lengths=lengths)
         h = tt.layer_norm(x, _w(params, "lnfg", tape), _w(params, "lnfb", tape))
         h_text = tt.gather_rows(h, np.flatnonzero(is_text))
-        if "out.w" in params:  # untied, or the cache's copy of the tied matrix
+        if "out.w" in params:  # untied
             out_w = _w(params, "out.w", tape)
         else:
             out_w = tt.transpose(tt.slice_rows(emb, 0, self.cfg.vocab))
         return tt.matmul(h_text, out_w)
 
-    def step(self, ids, cache: KVCache) -> np.ndarray:
-        """Feed token ids[b] to sequence b of `cache`, which a `forward`
-        pass filled, and return the next-token logits [B, V] of every
-        sequence.  One row per sequence, untaped, on raw arrays and the
-        weights the cache carries: the arithmetic of the tape ops in an
-        untaped `forward` pass, with their float64 insides and their
+    def step(self, ids, cache: KVCache, speech: Optional[tt.Tensor] = None) -> np.ndarray:
+        """Feed the sequence of `cache` its [speech; ids] rows at positions
+        filled.. and return the next-token logits [V] after the last row:
+        the prefill of a decode, with the [S, d] `speech` prefix and the
+        prompt, or one generated token fed back.  Untaped, on raw arrays
+        and the weights the cache carries: the arithmetic of the tape ops
+        in an untaped `forward` pass, with their float64 insides and their
         rounding to the storage dtype after each layer norm, matmul and
         attention, so the logits are the bytes such a pass would give."""
-        ids, filled = np.asarray(ids, dtype=np.intp), cache.filled
-        if ids.shape != filled.shape:
-            raise ValueError(f"the cache holds {filled.size} sequences, got {ids.size} ids")
-        if filled.min() < 1:
-            raise ValueError("a step continues sequences that a forward pass filled")
+        ids, start = np.asarray(ids, dtype=np.intp), cache.filled
+        if ids.ndim != 1 or ids.size == 0:
+            raise ValueError("text must be non-empty")
+        if speech is not None and speech.tape is not None:
+            raise ValueError("a K/V cache is filled by untaped passes only")
+        if start == 0 and ids[0] != self.vocab.bos_id:
+            raise ValueError("text must begin with <bos>")
         if ids.max() >= self.cfg.vocab or ids.min() < 0:
             raise ValueError("text id outside [0, V)")
-        total = int(filled.max()) + 1
-        if total > self.cfg.max_len:
-            raise ValueError(f"sequence length {total} exceeds max_len {self.cfg.max_len}")
-        if total > cache.rows:
-            raise ValueError(f"sequence length {total} exceeds the cache's {cache.rows} rows")
+        stop = start + ids.size + (0 if speech is None else speech.shape[0])
+        if stop > self.cfg.max_len:
+            raise ValueError(f"sequence length {stop} exceeds max_len {self.cfg.max_len}")
+        if stop > cache.rows:
+            raise ValueError(f"sequence length {stop} exceeds the cache's {cache.rows} rows")
         w, dtype = cache.weights, tt._DTYPE
 
         def norm(x, name):
@@ -442,49 +427,43 @@ class DecoderLM:
         def mm(x, name):
             return tt._matmul_rows(x, w[name].data)
 
-        x = w["emb"].data[ids] + w["pos"].data[filled]
+        x = w["emb"].data[ids]
+        if speech is not None:
+            x = np.concatenate([speech.data, x])
+        x = x + w["pos"].data[start:stop]
         for i, (k, v) in enumerate(cache.blocks):
             blk = f"blk{i}."
             qkv = mm(norm(x, blk + "ln1"), blk + "wqkv")
-            x = x + mm(tt._cached_step(qkv, self.cfg.heads, (k, v, filled)).astype(dtype),
+            x = x + mm(tt._cached_step(qkv, self.cfg.heads, (k, v, start)).astype(dtype),
                        blk + "wo")
             m = mm(norm(x, blk + "ln2"), blk + "w1") + w[blk + "b1"].data
             x = x + (mm(np.maximum(m, dtype(0)), blk + "w2") + w[blk + "b2"].data)
-        cache.filled += 1
-        return mm(norm(x, "lnf"), "out.w")
+        cache.filled = stop
+        # all text rows, as in `forward`: in float64 storage a matmul
+        # row's last bits follow the row count
+        return mm(norm(x[-ids.size:], "lnf"), "out.w")[-1]
 
 
 class KVCache:
-    """The keys and values of every row a batch of B decoder sequences has
-    fed, for untaped generation (the per-layer cache of Pope et al., 2022,
-    "Efficiently Scaling Transformer Inference"): per block, [B, H, rows,
-    d/H] float64 key and value arrays, and each sequence's filled length.
-    A `DecoderLM.forward` pass fills an empty cache (the prefill); each
-    `DecoderLM.step` adds one row per sequence.  float64 holds `qkv`
-    exactly, so each row is converted once, as it is written, instead of on
-    every step that reads it.
+    """The keys and values of every row one decoder sequence has fed, for
+    untaped generation (the per-layer cache of Pope et al., 2022,
+    "Efficiently Scaling Transformer Inference"): per block, [H, rows, d/H]
+    float64 key and value arrays, and the int `filled`, the rows fed so
+    far.  `DecoderLM.step` is the only code that reads or writes it.
+    float64 holds `qkv` exactly, so each row is converted once, as it is
+    written, instead of on every step that reads it.
 
-    `weights` is `_fixed_weights(decoder)`, which every pass and step with
-    this cache reads instead of the decoder's parameters, so one `generate`
-    call converts the weights once, not once per token.  It is a snapshot:
-    a cache must not outlive a change to the parameters.  Parts of a cache
-    share it."""
+    `weights` is `_fixed_weights(decoder)`, which every step with this
+    cache reads instead of the decoder's parameters, so one `generate` call
+    converts the weights once, not once per token.  It is a snapshot: a
+    cache must not outlive a change to the parameters."""
 
-    def __init__(self, cfg: DecoderConfig, batch: int, rows: int,
-                 weights: dict[str, tt.Tensor]):
-        shape = (batch, cfg.heads, rows, cfg.dim // cfg.heads)
+    def __init__(self, cfg: DecoderConfig, rows: int, weights: dict[str, tt.Tensor]):
+        shape = (cfg.heads, rows, cfg.dim // cfg.heads)
         self.blocks = [(np.zeros(shape), np.zeros(shape)) for _ in range(cfg.blocks)]
-        self.filled = np.zeros(batch, dtype=np.intp)
+        self.filled = 0
         self.rows = rows
         self.weights = weights
-
-    def part(self, start: int, stop: int) -> KVCache:
-        """Sequences [start, stop) as a cache of their own, over views of
-        this one's arrays: what a pass or step adds there is added here."""
-        part = object.__new__(KVCache)
-        part.blocks = [(k[start:stop], v[start:stop]) for k, v in self.blocks]
-        part.filled, part.rows, part.weights = self.filled[start:stop], self.rows, self.weights
-        return part
 
 
 def _fixed_weights(dec: DecoderLM) -> dict[str, tt.Tensor]:
@@ -672,14 +651,6 @@ def check_system(sys: DecoderSystem, enc_cfg: EncoderConfig) -> None:
         raise ValueError("encoder output slots do not match the LM vocabulary")
 
 
-# utterances per untaped inference pass (a generation prefill, a CTC
-# decode's posteriorgrams), which bounds the pass's float64 temporaries:
-# about 1.3 MB for 16 bench utterances, against 3.7 MB for 48 in one pass.
-# A CTC beam search packs several passes' posteriorgrams into one batch
-# (`cli.SEARCH_BATCH`), so this does not bound the search.
-INFERENCE_BATCH = 16
-
-
 def encoder_readout(reads: str, enc: SpeechEncoder,
                     frames: Sequence[np.ndarray]) -> Optional[list[np.ndarray]]:
     """What an entry consumes from each utterance of `frames`, from one
@@ -762,46 +733,36 @@ def generate(sys: DecoderSystem, speech: Optional[tt.Tensor], prompt: Sequence[S
     utterance of a packed batch in `DecoderLM.forward`'s form (a list of
     prompts, their speech prefixes stacked with `speech_lens` rows each).
 
-    The utterances go in chunks of up to `INFERENCE_BATCH`.  One packed
-    pass over a chunk's [speech; prompt] sequences fills the chunk's K/V
-    cache and gives each utterance's first token; then each utterance in
-    turn runs to its end, one `DecoderLM.step` of one row per token fed
-    back, so a decode's time follows the tokens it emits.  A chunk's cache
-    is released before the next one is built.  Every pass and step of the
-    call reads the weights converted once per call.
-    numpy's floating-point warnings are off: the check on each step's
-    logits reports a non-finite value instead.
+    Each utterance in turn gets its own K/V cache, released before the
+    next one's is built.  One `DecoderLM.step` over its [speech; prompt]
+    rows fills the cache and gives its first token; then it runs to its
+    end, one step of one row per token fed back, so a decode's time
+    follows the tokens it emits.  Every step of the call reads the weights
+    converted once per call.  numpy's floating-point warnings are off: the
+    check on each step's logits reports a non-finite value instead.
     """
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
     dec, eos = sys.decoder, sys.decoder.vocab.eos_id
-    prompts = [list(p) for p in prompt]
-    s_lens = _speech_lens(speech, speech_lens, len(prompts)).tolist()
-    budgets = [min(max_new, dec.cfg.max_len - s - len(p)) for s, p in zip(s_lens, prompts)]
-    live = [b for b, n in enumerate(budgets) if n > 0]
-    s_starts = np.cumsum([0] + s_lens)
+    s_lens = _speech_lens(speech, speech_lens, len(prompt)).tolist()
+    s_starts = np.cumsum([0] + s_lens).tolist()
     weights = _fixed_weights(dec)
-    hyps: list[TokenSeq] = [()] * len(prompts)
-    for lo in range(0, len(live), INFERENCE_BATCH):
-        part = live[lo:lo + INFERENCE_BATCH]
-        part_speech = None if speech is None else tt.gather_rows(speech, np.concatenate(
-            [np.arange(s_starts[b], s_starts[b + 1]) for b in part]))
-        # the last token is never fed back
-        cache = KVCache(dec.cfg, len(part), max(s_lens[b] + len(prompts[b]) + budgets[b] - 1
-                                                for b in part), weights)
-        logits = dec.forward(part_speech, [prompts[b] for b in part], cache=cache,
-                             speech_lens=None if speech is None else [s_lens[b] for b in part])
-        firsts = np.argmax(tt._finite(logits.data[np.cumsum([len(prompts[b]) for b in part]) - 1],
-                                      "the next-token logits"), axis=1)
-        for j, b in enumerate(part):
-            out, token, one = [], int(firsts[j]), cache.part(j, j + 1)
-            while token != eos:
+    hyps: list[TokenSeq] = []
+    for b, p in enumerate(prompt):
+        budget = min(max_new, dec.cfg.max_len - s_lens[b] - len(p))
+        out = []
+        if budget > 0:
+            # the last token is never fed back
+            cache = KVCache(dec.cfg, s_lens[b] + len(p) + budget - 1, weights)
+            part = None if speech is None else tt.slice_rows(speech, s_starts[b], s_starts[b + 1])
+            logits = dec.step(p, cache, part)
+            while (token := int(np.argmax(tt._finite(logits, "the next-token logits")))) != eos:
                 out.append(token)
-                if len(out) == budgets[b]:
+                if len(out) == budget:
                     break
-                token = int(np.argmax(tt._finite(dec.step([token], one), "the next-token logits")))
-            hyps[b] = tuple(out)
-        del cache, one  # frees this chunk's arrays, which the part's views also hold
+                logits = dec.step([token], cache)
+            del cache  # freed before the next utterance's is built
+        hyps.append(tuple(out))
     return hyps
 
 

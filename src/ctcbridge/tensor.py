@@ -37,9 +37,10 @@ as it is recorded, and every gradient its backward pass produces, and
 names the op kind and tape node of the first non-finite one: a training
 loop replays a failed step on such a tape to localise it.
 
-Ops are pure -- inputs are never mutated -- so untaped tensors are safe to
-share across threads; the one thing an op writes is the empty K/V cache
-that an `attention` call fills for a caller's decode.  A `GradTape` and the
+Ops are pure -- inputs are never mutated, and an op writes nothing but
+its output -- so untaped tensors are safe to share across threads.  A
+decode's K/V cache lives outside the ops: `models.DecoderLM.step` writes
+it through `_cached_step`.  A `GradTape` and the
 `Parameter`s watched on it are confined to a single training thread: run
 the forward pass with taped inputs, call `tape.backward(loss)` once, and
 gradients accumulate into `Parameter.grad`.
@@ -177,21 +178,13 @@ class GradTape:
         _finite(loss.data, "the loss")
         self._consumed = True
 
-        n = len(self._parents)
-        needed = bytearray(n)
-        stack = [loss.nid]
-        needed[loss.nid] = 1
-        while stack:
-            for p in self._parents[stack.pop()]:
-                if not needed[p]:
-                    needed[p] = 1
-                    stack.append(p)
-
-        grads: list[Optional[np.ndarray]] = [None] * n
+        # a node gets a gradient only from a consumer that has one, so
+        # every node with a gradient is an ancestor of the loss
+        grads: list[Optional[np.ndarray]] = [None] * len(self._parents)
         grads[loss.nid] = np.ones_like(loss.data)
         for i in range(loss.nid, -1, -1):
             gi = grads[i]
-            if not needed[i] or gi is None:
+            if gi is None:
                 continue
             bwd = self._backward[i]
             if bwd is None:  # a leaf: its gradient is read below
@@ -243,12 +236,9 @@ def _f64(x: np.ndarray) -> np.ndarray:
 # arithmetic
 
 
-def add(a: Tensor, b) -> Tensor:
-    """a + b for equal shapes, a python scalar, or a [C] row bias on [N, C]."""
-    a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        return _emit(a.tape, a.data + _DTYPE(b), (a.nid,), lambda g: (g,))
-    b = as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for equal shapes, or a [C] row bias on [N, C]."""
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape == b.shape:
         out = a.data + b.data
     elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
@@ -496,7 +486,7 @@ def _heads(qkv: np.ndarray, heads: int) -> np.ndarray:
 
 
 def attention(qkv: Tensor, heads: int, causal: bool,
-              lengths: Optional[Sequence[int]] = None, cache=None) -> Tensor:
+              lengths: Optional[Sequence[int]] = None) -> Tensor:
     """Multi-head scaled dot-product self-attention as one op: [T, 3d] -> [T, d].
 
     The columns of `qkv` hold query heads 0..H-1, then the key heads, then
@@ -509,12 +499,7 @@ def attention(qkv: Tensor, heads: int, causal: bool,
     block, so a packed batch never holds scores across segments.  The
     backward pass reads the saved attention probabilities, in which masked
     scores are exact zeros, and recomputes q, k and v from the op's input.
-
-    `cache` is a `(k, v)` pair of [B, H, L, d/H] key and value arrays of
-    B causal sequences that nothing has filled yet, for an untaped pass
-    (the prefill of a decode): segment b's keys and values go to sequence
-    b's first rows.  The decode steps that continue the cache do not go
-    through this op (see `_cached_step`).
+    A decode's K/V cache does not go through this op (see `_cached_step`).
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or heads < 1 or qkv.shape[1] % (3 * heads):
@@ -523,11 +508,7 @@ def attention(qkv: Tensor, heads: int, causal: bool,
     t, width = qkv.shape[0], qkv.shape[1] // 3
     scale = 1.0 / np.sqrt(width // heads)
     saved = qkv.data
-    if cache is not None and (qkv.tape is not None or not causal):
-        raise ValueError("a K/V cache is filled by untaped causal attention only")
     segs = _segments(t, lengths)
-    if cache is not None:
-        _write_cache(saved, heads, cache, [b - a for a, b in segs])
     q, k, v = _heads(saved, heads)
     if causal:
         longest = max(b - a for a, b in segs)
@@ -562,39 +543,25 @@ def attention(qkv: Tensor, heads: int, causal: bool,
     return _emit(qkv.tape, out, (qkv.nid,), bwd)
 
 
-def _write_cache(qkv: np.ndarray, heads: int, cache, lengths: list[int]) -> None:
-    """Store the keys and values of `qkv`'s segments in the first rows of
-    each sequence of the empty `(k, v)` cache."""
-    k, v = cache
-    if len(lengths) != k.shape[0]:
-        raise ValueError(f"the cache holds {k.shape[0]} sequences, got {len(lengths)} segments")
-    seq = np.repeat(np.arange(len(lengths)), lengths)
-    row = np.arange(qkv.shape[0]) - (np.cumsum(lengths) - lengths)[seq]
-    parts = qkv.reshape(qkv.shape[0], 3, heads, -1)
-    k[seq, :, row] = parts[:, 1]
-    v[seq, :, row] = parts[:, 2]
-
-
 def _cached_step(qkv: np.ndarray, heads: int, cache) -> np.ndarray:
-    """One decode step of B sequences outside the tape, `attention` for one
-    new row per sequence: row b of `qkv` stores its key and value at row
-    filled[b] of sequence b of the `(k, v, filled)` cache, then attends over
-    that sequence's cached rows, itself included, in float64: [B, 3d] ->
-    [B, d].  The caller advances `filled`."""
+    """`attention` over one causal sequence for its n newest rows, outside
+    the tape: row i of `qkv` stores its key and value at row filled + i of
+    the `(k, v, filled)` cache, then attends over the cached rows up to its
+    own, in float64: [n, 3d] -> [n, d].  The caller advances `filled`."""
     k, v, filled = cache
-    b, width = qkv.shape[0], qkv.shape[1] // 3
-    parts, seq = qkv.reshape(b, 3, heads, -1), np.arange(b)
-    k[seq, :, filled] = parts[:, 1]
-    v[seq, :, filled] = parts[:, 2]
-    n = int(filled.max()) + 1  # no sequence reads a column past this
-    q = _f64(qkv[:, :width]).reshape(b, heads, 1, -1)
-    p = q @ _f64(k[:, :, :n]).transpose(0, 1, 3, 2)
+    n, width = qkv.shape[0], qkv.shape[1] // 3
+    stop = filled + n
+    q, keys, values = qkv.reshape(n, 3, heads, -1).transpose(1, 2, 0, 3)
+    k[:, filled:stop] = keys
+    v[:, filled:stop] = values
+    p = _f64(q) @ _f64(k[:, :stop]).transpose(0, 2, 1)
     p *= 1.0 / np.sqrt(width // heads)
-    p = np.where((np.arange(n) > filled[:, None])[:, None, None, :], LOG_ZERO, p)
-    p -= p.max(axis=3, keepdims=True)
+    if n > 1:  # one new row attends to every cached row
+        p = np.where(np.arange(stop) > filled + np.arange(n)[:, None], LOG_ZERO, p)
+    p -= p.max(axis=2, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=3, keepdims=True)
-    return (p @ _f64(v[:, :, :n])).reshape(b, width)
+    p /= p.sum(axis=2, keepdims=True)
+    return (p @ _f64(v[:, :stop])).transpose(1, 0, 2).reshape(n, width)
 
 
 # ---------------------------------------------------------------------------

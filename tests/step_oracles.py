@@ -1,24 +1,30 @@
-"""The layer-norm statistics and the cached decode step as they were
-before the one-row decode step was trimmed and then taken out of the tape
-ops.
+"""The layer-norm statistics and the K/V-cached decode as they were
+before the one-row decode step was trimmed, taken out of the tape ops and
+made the only code that touches a cache.
 
 `normalise` is `tensor._normalise` with its row means taken by
 `ndarray.mean`.  `layer_norm` is `tensor.layer_norm` as it was before it
 kept its normalised rows for the backward pass: the backward pass
-recomputed them, and 1/std, from the op's float32 input.  `write_cache`
-is `tensor._write_cache`, which stored the keys and values of every
-segment through the repeat/cumsum row arithmetic after each sequence's
-filled rows; a cached decode step called it with one-row segments.  `cached_step` is `tensor._cached_step` with its mask
-applied by a boolean assignment through `np.broadcast_to` and without the
-row write.
+recomputed them, and 1/std, from the op's float32 input.
 
-`cached_forward` is `models.DecoderLM.forward` continuing a filled K/V
-cache, as it ran for every generated token: one token per sequence, no
-speech, untaped, through `tt` ops over the weights the cache carries.  Its
-blocks are `models._mix_block` without dropout (`mix_block`), whose
-attention is the one-row branch `tt.attention` took for a cache that held
-rows (`attention_step`).  `models.DecoderLM.step` and the trimmed code are
-checked against these bit for bit.
+The cache had a batch axis (`BatchCache`): per block, [B, H, rows, d/H]
+keys and values, and each sequence's filled length.  `write_cache` stored
+the keys and values of every segment of a packed pass after each
+sequence's filled rows through repeat/cumsum row arithmetic.
+`cached_step` is `tensor._cached_step` as it stepped one new row of each
+of B sequences, its mask applied by a boolean assignment through
+`np.broadcast_to` and without the row write.  `attention_step` is
+`tt.attention` with a cache: a pass over an empty cache filled it and
+attended as without one, and a cache that held rows took one new row per
+sequence.
+
+`prefill` is `models.DecoderLM.forward` as it filled an empty cache: a
+packed batch of [speech; text] sequences, untaped, through `tt` ops over
+the weights the cache carries.  `cached_forward` is the same pass
+continuing a filled cache, as it ran for every generated token: one token
+per sequence, no speech.  Their blocks are `models._mix_block` without
+dropout (`mix_block`) over `attention_step`.  `models.DecoderLM.step` and
+the trimmed code are checked against these bit for bit.
 """
 
 from __future__ import annotations
@@ -85,13 +91,28 @@ def cached_step(qkv: np.ndarray, heads: int, scale: float, cache) -> np.ndarray:
     return (p @ _f64(v[:, :, :n])).reshape(b, width)
 
 
+class BatchCache:
+    """The K/V cache of B sequences, in `dtype`."""
+
+    def __init__(self, cfg, batch: int, rows: int, weights, dtype=np.float64):
+        shape = (batch, cfg.heads, rows, cfg.dim // cfg.heads)
+        self.blocks = [(np.zeros(shape, dtype), np.zeros(shape, dtype)) for _ in range(cfg.blocks)]
+        self.filled = np.zeros(batch, dtype=np.intp)
+        self.rows = rows
+        self.weights = weights
+
+
 def attention_step(qkv: tt.Tensor, heads: int, lengths, cache) -> tt.Tensor:
-    """`tt.attention` with a cache that holds rows: each sequence's one new
-    row goes straight to its row filled[b], then `cached_step`."""
+    """Causal `tt.attention` over a `(k, v, filled)` cache: an empty one is
+    filled with every segment's keys and values; one that holds rows takes
+    each sequence's one new row at its row filled[b], then `cached_step`."""
     t, width = qkv.shape[0], qkv.shape[1] // 3
     scale = 1.0 / np.sqrt(width // heads)
     saved = qkv.data
     keys, values, filled = cache
+    if not filled.any():
+        write_cache(saved, heads, cache, lengths)
+        return tt.attention(qkv, heads, True, lengths)
     if list(lengths if lengths is not None else [t]) != [1] * t:
         raise ValueError("a K/V cache that holds rows takes one new row per sequence")
     if t != keys.shape[0]:
@@ -103,7 +124,7 @@ def attention_step(qkv: tt.Tensor, heads: int, lengths, cache) -> tt.Tensor:
 
 
 def mix_block(x: tt.Tensor, params, prefix: str, heads: int, lengths, kv) -> tt.Tensor:
-    """`models._mix_block`, untaped and without dropout, over a filled cache."""
+    """`models._mix_block`, untaped and without dropout, over a cache."""
     h = tt.layer_norm(x, params[f"{prefix}.ln1g"], params[f"{prefix}.ln1b"])
     qkv = tt.matmul(h, params[f"{prefix}.wqkv"])
     o = tt.matmul(attention_step(qkv, heads, lengths, kv), params[f"{prefix}.wo"])
@@ -121,6 +142,37 @@ def packed_rows(s_lens: np.ndarray, t_lens: np.ndarray, starts: np.ndarray):
     seq = np.repeat(np.arange(lens.size), lens)
     offset = np.arange(lens.sum()) - (np.cumsum(lens) - lens)[seq]  # row within its sequence
     return starts[seq] + offset, offset >= s_lens[seq]
+
+
+def prefill(dec, speech, text_ids, cache, speech_lens=None) -> tt.Tensor:
+    """Next-token logits of every text row of a packed batch of [speech;
+    text] sequences, storing their keys and values in the empty `cache`."""
+    seqs = [np.asarray(t, dtype=np.intp) for t in text_ids]
+    t_lens = np.array([ids.size for ids in seqs], dtype=np.intp)
+    s_lens = np.zeros(len(seqs), np.intp) if speech is None else np.asarray(speech_lens)
+    params = cache.weights
+    emb = params["emb"]
+    positions, is_text = packed_rows(s_lens, t_lens, cache.filled)
+    # each row reads its token's row of the table or its speech row, placed after the table
+    table, rows = emb, np.empty(is_text.size, dtype=np.intp)
+    rows[is_text] = np.concatenate(seqs)
+    if speech is not None:
+        table = tt.concat_rows([emb, speech])
+        rows[~is_text] = emb.shape[0] + np.arange(speech.shape[0])
+    x = tt.add(tt.gather_rows(table, rows), tt.gather_rows(params["pos"], positions))
+    return blocks_and_logits(dec, x, (s_lens + t_lens).tolist(), is_text, cache)
+
+
+def blocks_and_logits(dec, x: tt.Tensor, lengths, is_text, cache) -> tt.Tensor:
+    """The decoder blocks over the cache from the embedded rows `x`, then
+    the logits of the rows that hold text."""
+    params = cache.weights
+    for i in range(dec.cfg.blocks):
+        x = mix_block(x, params, f"blk{i}", dec.cfg.heads, lengths,
+                      (*cache.blocks[i], cache.filled))
+    cache.filled += lengths
+    h = tt.layer_norm(x, params["lnfg"], params["lnfb"])
+    return tt.matmul(tt.gather_rows(h, np.flatnonzero(is_text)), params["out.w"])
 
 
 def cached_forward(dec, text_ids, cache) -> tt.Tensor:
@@ -149,11 +201,4 @@ def cached_forward(dec, text_ids, cache) -> tt.Tensor:
     rows = np.empty(is_text.size, dtype=np.intp)
     rows[is_text] = ids
     x = tt.add(tt.gather_rows(emb, rows), tt.gather_rows(params["pos"], positions))
-    lengths = (s_lens + t_lens).tolist()
-    for i in range(dec.cfg.blocks):
-        x = mix_block(x, params, f"blk{i}", dec.cfg.heads, lengths,
-                      (*cache.blocks[i], cache.filled))
-    cache.filled += lengths
-    h = tt.layer_norm(x, params["lnfg"], params["lnfb"])
-    h_text = tt.gather_rows(h, np.flatnonzero(is_text))
-    return tt.matmul(h_text, params["out.w"])
+    return blocks_and_logits(dec, x, (s_lens + t_lens).tolist(), is_text, cache)

@@ -167,6 +167,10 @@ BAD_CONFIGS = {
         "--out", str(d / "s.ckpt"), "--config", _write(d, "adapt.json", dict(
             TRAIN, decoder=DECODER, connector={"k": "abc"}))],
     "decode-k-0": lambda t, d: decode(t, "--decoder", t["sys"], "--k", "0"),
+    # a connector block that is no JSON object
+    "connector-block-list": lambda t, d: _adapt_with_connector(t, d, [1]),
+    "connector-block-null": lambda t, d: _adapt_with_connector(t, d, None),
+    "connector-block-text": lambda t, d: _adapt_with_connector(t, d, "ab"),
     "decoder-ckpt-k-negative": lambda t, d: decode(t, "--decoder", _system_with(t, d, k=-5)),
     "grid-zero": lambda t, d: ["sweep-tau", "--encoder", t["enc"], "--decoder", t["sys"],
                                "--spec", t["spec"], "--grid", "0"],
@@ -202,6 +206,36 @@ BAD_CONFIGS = {
     "splits-unbuilt-dev-0": lambda t, d: ["decode-eval", "--encoder", t["enc"],
                                           "--spec", _splits(d, dev=0)],
 }
+
+
+def _adapt_with_connector(t, d, conn):
+    return ["adapt", "--mode", "lego", "--encoder", t["enc"], "--spec", t["spec"],
+            "--out", str(d / "s.ckpt"), "--config", _write(d, "adapt.json", dict(
+                TRAIN, decoder=DECODER, connector=conn))]
+
+
+def _explicit_task(**fields):
+    """TASK with its chain in the explicit form: `build_chain`'s own
+    transition and initial probabilities and confusion pairs."""
+    spec = cli.load_task(TASK).spec
+    task = {k: v for k, v in TASK.items() if k != "chain"}
+    task.update(transition=spec.transition.tolist(), init=spec.init_probs.tolist(),
+                confusion_pairs={str(k): v for k, v in spec.confusion.items()})
+    return dict(task, **fields)
+
+
+def test_explicit_task_form_gives_the_chain_form_splits(capsys, tmp_path):
+    digests = []
+    for name, task in (("chain", TASK), ("explicit", _explicit_task())):
+        out = tmp_path / name
+        assert run(capsys, ["gen-data", "--spec", _write(tmp_path, f"{name}.json", task),
+                            "--out", str(out)])[0] == 0
+        digests.append([hashlib.sha256((out / f"{split}.jsonl").read_bytes()).hexdigest()
+                        for split in ("train", "dev", "test")])
+    assert digests[0] == digests[1]
+    bad = _write(tmp_path, "bad.json", _explicit_task(confusion_pairs=[[1, 2]]))
+    assert run(capsys, ["gen-data", "--spec", bad, "--out", str(tmp_path / "bad")]) == (
+        2, "", "error: task spec: confusion_pairs must be a JSON object, got [[1, 2]]\n")
 
 
 def _splits(d, **sizes):
@@ -243,6 +277,9 @@ CONNECTOR_FIELDS = {
     "connector-block-k-text": "k must be None or an int",
     "decode-k-0": "k must be None or an int",
     "decoder-ckpt-k-negative": "k must be None or an int",
+    "connector-block-list": "connector must be a JSON object, got [1]",
+    "connector-block-null": "connector must be a JSON object, got null",
+    "connector-block-text": 'connector must be a JSON object, got "ab"',
 }
 
 

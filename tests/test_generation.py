@@ -1,10 +1,11 @@
 """Batched greedy generation with a K/V cache against the one-utterance,
 full-pass oracle in `generation_oracles`, and its decode step against the
-cached pass it replaced (`step_oracles`).
+cached passes it replaced (`step_oracles`).
 
 Hypotheses must be token-identical to the oracle's.  A step's logits and
-cache rows must be the bytes of the retired cached pass.  A cached step's
-logits agree with the last row of a full decoder pass over the same
+cache rows must be the bytes of the retired cached passes: the prefill
+over [speech; prompt], and the one-row pass continuing it.  A cached
+step's logits agree with the last row of a full decoder pass over the same
 sequence within 1e-5 of the largest logit magnitude in float32 and 1e-10 in
 float64, bounds set from the dtypes: only float64 summation order differs.
 Measured over 60 random decoders of 1-4 heads, 20 steps each: the float32
@@ -90,8 +91,7 @@ def batch_inputs(sysm, enc, vocab, utts, cache):
 @pytest.mark.parametrize("mode", tuple(md.CONNECTIONS))
 def test_every_mode_matches_the_oracle(task, systems, mode):
     vocab, _, dev, test = task
-    utts = [*dev, *test]  # more than one prefill pass holds
-    assert len(utts) > md.INFERENCE_BATCH
+    utts = [*dev, *test]
     enc, (sysm, cache) = systems[0], systems[1][mode]
     want = [oracle.decode_utterance(sysm, enc, vocab, u, MAX_NEW, cache[u.id] if cache else None)
             for u in utts]
@@ -129,28 +129,30 @@ def test_batch_mixing_eos_budget_and_max_len_stops(task, systems):
     assert got == want
 
 
-def test_one_row_steps_over_one_cache_per_chunk(task, systems, monkeypatch):
-    """Every step feeds one row, and the steps feed back each utterance's
-    tokens in order, all but the last of one that runs to `max_new`.  Each
-    chunk of at most `INFERENCE_BATCH` utterances gets one float64 cache,
-    and the previous chunk's cache and its arrays are gone before the next
-    one is built."""
+def test_one_row_steps_over_one_cache_per_utterance(task, systems, monkeypatch):
+    """Each utterance gets one float64 cache of [speech; prompt] rows plus
+    all but the last of `max_new` tokens, and the previous utterance's
+    cache and its arrays are gone before the next one is built.  Its first
+    step feeds its speech rows and prompt; every later step feeds one
+    token, its tokens in order, all but the last of one that runs to
+    `max_new`."""
     vocab, _, dev, test = task
     enc, (sysm, _) = systems[0], systems[1]["lego"]
     utts = [*dev, *test]
     speech, prompts, lens = batch_inputs(sysm, enc, vocab, utts, None)
-    fed, sizes, dtypes, alive, refs = [], [], set(), [], []
+    fed, rows, dtypes, alive, refs = [], [], set(), [], []  # fed: each cache's steps
     step = md.DecoderLM.step
 
-    def spy(self, ids, cache):
-        fed.append(list(ids))
-        return step(self, ids, cache)
+    def spy(self, ids, cache, speech=None):
+        fed[-1].append((list(ids), None if speech is None else speech.data.tobytes()))
+        return step(self, ids, cache, speech)
 
     class Cache(md.KVCache):
         def __init__(self, *args):
             alive.append(any(r() is not None for r in refs))
             super().__init__(*args)
-            sizes.append(self.filled.size)
+            fed.append([])
+            rows.append(self.rows)
             arrays = [a for kv in self.blocks for a in kv]
             dtypes.update(a.dtype for a in arrays)
             refs[:] = [weakref.ref(self), *map(weakref.ref, arrays)]
@@ -158,13 +160,13 @@ def test_one_row_steps_over_one_cache_per_chunk(task, systems, monkeypatch):
     monkeypatch.setattr(md.DecoderLM, "step", spy)
     monkeypatch.setattr(md, "KVCache", Cache)
     hyps = md.generate(sysm, speech, prompts, MAX_NEW, lens)
-    assert all(len(ids) == 1 for ids in fed)
-    assert [t for ids in fed for t in ids] == [t for h in hyps for t in h[:MAX_NEW - 1]]
-    assert len(fed) > MAX_NEW and any(len(h) == MAX_NEW for h in hyps)
-    assert sizes == [min(md.INFERENCE_BATCH, len(utts) - lo)
-                     for lo in range(0, len(utts), md.INFERENCE_BATCH)]
-    assert len(sizes) > 1 and dtypes == {np.dtype(np.float64)}
-    assert alive == [False] * len(sizes)
+    starts = np.cumsum([0] + lens)
+    assert rows == [s + len(p) + MAX_NEW - 1 for s, p in zip(lens, prompts)]
+    assert dtypes == {np.dtype(np.float64)} and alive == [False] * len(utts)
+    for steps, p, h, a, b in zip(fed, prompts, hyps, starts, starts[1:]):
+        assert steps[0] == (p, speech.data[a:b].tobytes())
+        assert steps[1:] == [([t], None) for t in h[:MAX_NEW - 1]]
+    assert any(len(h) == MAX_NEW for h in hyps) and any(len(h) < MAX_NEW for h in hyps)
 
 
 VOCAB = build_vocabulary(8)
@@ -247,19 +249,17 @@ def test_no_step_converts_a_weight(task, systems, monkeypatch):
 
     def spy_fixed_weights(dec):
         built.append(Reads(fixed_weights(dec)))
-        steps.append((None, {}))  # the prefill's reads
         return built[-1]
 
-    def spy_step(self, ids, cache):
+    def spy_step(self, ids, cache, speech=None):
         steps.append((cache.weights, {}))
-        return step(self, ids, cache)
+        return step(self, ids, cache, speech)
 
     monkeypatch.setattr(md, "_fixed_weights", spy_fixed_weights)
     monkeypatch.setattr(md.DecoderLM, "step", spy_step)
     md.generate(sysm, speech, prompts, MAX_NEW, lens)
     assert len(built) == 1
     params = {id(p.value) for p in sysm.decoder.params.values()}
-    steps = steps[1:]
     assert len(steps) > MAX_NEW and all(w is built[0] for w, _ in steps)
     blocks = sysm.decoder.cfg.blocks
     matmuls = {"out.w"} | {f"blk{i}.{nm}" for i in range(blocks)
@@ -275,88 +275,100 @@ def test_cached_steps_match_full_passes(task, dtype, tol):
     vocab = task[0]
     with precision(dtype):
         dec = decoder(vocab, seed=3)
-        s_lens, seqs = [3, 5, 1], [[vocab.bos_id], [vocab.bos_id, 2, 4, 1], [vocab.bos_id, 0]]
-        prefixes = [tt.Tensor(normals(30 + i, s, 24)) for i, s in enumerate(s_lens)]
-        cache = md.KVCache(dec.cfg, len(seqs), 24, md._fixed_weights(dec))
-        logits = dec.forward(tt.Tensor(np.concatenate([p.data for p in prefixes])), seqs,
-                             speech_lens=s_lens, cache=cache)
-        rows = logits.data[np.cumsum([len(s) for s in seqs]) - 1]
-        worst = 0.0
-        for _ in range(8):
-            for sp, seq, row in zip(prefixes, seqs, rows):
-                full = dec.forward(sp, [seq], speech_lens=[sp.shape[0]]).data[-1]
+        weights, worst = md._fixed_weights(dec), 0.0
+        for i, (s, seq) in enumerate(zip([3, 5, 1], [[vocab.bos_id], [vocab.bos_id, 2, 4, 1],
+                                                     [vocab.bos_id, 0]])):
+            speech, cache = tt.Tensor(normals(30 + i, s, 24)), md.KVCache(dec.cfg, 24, weights)
+            row = dec.step(seq, cache, speech)
+            for _ in range(8):
+                full = dec.forward(speech, [seq], speech_lens=[s]).data[-1]
                 worst = max(worst, float(np.abs(row - full).max() / np.abs(full).max()))
-            nxt = rows.argmax(axis=1)
-            for seq, token in zip(seqs, nxt):
-                seq.append(int(token))
-            rows = dec.step(nxt, cache)
-        assert cache.filled.tolist() == [s + len(seq) for s, seq in zip(s_lens, seqs)]
+                seq.append(int(row.argmax()))
+                row = dec.step(seq[-1:], cache)
+            assert cache.filled == s + len(seq)
     assert worst <= tol
 
 
 def test_cache_rejects_a_tape_and_overlong_steps(task):
+    """The checks of the retired cache-filling `forward` pass and of the
+    batched step, on `DecoderLM.step`: a taped speech prefix, a prefill
+    text that is empty or does not begin with <bos>, an id outside [0, V),
+    and a sequence longer than max_len or than the cache's rows, counted
+    with the speech rows.  A rejected step leaves the cache as it was."""
     vocab = task[0]
     dec = decoder(vocab, max_len=6)
     weights = md._fixed_weights(dec)
+
+    def fresh(rows=6):
+        return md.KVCache(dec.cfg, rows, weights)
+
+    taped = tt.GradTape().watch(tt.Parameter(np.ones((1, dec.cfg.dim))))
     with pytest.raises(ValueError, match="untaped"):
-        dec.forward(None, [[vocab.bos_id, 1]], tape=tt.GradTape(),
-                    cache=md.KVCache(dec.cfg, 1, 6, weights))
-    cache = md.KVCache(dec.cfg, 2, 6, weights)
-    dec.forward(None, [[vocab.bos_id] * 6, [vocab.bos_id]], cache=cache)
-    with pytest.raises(ValueError, match="sequence length 7 exceeds max_len 6"):
-        dec.step([1, 1], cache)
-    with pytest.raises(ValueError, match="fills an empty K/V cache only"):
-        dec.forward(None, [[vocab.bos_id], [vocab.bos_id]], cache=cache)
-    cache = cache.part(1, 2)
-    with pytest.raises(ValueError, match="holds 1 sequences, got 2 ids"):
-        dec.step([1, 1], cache)
+        dec.step([vocab.bos_id, 1], fresh(), taped)
+    with pytest.raises(ValueError, match="text must be non-empty"):
+        dec.step([], fresh())
+    with pytest.raises(ValueError, match="text must begin with <bos>"):
+        dec.step([1, vocab.bos_id], fresh())
     with pytest.raises(ValueError, match=r"outside \[0, V\)"):
-        dec.step([vocab.size], cache)
-    dec.step([1], cache)
+        dec.step([vocab.bos_id, vocab.size], fresh())
+    with pytest.raises(ValueError, match="sequence length 7 exceeds max_len 6"):
+        dec.step([vocab.bos_id], fresh(8), tt.Tensor(np.ones((6, dec.cfg.dim))))
     with pytest.raises(ValueError, match="exceeds the cache's 2 rows"):
-        dec.forward(None, [[vocab.bos_id, 1, 1]], cache=md.KVCache(dec.cfg, 1, 2, weights))
-    small = md.KVCache(dec.cfg, 1, 2, weights)
-    dec.forward(None, [[vocab.bos_id, 1]], cache=small)
+        dec.step([vocab.bos_id, 1, 1], fresh(2))
+    cache = fresh()
+    dec.step([vocab.bos_id] * 6, cache)
+    with pytest.raises(ValueError, match="sequence length 7 exceeds max_len 6"):
+        dec.step([1], cache)
+    small = fresh(2)
+    dec.step([vocab.bos_id, 1], small)
     with pytest.raises(ValueError, match="exceeds the cache's 2 rows"):
         dec.step([1], small)
-    with pytest.raises(ValueError, match="that a forward pass filled"):
-        dec.step([1], md.KVCache(dec.cfg, 1, 6, weights))
+    cache = fresh()
+    dec.step([vocab.bos_id], cache)
+    with pytest.raises(ValueError, match=r"outside \[0, V\)"):
+        dec.step([-1], cache)
+    assert cache.filled == 1 and small.filled == 2
+    dec.step([1], cache)  # a later step need not begin with <bos>
+    dec.step([1], cache, tt.Tensor(np.ones((2, dec.cfg.dim))))
+    assert cache.filled == 5
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @given(seed=st.integers(0, 2 ** 16), heads=st.integers(1, 4), blocks=st.integers(1, 3),
-       tie_output=st.booleans(), steps=st.integers(1, 4),
-       shape=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), min_size=1, max_size=5))
+       tie_output=st.booleans(), steps=st.integers(1, 4), speech_rows=st.integers(0, 5),
+       prompt_len=st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
 def test_step_matches_the_retired_cached_pass(dtype, seed, heads, blocks, tie_output, steps,
-                                              shape):
-    """`DecoderLM.step` against the cached `forward` pass it replaced, on
-    random decoders with every parameter moved off its initial value and
-    on ragged fills: the logits' bytes, and every block's cache bytes after
-    each step.  Both caches are filled by a `forward` prefill; the retired
-    pass's cache is then put back in the storage dtype it ran on."""
+                                              speech_rows, prompt_len):
+    """`DecoderLM.step` against the cached `forward` passes it replaced, on
+    random decoders with every parameter moved off its initial value.  A
+    step over [speech; prompt] into an empty cache gives the logits' bytes
+    of the retired prefill and of the last row of an untaped `forward`
+    pass, and every block's cache bytes; each later step gives those of the
+    retired one-row pass on a batch of one.  The retired passes' cache is in
+    the storage dtype they ran on."""
     with precision(dtype):
         dec = decoder(VOCAB, seed=seed, dim=8 * heads, ffn=16, blocks=blocks, heads=heads,
                       max_len=16, tie_output=tie_output)
         for i, p in enumerate(dec.params.values()):  # gains off 1, biases off 0
             p.value[...] += normals(seed + 100 + i, *p.value.shape) * 0.2
-        speech, prompts, lens = random_batch(seed, dec, shape)
+        speech, prompts, lens = random_batch(seed, dec, [(speech_rows, prompt_len)])
+        speech = speech if speech_rows else None
         weights = md._fixed_weights(dec)
-        rows = max(s + p for s, p in shape) + steps
-        want_cache, cache = (md.KVCache(dec.cfg, len(shape), rows, weights) for _ in range(2))
-        first = [dec.forward(speech, prompts, speech_lens=lens, cache=c).data
-                 for c in (want_cache, cache)]
-        assert first[0].tobytes() == first[1].tobytes()
-        want_cache.blocks = [(k.astype(tt._DTYPE), v.astype(tt._DTYPE))
-                             for k, v in want_cache.blocks]
-        ids = first[0][np.cumsum([len(p) for p in prompts]) - 1].argmax(axis=1)
-        for _ in range(steps):
-            want = step_oracles.cached_forward(dec, ids[:, None], want_cache).data
-            got = dec.step(ids, cache)
+        rows = speech_rows + prompt_len + steps
+        cache = md.KVCache(dec.cfg, rows, weights)
+        want_cache = step_oracles.BatchCache(dec.cfg, 1, rows, weights, tt._DTYPE)
+        want = step_oracles.prefill(dec, speech, prompts, want_cache, lens).data[-1]
+        got = dec.step(prompts[0], cache, speech)
+        assert got.tobytes() == dec.forward(speech, prompts, speech_lens=lens).data[-1].tobytes()
+        for _ in range(steps + 1):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert cache.filled.tolist() == want_cache.filled.tolist()
+            assert cache.filled == want_cache.filled[0]
             for (k, v), (wk, wv) in zip(cache.blocks, want_cache.blocks):
                 assert k.dtype == np.float64
-                assert k.tobytes() == wk.astype(k.dtype).tobytes()
-                assert v.tobytes() == wv.astype(v.dtype).tobytes()
-            ids = want.argmax(axis=1)
+                assert k.tobytes() == wk[0].astype(k.dtype).tobytes()
+                assert v.tobytes() == wv[0].astype(v.dtype).tobytes()
+            token = int(want.argmax())
+            if cache.filled < rows:
+                want = step_oracles.cached_forward(dec, [[token]], want_cache).data[0]
+                got = dec.step([token], cache)

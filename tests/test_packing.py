@@ -227,14 +227,14 @@ class TestPackedPasses:
 
 class TestPackedPosteriorgrams:
     """Decoding with the encoder alone reads posteriorgrams from packed
-    passes of at most `INFERENCE_BATCH` utterances, which one beam search
+    passes of at most `cli.INFERENCE_BATCH` utterances, which one beam search
     takes up to `cli.SEARCH_BATCH` at a time; the one-utterance passes gave
     the same bytes."""
 
     @pytest.fixture(scope="class")
     def utts(self, task):
         utts = [*task[1], *task[2]]
-        assert len(utts) % md.INFERENCE_BATCH and len(utts) > 2 * md.INFERENCE_BATCH
+        assert len(utts) % cli.INFERENCE_BATCH and len(utts) > 2 * cli.INFERENCE_BATCH
         return utts
 
     def test_posteriorgrams_are_the_one_utterance_bytes(self, trained, utts, monkeypatch):
@@ -247,7 +247,7 @@ class TestPackedPosteriorgrams:
 
         monkeypatch.setattr(md.SpeechEncoder, "forward", spy)
         got = list(posteriorgrams(trained, utts))
-        assert batches == [md.INFERENCE_BATCH] * 2 + [len(utts) - 2 * md.INFERENCE_BATCH]
+        assert batches == [cli.INFERENCE_BATCH] * 2 + [len(utts) - 2 * cli.INFERENCE_BATCH]
         assert [len(p.lengths) for p in got] == batches
         want = [oracle.posteriorgram(trained, u) for u in utts]
         assert [p.probs[b, :t].tobytes() for p in got for b, t in enumerate(p.lengths)] == [
@@ -283,7 +283,7 @@ class TestPackedPosteriorgrams:
         monkeypatch.setattr(cli, "beam_search", spy)
         monkeypatch.setattr(cli, "SEARCH_BATCH", search_batch)
         build_aec_cache(trained, utts, beam=2, n=1)
-        assert max(passes) <= md.INFERENCE_BATCH and sum(passes) == len(utts)
+        assert max(passes) <= cli.INFERENCE_BATCH and sum(passes) == len(utts)
         sizes = [len(p.lengths) for p in searched]
         assert sizes == [min(search_batch, len(utts) - lo)
                          for lo in range(0, len(utts), search_batch)]

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -365,10 +366,10 @@ class TestTapedMatmul:
 
 
 class TestTrimmedOpsMatchTheirOracles:
-    """The layer-norm statistics and the one-row cached attention step give
-    the bytes of the code they replaced (`step_oracles`), at widths 1, 48
-    and 64, over 1-5 rows or sequences, with ragged cache fills; the step
-    on a cache in the storage dtype and on a float64 one."""
+    """The layer-norm statistics and the cached attention step give the
+    bytes of the code they replaced (`step_oracles`), at widths 1, 48 and
+    64, over 1-5 rows or sequences, with ragged cache fills; the step on a
+    cache in the storage dtype and on a float64 one."""
 
     @staticmethod
     def draws(seed, *shape, scale=1.0):
@@ -402,41 +403,87 @@ class TestTrimmedOpsMatchTheirOracles:
     @pytest.mark.parametrize("width, heads", WIDTH_HEADS)
     @pytest.mark.parametrize("batch", range(1, 6))
     def test_cached_step(self, width, heads, batch):
+        """`batch` sequences with ragged fills, each stepped one row alone,
+        against the retired step on a batch-of-one view."""
         rows = 9
         shape = (batch, heads, rows, width // heads)
         k, v = self.draws(1, *shape), self.draws(2, *shape)
         filled = CounterRng(batch).integers(0, rows - 1, batch).astype(np.intp)
         qkv = self.draws(3 + batch, batch, 3 * width)
-        ok, ov = k.copy(), v.copy()
-        oracle.write_cache(qkv, heads, (ok, ov, filled), [1] * batch)
-        want = oracle.cached_step(qkv, heads, 1.0 / np.sqrt(width // heads), (ok, ov, filled))
+        ok, ov, want = k.copy(), v.copy(), []
+        for b in range(batch):
+            one = (ok[b:b + 1], ov[b:b + 1], filled[b:b + 1])
+            oracle.write_cache(qkv[b:b + 1], heads, one, [1])
+            want.append(oracle.cached_step(qkv[b:b + 1], heads, 1.0 / np.sqrt(width // heads),
+                                           one).tobytes())
         for dtype in (np.float32, np.float64):
             ck, cv = k.astype(dtype), v.astype(dtype)
-            got = tt._cached_step(qkv, heads, (ck, cv, filled))
+            got = [tt._cached_step(qkv[b:b + 1], heads, (ck[b], cv[b], int(filled[b]))).tobytes()
+                   for b in range(batch)]
             assert ck.tobytes() == ok.astype(dtype).tobytes()
             assert cv.tobytes() == ov.astype(dtype).tobytes()
-            assert got.tobytes() == want.tobytes()
+            assert got == want
 
     @pytest.mark.parametrize("width, heads", WIDTH_HEADS)
     def test_prefill_writes_the_oracle_rows(self, width, heads):
-        lengths = [3, 1, 5, 2]
-        shape = (len(lengths), heads, 6, width // heads)
-        k, v = np.zeros(shape, np.float32), np.zeros(shape, np.float32)
-        ok, ov, filled = k.copy(), v.copy(), np.zeros(len(lengths), np.intp)
-        qkv = self.draws(5, sum(lengths), 3 * width)
-        oracle.write_cache(qkv, heads, (ok, ov, filled), lengths)
-        tt.attention(tt.Tensor(qkv), heads, True, lengths, (k, v))
-        assert k.tobytes() == ok.tobytes() and v.tobytes() == ov.tobytes()
+        """n rows into an empty cache: the rows the retired prefill wrote,
+        and the bytes of causal `attention` once rounded as it rounds; then
+        rows after them go after them."""
+        for n in (3, 1, 5, 2):
+            shape = (heads, n + 2, width // heads)
+            k, v = np.zeros(shape), np.zeros(shape)
+            ok, ov = k[None].copy(), v[None].copy()
+            qkv = self.draws(5 + n, n + 2, 3 * width)
+            oracle.write_cache(qkv, heads, (ok, ov, np.zeros(1, np.intp)), [n + 2])
+            got = tt._cached_step(qkv[:n], heads, (k, v, 0))
+            want = tt.attention(tt.Tensor(qkv[:n]), heads, True).data
+            assert got.astype(want.dtype).tobytes() == want.tobytes()
+            tt._cached_step(qkv[n:], heads, (k, v, n))
+            assert k.tobytes() == ok[0].tobytes() and v.tobytes() == ov[0].tobytes()
 
-    def test_a_cache_takes_one_segment_per_sequence(self):
-        shape = (2, 1, 4, 2)
-        cache = (np.zeros(shape, np.float32), np.zeros(shape, np.float32))
-        for lengths in ([1, 1, 1], None):
-            segs = 1 if lengths is None else 3
-            with pytest.raises(ValueError, match=f"holds 2 sequences, got {segs} segments"):
-                tt.attention(tt.Tensor(np.ones((3, 6))), 1, True, lengths, cache)
-        tape = tt.GradTape()
-        for x, causal in ((tape.watch(tt.Parameter(np.ones((2, 6)))), True),
-                          (tt.Tensor(np.ones((2, 6))), False)):
-            with pytest.raises(ValueError, match="untaped causal attention only"):
-                tt.attention(x, 1, causal, [1, 1], cache)
+
+# One case per public op: the shapes of its tensor inputs, and a call of it on them.
+PURITY_CASES = {
+    "add": ([(3, 4), (4,)], tt.add),
+    "matmul": ([(3, 4), (4, 2)], tt.matmul),
+    "transpose": ([(3, 4)], tt.transpose),
+    "relu": ([(3, 4)], tt.relu),
+    "dropout": ([(5, 4)], lambda x: tt.dropout(x, 0.5, CounterRng(1).child(0, 1), [2, 3])),
+    "gather_rows": ([(5, 4)], lambda m: tt.gather_rows(m, [4, 0, 4, 2])),
+    "slice_rows": ([(5, 4)], lambda m: tt.slice_rows(m, 1, 4)),
+    "concat_rows": ([(2, 4), (3, 4)], lambda a, b: tt.concat_rows([a, b])),
+    "reshape": ([(3, 4)], lambda x: tt.reshape(x, (4, 3))),
+    "layer_norm": ([(3, 4), (4,), (4,)], tt.layer_norm),
+    "softmax": ([(3, 4)], lambda x: tt.softmax(x, tau=0.7)),
+    "attention": ([(5, 12)], lambda qkv: tt.attention(qkv, 2, True, [2, 3])),
+    "cross_entropy": ([(3, 4)], lambda x: tt.cross_entropy(x, [0, 3, 1], [1.0, 0.0, 1.0])),
+}
+
+
+def test_every_public_op_has_a_purity_case():
+    """The public functions of `tensor` but `precision`, `as_tensor` and
+    `finite_diff_check`, as `perfbench/spans.py` selects the ops it counts."""
+    ops = {name for name, fn in vars(tt).items()
+           if inspect.isfunction(fn) and fn.__module__ == tt.__name__
+           and not name.startswith("_") and name not in {"precision", "as_tensor",
+                                                         "finite_diff_check"}}
+    assert ops == set(PURITY_CASES)
+
+
+@pytest.mark.parametrize("op", sorted(PURITY_CASES))
+def test_every_public_op_leaves_its_inputs_unchanged(op):
+    """Untaped, and taped through a backward pass that reaches every input."""
+    shapes, call = PURITY_CASES[op]
+    arrays = [(CounterRng(i).normals(int(np.prod(shape))).reshape(shape)).astype(np.float32)
+              for i, shape in enumerate(shapes)]
+    before = [a.tobytes() for a in arrays]
+    call(*(tt.Tensor(a) for a in arrays))
+    assert [a.tobytes() for a in arrays] == before
+    params = [tt.Parameter(a, f"in{i}") for i, a in enumerate(arrays)]
+    assert all(p.value is a for p, a in zip(params, arrays))  # the op reads these very bytes
+    tape = tt.GradTape()
+    out = call(*(tape.watch(p) for p in params))
+    probe = tt.Tensor(CounterRng(99).normals(out.size).reshape(out.shape))
+    tape.backward(out if out.size == 1 else reduce_sum(mul(out, probe)))
+    assert [a.tobytes() for a in arrays] == before
+    assert all(p.grad.any() for p in params)
